@@ -202,49 +202,26 @@ pub fn sweep_bench_to_json(report: &SweepBenchReport) -> String {
 }
 
 /// One kernel micro-benchmark point: nanoseconds per `lanes`-lane inner
-/// product for the legacy bit-serial loop, the 64-lane packed AND+popcount
-/// datapath (tiled over the lanes), and the 256-lane SIMD-wide datapath, at
-/// one operand precision.
+/// product for the bit-serial oracle loop and the 256-lane SIMD-wide
+/// datapath, at one operand precision.
 #[derive(Debug, Clone, PartialEq)]
 pub struct KernelBench {
     /// Operand precision (both weights and activations), in bits.
     pub precision_bits: u8,
     /// Lanes per inner product (the wide block width, 256).
     pub lanes: usize,
-    /// Mean wall-clock per inner product for the bit-serial kernel.
+    /// Mean wall-clock per inner product for the bit-serial oracle.
     pub serial_ns: f64,
-    /// Mean wall-clock per inner product for the 64-lane packed kernel
-    /// (pre-transposed operands, as the engine amortises packing).
-    pub packed_ns: f64,
     /// Mean wall-clock per inner product for the 256-lane wide kernel
-    /// (pre-transposed operands).
+    /// (pre-transposed operands, as the engine amortises packing).
     pub wide_ns: f64,
 }
 
 impl KernelBench {
-    /// Serial-over-packed speedup (1.0 when the packed time is 0).
-    pub fn speedup(&self) -> f64 {
-        if self.packed_ns > 0.0 {
-            self.serial_ns / self.packed_ns
-        } else {
-            1.0
-        }
-    }
-
     /// Serial-over-wide speedup (1.0 when the wide time is 0).
     pub fn wide_speedup(&self) -> f64 {
         if self.wide_ns > 0.0 {
             self.serial_ns / self.wide_ns
-        } else {
-            1.0
-        }
-    }
-
-    /// Packed-over-wide ratio — how much the 256-lane datapath gains over
-    /// the 64-lane one at the same work (1.0 when the wide time is 0).
-    pub fn wide_vs_packed(&self) -> f64 {
-        if self.wide_ns > 0.0 {
-            self.packed_ns / self.wide_ns
         } else {
             1.0
         }
@@ -373,8 +350,8 @@ pub struct WeightStoreBench {
 }
 
 /// One functional-benchmark measurement: the SIP kernel micro-benchmarks, a
-/// mid-size convolutional layer run end to end through the functional engine
-/// on all three kernels, the zoo networks through the whole-network engine
+/// mid-size convolutional layer through the functional engine and the golden
+/// `i64` reference, the zoo networks through the whole-network engine
 /// against the golden model, and a batched-throughput scaling curve.
 /// Rendered as machine-readable JSON by [`functional_bench_to_json`]
 /// (consumed by CI as `BENCH_functional.json`).
@@ -384,15 +361,13 @@ pub struct FunctionalBenchReport {
     pub kernels: Vec<KernelBench>,
     /// Human-readable description of the benchmarked conv layer.
     pub conv_layer: String,
-    /// Wall-clock seconds of the conv layer on the bit-serial engine path.
-    pub conv_serial_seconds: f64,
-    /// Wall-clock seconds of the conv layer on the 64-lane packed path.
-    pub conv_packed_seconds: f64,
-    /// Wall-clock seconds of the conv layer on the 256-lane wide path.
+    /// Wall-clock seconds of the conv layer on the golden `i64` reference.
+    pub conv_golden_seconds: f64,
+    /// Wall-clock seconds of the conv layer on the functional engine.
     pub conv_wide_seconds: f64,
-    /// Whether the three engine paths produced identical functional runs
-    /// (outputs, cycles, and reduced groups). CI fails the job when false.
-    pub kernels_agree: bool,
+    /// Whether the engine's conv outputs equal the golden reference's. CI
+    /// fails the job when false.
+    pub conv_matches_reference: bool,
     /// Cores the benchmarking machine exposed (contextualises the batch
     /// speedup: a single-core runner cannot show one).
     pub available_parallelism: usize,
@@ -427,32 +402,22 @@ pub struct FunctionalBenchReport {
 }
 
 impl FunctionalBenchReport {
-    /// Serial-over-wide wall-clock ratio for the conv layer (1.0 when the
-    /// wide time is 0) — the headline speedup the CI perf guard floors.
+    /// Golden-over-engine wall-clock ratio for the conv layer (1.0 when the
+    /// engine time is 0) — the headline speedup the CI perf guard floors.
     pub fn conv_speedup(&self) -> f64 {
         if self.conv_wide_seconds > 0.0 {
-            self.conv_serial_seconds / self.conv_wide_seconds
+            self.conv_golden_seconds / self.conv_wide_seconds
         } else {
             1.0
         }
     }
 
-    /// Serial-over-packed wall-clock ratio for the conv layer (1.0 when the
-    /// packed time is 0) — the 64-lane datapath's speedup, for comparison.
-    pub fn conv_packed_speedup(&self) -> f64 {
-        if self.conv_packed_seconds > 0.0 {
-            self.conv_serial_seconds / self.conv_packed_seconds
-        } else {
-            1.0
-        }
-    }
-
-    /// Whether every bit-exactness check in the report passed: the three SIP
-    /// kernels, every zoo network against the golden model, every
+    /// Whether every bit-exactness check in the report passed: the conv
+    /// layer, every zoo network against the golden model, every
     /// per-accelerator datapath row, and every parallel batch run against
     /// the serial one. CI fails the job when false.
     pub fn all_agree(&self) -> bool {
-        self.kernels_agree
+        self.conv_matches_reference
             && self.zoo.iter().all(|z| z.matches_reference)
             && self.datapaths.iter().all(|d| d.matches_reference)
             && self.batch.as_ref().map_or(true, |b| b.identical)
@@ -473,15 +438,12 @@ pub fn functional_bench_to_json(report: &FunctionalBenchReport) -> String {
         };
         let _ = writeln!(
             out,
-            "    {{\"precision_bits\": {}, \"lanes\": {}, \"serial_ns\": {:.2}, \"packed_ns\": {:.2}, \"wide_ns\": {:.2}, \"packed_speedup\": {:.2}, \"wide_speedup\": {:.2}, \"wide_vs_packed\": {:.2}}}{comma}",
+            "    {{\"precision_bits\": {}, \"lanes\": {}, \"serial_ns\": {:.2}, \"wide_ns\": {:.2}, \"wide_speedup\": {:.2}}}{comma}",
             k.precision_bits,
             k.lanes,
             k.serial_ns,
-            k.packed_ns,
             k.wide_ns,
-            k.speedup(),
-            k.wide_speedup(),
-            k.wide_vs_packed()
+            k.wide_speedup()
         );
     }
     out.push_str("  ],\n");
@@ -492,13 +454,8 @@ pub fn functional_bench_to_json(report: &FunctionalBenchReport) -> String {
     );
     let _ = writeln!(
         out,
-        "  \"conv_serial_seconds\": {:.6},",
-        report.conv_serial_seconds
-    );
-    let _ = writeln!(
-        out,
-        "  \"conv_packed_seconds\": {:.6},",
-        report.conv_packed_seconds
+        "  \"conv_golden_seconds\": {:.6},",
+        report.conv_golden_seconds
     );
     let _ = writeln!(
         out,
@@ -508,10 +465,9 @@ pub fn functional_bench_to_json(report: &FunctionalBenchReport) -> String {
     let _ = writeln!(out, "  \"conv_speedup\": {:.4},", report.conv_speedup());
     let _ = writeln!(
         out,
-        "  \"conv_packed_speedup\": {:.4},",
-        report.conv_packed_speedup()
+        "  \"conv_matches_reference\": {},",
+        report.conv_matches_reference
     );
-    let _ = writeln!(out, "  \"kernels_agree\": {},", report.kernels_agree);
     let _ = writeln!(
         out,
         "  \"available_parallelism\": {},",
@@ -713,22 +669,19 @@ mod tests {
                     precision_bits: 8,
                     lanes: 256,
                     serial_ns: 1000.0,
-                    packed_ns: 40.0,
                     wide_ns: 10.0,
                 },
                 KernelBench {
                     precision_bits: 16,
                     lanes: 256,
                     serial_ns: 4000.0,
-                    packed_ns: 100.0,
                     wide_ns: 40.0,
                 },
             ],
             conv_layer: "conv 32x16x16 k3".into(),
-            conv_serial_seconds: 2.0,
-            conv_packed_seconds: 0.2,
+            conv_golden_seconds: 2.0,
             conv_wide_seconds: 0.05,
-            kernels_agree: true,
+            conv_matches_reference: true,
             available_parallelism: 4,
             physical_cores: 2,
             oversubscribed: false,
@@ -819,20 +772,15 @@ mod tests {
             },
         };
         assert!((report.conv_speedup() - 40.0).abs() < 1e-12);
-        assert!((report.conv_packed_speedup() - 10.0).abs() < 1e-12);
-        assert!((report.kernels[0].speedup() - 25.0).abs() < 1e-12);
         assert!((report.kernels[0].wide_speedup() - 100.0).abs() < 1e-12);
-        assert!((report.kernels[0].wide_vs_packed() - 4.0).abs() < 1e-12);
         let json = functional_bench_to_json(&report);
         assert!(json.contains("\"precision_bits\": 8"));
         assert!(json.contains("\"lanes\": 256"));
-        assert!(json.contains("\"packed_speedup\": 25.00"));
         assert!(json.contains("\"wide_speedup\": 100.00"));
-        assert!(json.contains("\"wide_vs_packed\": 4.00"));
+        assert!(json.contains("\"conv_golden_seconds\": 2.000000"));
         assert!(json.contains("\"conv_speedup\": 40.0000"));
-        assert!(json.contains("\"conv_packed_speedup\": 10.0000"));
         assert!(json.contains("\"conv_wide_seconds\": 0.050000"));
-        assert!(json.contains("\"kernels_agree\": true"));
+        assert!(json.contains("\"conv_matches_reference\": true"));
         assert!(json.contains("\"network\": \"MiniGoogLeNet\""));
         assert!(json.contains("\"matches_reference\": true"));
         assert!(json.contains("\"speedup\": 4.0000"));
@@ -843,7 +791,11 @@ mod tests {
         assert!(json.trim_start().starts_with('{') && json.trim_end().ends_with('}'));
         assert!(json.contains("\"accelerator\": \"DStripes\""));
         assert!(json.contains("\"speedup_vs_dpnn\": 4.0000"));
-        // A diverging zoo row, datapath row, or batch flips the gate.
+        // A diverging conv layer, zoo row, datapath row, or batch flips the
+        // gate.
+        let mut bad = report.clone();
+        bad.conv_matches_reference = false;
+        assert!(!bad.all_agree());
         let mut bad = report.clone();
         bad.zoo[0].matches_reference = false;
         assert!(!bad.all_agree());
@@ -881,19 +833,14 @@ mod tests {
             precision_bits: 4,
             lanes: 256,
             serial_ns: 1.0,
-            packed_ns: 0.0,
             wide_ns: 0.0,
         };
-        assert_eq!(degenerate.speedup(), 1.0);
         assert_eq!(degenerate.wide_speedup(), 1.0);
-        assert_eq!(degenerate.wide_vs_packed(), 1.0);
         let zero = FunctionalBenchReport {
             conv_wide_seconds: 0.0,
-            conv_packed_seconds: 0.0,
             ..report
         };
         assert_eq!(zero.conv_speedup(), 1.0);
-        assert_eq!(zero.conv_packed_speedup(), 1.0);
     }
 
     #[test]

@@ -5,64 +5,34 @@
 //! compute the right numbers". It maps convolutional and fully-connected
 //! layers onto a grid of [`Sip`](crate::loom::sip)-equivalent units exactly as
 //! §3.2 describes — filters along rows, windows (CVL) or output slices (FCL)
-//! along columns, 16 weights per SIP — executes them bit-serially, and returns
-//! both the computed outputs and the cycles spent, with optional dynamic
-//! per-group activation precision detection.
+//! along columns, 16 weights per SIP — and returns both the computed outputs
+//! and the cycles spent, with optional dynamic per-group activation precision
+//! detection.
 //!
-//! The inner products are evaluated by a selectable [`SipKernel`]:
+//! The inner products run on the 256-lane `[u64; 4]` datapath of
+//! [`crate::loom::wide`], with runtime SIMD dispatch. Window patches are
+//! extracted into per-worker pack arenas (scratch reused across a worker's
+//! jobs), packed into wide blocks once per window, and evaluated
+//! filters-outer / plane-inner so one filter's weight planes stay hot while a
+//! window group's activation planes stream from L1. Cycle accounting follows
+//! the architectural per-SIP-group detector (window group × `sip_lanes`
+//! chunk), however the arithmetic is vectorised.
 //!
-//! * [`SipKernel::Wide`] (the default) — the 256-lane `[u64; 4]` datapath of
-//!   [`crate::loom::wide`], with runtime AVX2 dispatch. Window patches are
-//!   extracted into per-worker pack arenas (scratch reused across a worker's
-//!   jobs), packed into wide blocks once per window, and evaluated
-//!   filters-outer / plane-inner so one filter's weight planes stay hot while
-//!   a window group's activation planes stream from L1.
-//! * [`SipKernel::Packed`] — the original 64-lane single-word AND+popcount
-//!   datapath of [`crate::loom::packed`], kept as an intermediate
-//!   cross-check.
-//! * [`SipKernel::BitSerial`] — the didactic one-bit-at-a-time loop of
-//!   [`crate::loom::sip`].
-//!
-//! All three are bit-identical — same outputs, same cycle counts, same
-//! dynamically reduced groups; the functional benchmark and CI cross-check
-//! them on every run. Cycle accounting always follows the architectural
-//! per-SIP-group detector (window-group × `sip_lanes` chunk), regardless of
-//! how the arithmetic is vectorised.
-//!
-//! Outputs are checked against the golden model from `loom-model`; cycles are
-//! checked against the analytic schedules.
+//! Outputs are checked against the golden model from `loom-model`, cycles
+//! against the analytic schedules, and whole runs against the bit-serial
+//! oracle [`crate::loom::sip::serial_conv`].
 
 use crate::config::LoomGeometry;
 use crate::loom::cost::{self, ConvPlan};
-use crate::loom::packed::{packed_inner_product, BitplaneBlock, MagnitudeOr};
-use crate::loom::sip::serial_inner_product;
+use crate::loom::packed::MagnitudeOr;
 use crate::loom::wide::{
-    compressed_inner_product, wide_inner_product, CompressedWideBlock, WideBitplaneBlock,
-    WIDE_LANES, WIDE_WORDS,
+    weight_inner_product, CompressedWideBlock, WeightPlanes, WideBitplaneBlock, WIDE_LANES,
 };
 use crate::pool;
-use loom_model::fixed::{Precision, MAX_PRECISION};
-use loom_model::im2col::{window_patch, window_patch_into, WindowPatch};
+use loom_model::fixed::Precision;
+use loom_model::im2col::window_patch_into;
 use loom_model::layer::{ConvSpec, FcSpec};
 use loom_model::tensor::{Tensor3, Tensor4};
-
-/// Which software implementation of the SIP kernel the engine evaluates inner
-/// products with. All are bit-exact; they differ only in speed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SipKernel {
-    /// One bit × one lane at a time, exactly as
-    /// [`serial_inner_product`] walks Figure 3 — didactic and cycle-faithful,
-    /// but orders of magnitude slower.
-    BitSerial,
-    /// Word-wide AND + popcount over 64-lane packed bit planes
-    /// ([`packed_inner_product`]) — bit-identical to the serial kernel by
-    /// construction; retained as a cross-check tier.
-    Packed,
-    /// 256-lane `[u64; 4]` planes with runtime-dispatched AVX2 AND+popcount
-    /// ([`wide_inner_product`]) — bit-identical to both, and the default.
-    #[default]
-    Wide,
-}
 
 /// Result of running a layer through the functional engine.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -83,30 +53,26 @@ pub struct FunctionalLoom {
     geometry: LoomGeometry,
     /// Whether per-group activation precisions are detected at runtime.
     pub dynamic_precision: bool,
-    /// Which SIP kernel evaluates the inner products.
-    pub kernel: SipKernel,
     /// Worker threads layer jobs are fanned across.
     threads: usize,
 }
 
 impl FunctionalLoom {
     /// Creates an engine with the given geometry, dynamic precision detection
-    /// enabled (the paper's default), the wide SIP kernel, and one worker
-    /// thread.
+    /// enabled (the paper's default), and one worker thread.
     pub fn new(geometry: LoomGeometry) -> Self {
         FunctionalLoom {
             geometry,
             dynamic_precision: true,
-            kernel: SipKernel::default(),
             threads: 1,
         }
     }
 
-    /// Fans each layer's jobs across `threads` scoped workers (clamped to at
-    /// least 1): convolutional window groups for every kernel, plus
-    /// fully-connected output-row groups on the wide kernel. Results are
-    /// bit-identical at any thread count: jobs write disjoint output ranges
-    /// and the cycle and reduced-group counters are merged in job order.
+    /// Fans each layer's jobs across `threads` pool workers (clamped to at
+    /// least 1): the cost model's convolution tasks and fully-connected
+    /// output-row groups. Results are bit-identical at any thread count: jobs
+    /// write disjoint output ranges and the cycle and reduced-group counters
+    /// are merged in job order.
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads.max(1);
         self
@@ -123,20 +89,12 @@ impl FunctionalLoom {
         self
     }
 
-    /// Selects the SIP kernel (the legacy bit-serial loop, the 64-lane packed
-    /// datapath, or the wide 256-lane datapath). Results are identical either
-    /// way; the functional benchmark and CI use this to cross-check them.
-    pub fn with_kernel(mut self, kernel: SipKernel) -> Self {
-        self.kernel = kernel;
-        self
-    }
-
     /// The engine geometry.
     pub fn geometry(&self) -> LoomGeometry {
         self.geometry
     }
 
-    /// Runs a convolutional layer bit-serially.
+    /// Runs a convolutional layer.
     ///
     /// `pa`/`pw` are the layer's profile precisions; activations are treated as
     /// signed two's-complement (the engine's negation block handles both
@@ -145,10 +103,7 @@ impl FunctionalLoom {
     ///
     /// # Panics
     ///
-    /// Panics if the tensors do not match the spec, or if the geometry's
-    /// `sip_lanes` exceeds [`crate::loom::packed::MAX_LANES`] (the packed
-    /// datapath holds a SIP's lanes in one plane word; the real design uses
-    /// 16).
+    /// Panics if the tensors do not match the spec.
     pub fn run_conv(
         &self,
         spec: &ConvSpec,
@@ -157,121 +112,66 @@ impl FunctionalLoom {
         pa: Precision,
         pw: Precision,
     ) -> FunctionalRun {
-        if self.kernel == SipKernel::Wide {
-            let filters = crate::loom::store::conv_planes(spec, weights);
-            let job = self.wide_conv_job(spec, input, &filters, pa, pw, self.threads);
-            let tasks = pool::ordered_map_with(
-                self.threads,
-                job.task_count(),
-                ConvArena::default,
-                |arena, t| job.run_task(arena, t),
-            );
-            return merge_conv_tasks(spec.filters, spec.windows(), tasks);
-        }
-        self.run_conv_legacy(spec, input, weights, pa, pw)
+        let filters = crate::loom::store::conv_planes(spec, weights);
+        self.run_conv_batch(spec, &[(input, pa)], &filters, pw)
+            .pop()
+            .expect("one run per input")
     }
 
-    /// The original 64-lane / bit-serial engine path, kept verbatim as the
-    /// cross-check reference for the wide datapath.
-    fn run_conv_legacy(
+    /// Runs one convolution for every `(input, pa)` item against packed
+    /// filters, lock-step: (item × cost-model task) jobs fan across one pool.
+    /// Each item plans for its share of the thread budget — a batch of one
+    /// gets the whole budget (intra-layer batch-of-1 parallelism), a batch as
+    /// wide as the pool gets one task per item.
+    pub(crate) fn run_conv_batch(
         &self,
         spec: &ConvSpec,
-        input: &Tensor3,
-        weights: &Tensor4,
-        pa: Precision,
+        items: &[(&Tensor3, Precision)],
+        filters: &PackedRows,
         pw: Precision,
-    ) -> FunctionalRun {
-        assert_eq!(input.shape(), spec.input_shape(), "input shape mismatch");
-        assert_eq!(
-            weights.shape(),
-            spec.weight_shape(),
-            "weight shape mismatch"
+    ) -> Vec<FunctionalRun> {
+        let units = self.threads.div_ceil(items.len()).max(1);
+        let jobs: Vec<_> = items
+            .iter()
+            .map(|&(input, pa)| self.wide_conv_job(spec, input, filters, pa, pw, units))
+            .collect();
+        // Each item plans from its *own* activation precision, so task counts
+        // can differ across the batch: map the flat pool index to
+        // (item, local task) through a prefix sum rather than assuming item
+        // 0's count holds for everyone.
+        let mut task_base = Vec::with_capacity(jobs.len());
+        let mut total_tasks = 0usize;
+        for job in &jobs {
+            task_base.push(total_tasks);
+            total_tasks += job.task_count();
+        }
+        let results = pool::ordered_map_with(
+            self.threads,
+            total_tasks,
+            ConvArena::default,
+            |arena, task| {
+                let item = task_base.partition_point(|&base| base <= task) - 1;
+                jobs[item].run_task(arena, task - task_base[item])
+            },
         );
-        let cols = self.geometry.window_columns;
-        let rows = self.geometry.filter_rows;
-        let lanes = self.geometry.sip_lanes;
-        let b = u64::from(self.geometry.act_bits_per_cycle);
-
-        let out_w = spec.out_width();
-        let windows = spec.windows();
-        // Post-ReLU activations are non-negative and processed as unsigned
-        // magnitudes; the signed path (two's-complement MSB negation) is used
-        // whenever the input actually contains negative values.
-        let activations_signed = input.as_slice().iter().any(|&v| v < 0);
-        let group_in = spec.in_channels / spec.groups;
-        let group_out = spec.filters / spec.groups;
-        let wpf = spec.weights_per_filter();
-        let chunks = wpf.div_ceil(lanes);
-
-        let packed_kernel = self.kernel == SipKernel::Packed;
-        // The precision detector reads packed activation planes even on the
-        // bit-serial kernel, so both kernels detect identically.
-        let packed_detection = self.dynamic_precision && spec.groups == 1;
-
-        // Transpose every filter's weight chunks into bit planes once for the
-        // whole layer; the blocks are reused across every window group. (The
-        // filter slice and each per-group patch both have `wpf` values, so the
-        // chunk grid tiles them identically.) The bit-serial kernel reads the
-        // raw slices instead and skips the transpose.
-        let packed_filters: Vec<Vec<BitplaneBlock>> = if packed_kernel {
-            (0..spec.filters)
-                .map(|k| {
-                    let filter = weights.filter(k);
-                    (0..chunks)
-                        .map(|chunk| {
-                            let base = chunk * lanes;
-                            let count = lanes.min(wpf - base);
-                            BitplaneBlock::pack(&filter[base..base + count])
-                        })
-                        .collect()
-                })
-                .collect()
-        } else {
-            Vec::new()
-        };
-
-        // Window groups along the columns, filter groups along the rows. Each
-        // group is an independent job: it owns a disjoint slice of the output
-        // windows, so the groups fan across the worker pool and merge into
-        // the final layout in group order — bit-identical at any thread
-        // count.
-        let ctx = ConvContext {
-            engine: self,
-            spec,
-            input,
-            weights,
-            pa,
-            pw,
-            activations_signed,
-            cols,
-            rows,
-            lanes,
-            b,
-            out_w,
-            windows,
-            group_in,
-            group_out,
-            wpf,
-            chunks,
-            packed_kernel,
-            packed_detection,
-            packed_filters,
-        };
-        let group_count = windows.div_ceil(cols);
-        let groups = pool::ordered_map(self.threads, group_count, |g| ctx.window_group(g * cols));
-        merge_conv_tasks(spec.filters, windows, groups)
+        let mut results = results.into_iter();
+        jobs.iter()
+            .map(|job| {
+                let tasks: Vec<_> = results.by_ref().take(job.task_count()).collect();
+                merge_conv_tasks(spec.filters, job.windows, tasks)
+            })
+            .collect()
     }
 
-    /// Runs a fully-connected layer bit-serially. Every SIP is assigned one
-    /// output activation; with fewer than `rows × columns` outputs the engine
+    /// Runs a fully-connected layer. Every SIP is assigned one output
+    /// activation; with fewer than `rows × columns` outputs the engine
     /// cascades, slicing each output's inputs across multiple SIPs on the same
     /// row and reducing the partial sums at the end (§3.2 "Processing Layers
     /// with Few Outputs").
     ///
     /// # Panics
     ///
-    /// Panics if the slices do not match the spec, or if the geometry's
-    /// `sip_lanes` exceeds [`crate::loom::packed::MAX_LANES`].
+    /// Panics if the slices do not match the spec.
     pub fn run_fc(
         &self,
         spec: &FcSpec,
@@ -279,88 +179,58 @@ impl FunctionalLoom {
         weights: &[i32],
         pw: Precision,
     ) -> FunctionalRun {
-        assert_eq!(input.len(), spec.in_features, "input length mismatch");
-        assert_eq!(
-            weights.len(),
-            spec.in_features * spec.out_features,
-            "weight length mismatch"
-        );
-        let cycles = self.fc_cycles(spec, pw);
-        if self.kernel == SipKernel::Wide {
-            let job = WideFcJob::new(spec, &[input], weights, pw, self.threads, None);
-            let rows = pool::ordered_map_with(
-                self.threads,
-                job.row_group_count(),
-                FcArena::default,
-                |arena, g| job.run_rows(arena, g),
-            );
-            let mut outputs = Vec::with_capacity(spec.out_features);
-            for chunk in rows {
-                outputs.extend(chunk);
-            }
-            return FunctionalRun {
-                outputs,
-                cycles,
-                reduced_groups: 0,
-            };
-        }
-
-        let lanes = self.geometry.sip_lanes;
-        let chunks = spec.in_features.div_ceil(lanes);
-
-        // Transpose the input activation chunks once; every output row's inner
-        // product reuses the same packed planes. The bit-serial kernel reads
-        // the raw slices instead.
-        let packed_input: Vec<BitplaneBlock> = if self.kernel == SipKernel::Packed {
-            (0..chunks)
-                .map(|chunk| {
-                    let base = chunk * lanes;
-                    let count = lanes.min(spec.in_features - base);
-                    BitplaneBlock::pack(&input[base..base + count])
-                })
-                .collect()
-        } else {
-            Vec::new()
-        };
-
-        let mut outputs = vec![0i64; spec.out_features];
-        for (k, out) in outputs.iter_mut().enumerate() {
-            let row = &weights[k * spec.in_features..(k + 1) * spec.in_features];
-            for chunk in 0..chunks {
-                let base = chunk * lanes;
-                let count = lanes.min(spec.in_features - base);
-                *out += match self.kernel {
-                    SipKernel::Packed => packed_inner_product(
-                        &BitplaneBlock::pack(&row[base..base + count]),
-                        &packed_input[chunk],
-                        pw,
-                        Precision::FULL,
-                        true,
-                        true,
-                    ),
-                    _ => serial_inner_product(
-                        &row[base..base + count],
-                        &input[base..base + count],
-                        pw,
-                        Precision::FULL,
-                        true,
-                        true,
-                    ),
-                };
-            }
-        }
+        let outputs = self
+            .run_fc_batch(spec, &[input], weights, pw, None)
+            .pop()
+            .expect("one output per input");
         FunctionalRun {
             outputs,
-            cycles,
+            cycles: self.fc_cycles(spec, pw),
             reduced_groups: 0,
         }
     }
 
+    /// Runs one fully-connected layer for every input, returning each
+    /// input's outputs. Inputs pack once per item; each weight row packs once
+    /// for the whole batch, or comes from `rows` (the layer's cached
+    /// transpose); output-row groups fan across the pool.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an input, the weights or `rows` do not match the spec.
+    pub(crate) fn run_fc_batch(
+        &self,
+        spec: &FcSpec,
+        inputs: &[&[i32]],
+        weights: &[i32],
+        pw: Precision,
+        rows: Option<&PackedRows>,
+    ) -> Vec<Vec<i64>> {
+        let job = WideFcJob::new(spec, inputs, weights, pw, self.threads, rows);
+        let row_chunks = pool::ordered_map_with(
+            self.threads,
+            job.row_group_count(),
+            FcArena::default,
+            |arena, g| job.run_rows(arena, g),
+        );
+        let mut outputs: Vec<Vec<i64>> = inputs
+            .iter()
+            .map(|_| Vec::with_capacity(spec.out_features))
+            .collect();
+        for chunk in row_chunks {
+            for row in chunk.chunks_exact(inputs.len()) {
+                for (item, &value) in row.iter().enumerate() {
+                    outputs[item].push(value);
+                }
+            }
+        }
+        outputs
+    }
+
     /// Cycles a fully-connected layer occupies the grid for: steady-state
     /// cycles plus the pipeline fill (staggered weight loading across
-    /// columns) and the cascade reduction cycles. Identical for every kernel
-    /// — the arithmetic vectorisation never changes what the hardware would
-    /// spend.
+    /// columns) and the cascade reduction cycles. The arithmetic
+    /// vectorisation never changes what the hardware would spend.
     pub(crate) fn fc_cycles(&self, spec: &FcSpec, pw: Precision) -> u64 {
         let lanes = self.geometry.sip_lanes;
         let b = u64::from(self.geometry.act_bits_per_cycle);
@@ -386,47 +256,6 @@ impl FunctionalLoom {
         steady + fill + reduction
     }
 
-    /// Transposes every filter of a convolution into wide bit-plane blocks,
-    /// with per-block detected weight precisions and zero flags. Packed once
-    /// per layer — and, through the batched network engine, once per *batch*:
-    /// every window group, worker thread and batch item reads the same
-    /// blocks.
-    pub(crate) fn pack_wide_filters(spec: &ConvSpec, weights: &Tensor4) -> WideFilterPlanes {
-        assert_eq!(
-            weights.shape(),
-            spec.weight_shape(),
-            "weight shape mismatch"
-        );
-        let start = std::time::Instant::now();
-        let wpf = spec.weights_per_filter();
-        let blocks_per_filter = wpf.div_ceil(WIDE_LANES);
-        let mut blocks = Vec::with_capacity(spec.filters * blocks_per_filter);
-        let mut precisions = Vec::with_capacity(blocks.capacity());
-        let mut zero = Vec::with_capacity(blocks.capacity());
-        let mut stats = PackStats::default();
-        for k in 0..spec.filters {
-            let filter = weights.filter(k);
-            for b in 0..blocks_per_filter {
-                let base = b * WIDE_LANES;
-                let count = WIDE_LANES.min(wpf - base);
-                let block = WideBitplaneBlock::pack(&filter[base..base + count]);
-                precisions.push(block.detected_precision(true));
-                zero.push(block.is_zero());
-                let compressed = CompressedWideBlock::compress(&block);
-                stats.absorb_block(&compressed);
-                blocks.push(compressed);
-            }
-        }
-        stats.pack_nanos = start.elapsed().as_nanos() as u64;
-        WideFilterPlanes {
-            blocks,
-            precisions,
-            zero,
-            blocks_per_filter,
-            stats,
-        }
-    }
-
     /// Builds the shared, read-only context for one (layer, input) pair on
     /// the wide datapath, with its task decomposition planned by the cost
     /// model for a budget of `units` threads. The returned job exposes
@@ -436,19 +265,19 @@ impl FunctionalLoom {
     /// # Panics
     ///
     /// As [`FunctionalLoom::run_conv`].
-    pub(crate) fn wide_conv_job<'a>(
+    fn wide_conv_job<'a>(
         &self,
         spec: &'a ConvSpec,
         input: &'a Tensor3,
-        filters: &'a WideFilterPlanes,
+        filters: &'a PackedRows,
         pa: Precision,
         pw: Precision,
         units: usize,
     ) -> WideConvJob<'a> {
         assert_eq!(input.shape(), spec.input_shape(), "input shape mismatch");
         assert_eq!(
-            filters.blocks.len(),
-            spec.filters * filters.blocks_per_filter,
+            (filters.rows(), filters.blocks_per_row),
+            (spec.filters, spec.weights_per_filter().div_ceil(WIDE_LANES)),
             "weight planes do not tile the filters"
         );
         let wpf = spec.weights_per_filter();
@@ -488,11 +317,7 @@ impl FunctionalLoom {
 /// layout, accumulating cycles and reduced-group counts in task order
 /// (bit-identical at any thread count — tasks cover disjoint
 /// `(filter range × window range)` rectangles).
-pub(crate) fn merge_conv_tasks(
-    filters: usize,
-    windows: usize,
-    tasks: Vec<ConvTaskRun>,
-) -> FunctionalRun {
+fn merge_conv_tasks(filters: usize, windows: usize, tasks: Vec<ConvTaskRun>) -> FunctionalRun {
     let mut outputs = vec![0i64; filters * windows];
     let mut cycles = 0u64;
     let mut reduced_groups = 0u64;
@@ -560,20 +385,54 @@ impl PackStats {
     }
 }
 
-/// A convolution's weights in compressed wide bit-plane form: `filters ×
-/// blocks_per_filter` blocks, filter-major, with the per-block detected
-/// signed precisions and all-zero flags computed at pack time. The kernels
-/// consume the compressed blocks in place; results are bit-identical to the
-/// dense layout this replaced.
-pub(crate) struct WideFilterPlanes {
+/// A weight matrix in compressed wide bit-plane form: each row (a conv
+/// filter, or a fully-connected output row) split into `blocks_per_row`
+/// 256-lane blocks, row-major, with every block's detected signed precision
+/// and all-zero flag computed at pack time. Packed once per layer, held by
+/// the weight store, and read in place by every task and batch item.
+pub(crate) struct PackedRows {
     blocks: Vec<CompressedWideBlock>,
     precisions: Vec<Precision>,
     zero: Vec<bool>,
-    blocks_per_filter: usize,
+    blocks_per_row: usize,
     stats: PackStats,
 }
 
-impl WideFilterPlanes {
+impl PackedRows {
+    /// Transposes and compresses `weights`, read as rows of `row_len` values.
+    pub(crate) fn pack(weights: &[i32], row_len: usize) -> Self {
+        let start = std::time::Instant::now();
+        let blocks_per_row = row_len.div_ceil(WIDE_LANES);
+        let total = weights.len() / row_len * blocks_per_row;
+        let mut blocks = Vec::with_capacity(total);
+        let mut precisions = Vec::with_capacity(total);
+        let mut zero = Vec::with_capacity(total);
+        let mut stats = PackStats::default();
+        for row in weights.chunks(row_len) {
+            for chunk in row.chunks(WIDE_LANES) {
+                let block = WideBitplaneBlock::pack(chunk);
+                precisions.push(block.detected_precision(true));
+                zero.push(block.is_zero());
+                let compressed = CompressedWideBlock::compress(&block);
+                stats.absorb_block(&compressed);
+                blocks.push(compressed);
+            }
+        }
+        stats.pack_nanos = start.elapsed().as_nanos() as u64;
+        PackedRows {
+            blocks,
+            precisions,
+            zero,
+            blocks_per_row,
+            stats,
+        }
+    }
+
+    /// Number of packed rows.
+    fn rows(&self) -> usize {
+        self.blocks.len() / self.blocks_per_row
+    }
+
     /// Approximate resident size, for cache observability.
     pub(crate) fn approx_bytes(&self) -> usize {
         self.blocks
@@ -595,21 +454,21 @@ impl WideFilterPlanes {
 /// architectural precision detector reads. Built once per worker and reused
 /// across all of its window-group jobs — the "pack arena".
 #[derive(Default)]
-pub(crate) struct ConvArena {
+struct ConvArena {
     patch: Vec<i32>,
     acts: Vec<WideBitplaneBlock>,
     act_pa: Vec<Precision>,
     act_zero: Vec<bool>,
-    fold: Vec<u64>,
+    fold: MagnitudeOr,
 }
 
 /// Everything a wide convolutional task needs, shared read-only across the
 /// worker pool (and across batch items — the weight planes are packed once
 /// per layer).
-pub(crate) struct WideConvJob<'a> {
+struct WideConvJob<'a> {
     spec: &'a ConvSpec,
     input: &'a Tensor3,
-    filters: &'a WideFilterPlanes,
+    filters: &'a PackedRows,
     pa: Precision,
     pw: Precision,
     activations_signed: bool,
@@ -637,18 +496,8 @@ impl WideConvJob<'_> {
 
     /// Number of independent pool tasks the cost model planned for this
     /// layer.
-    pub(crate) fn task_count(&self) -> usize {
+    fn task_count(&self) -> usize {
         self.plan.tasks()
-    }
-
-    /// The convolution's total window count (for merging).
-    pub(crate) fn windows(&self) -> usize {
-        self.windows
-    }
-
-    /// The convolution's filter count (for merging).
-    pub(crate) fn filters(&self) -> usize {
-        self.spec.filters
     }
 
     /// Runs task `task_idx` of the plan: a consecutive range of window
@@ -659,7 +508,7 @@ impl WideConvJob<'_> {
     /// reduced-group counts are attributed to filter tile 0 only (they cover
     /// the whole filter dimension already), so totals never depend on the
     /// tiling.
-    pub(crate) fn run_task(&self, arena: &mut ConvArena, task_idx: usize) -> ConvTaskRun {
+    fn run_task(&self, arena: &mut ConvArena, task_idx: usize) -> ConvTaskRun {
         let tiles = self.plan.filter_tiles;
         let chunk = task_idx / tiles;
         let tile = task_idx % tiles;
@@ -724,7 +573,6 @@ impl WideConvJob<'_> {
         let window_count = self.cols.min(self.windows - window_base);
         let bpp = self.wide_blocks;
         let conv_groups = self.spec.groups;
-        let fold_words = bpp * WIDE_WORDS;
         let folding = self.detection && account;
 
         arena
@@ -737,10 +585,7 @@ impl WideConvJob<'_> {
             .act_zero
             .resize(window_count * conv_groups * bpp, false);
         if folding {
-            arena.fold.clear();
-            arena
-                .fold
-                .resize(usize::from(MAX_PRECISION) * fold_words, 0);
+            arena.fold.reset(bpp);
         }
 
         // Pack every (window, conv-group) patch into wide blocks — each
@@ -771,13 +616,7 @@ impl WideConvJob<'_> {
                     // The architectural detector ORs the magnitude planes of
                     // everything the SIP columns consume concurrently.
                     if folding && g == 0 {
-                        for bit in 0..MAX_PRECISION {
-                            let words = block.magnitude_words(bit);
-                            let row = usize::from(bit) * fold_words + blk * WIDE_WORDS;
-                            for (w, &m) in words.iter().enumerate() {
-                                arena.fold[row + w] |= m;
-                            }
-                        }
+                        arena.fold.absorb(blk, block);
                     }
                 }
             }
@@ -798,14 +637,14 @@ impl WideConvJob<'_> {
                 let lane_base = chunk * self.sip_lanes;
                 let lane_count = self.sip_lanes.min(self.wpf - lane_base);
                 let effective_pa = if self.detection {
-                    let detected = detect_fold_range(
-                        &arena.fold,
-                        fold_words,
-                        lane_base,
-                        lane_base + lane_count,
-                        self.activations_signed,
-                    )
-                    .min(self.pa);
+                    let detected = arena
+                        .fold
+                        .detected_precision(
+                            lane_base,
+                            lane_base + lane_count,
+                            self.activations_signed,
+                        )
+                        .min(self.pa);
                     if detected < self.pa {
                         reduced_groups += 1;
                     }
@@ -834,8 +673,8 @@ impl WideConvJob<'_> {
                     if self.filters.zero[wbase + blk] || arena.act_zero[abase + blk] {
                         continue;
                     }
-                    acc += compressed_inner_product(
-                        &self.filters.blocks[wbase + blk],
+                    acc += weight_inner_product(
+                        WeightPlanes::Compressed(&self.filters.blocks[wbase + blk]),
                         &arena.acts[abase + blk],
                         self.filters.precisions[wbase + blk],
                         arena.act_pa[abase + blk],
@@ -850,53 +689,10 @@ impl WideConvJob<'_> {
     }
 }
 
-/// Returns `true` when any bit of `fold`'s plane `bit` is set in the lane
-/// range `[lo, hi)` — lane ranges may straddle word boundaries (the SIP chunk
-/// width need not divide 64).
-fn fold_range_has_bit(fold: &[u64], fold_words: usize, bit: usize, lo: usize, hi: usize) -> bool {
-    let row = &fold[bit * fold_words..(bit + 1) * fold_words];
-    let (w0, w1) = (lo / 64, (hi - 1) / 64);
-    for (w, &value) in row.iter().enumerate().take(w1 + 1).skip(w0) {
-        let mut word = value;
-        if w == w0 {
-            word &= !0u64 << (lo % 64);
-        }
-        if w == w1 {
-            let top = (hi - 1) % 64;
-            if top < 63 {
-                word &= (1u64 << (top + 1)) - 1;
-            }
-        }
-        if word != 0 {
-            return true;
-        }
-    }
-    false
-}
-
-/// The wide image of [`MagnitudeOr::detected_precision`] over a lane range of
-/// the fold: the highest non-empty magnitude plane, plus the sign bit for
-/// signed operands.
-fn detect_fold_range(
-    fold: &[u64],
-    fold_words: usize,
-    lo: usize,
-    hi: usize,
-    signed: bool,
-) -> Precision {
-    let highest = (0..usize::from(MAX_PRECISION))
-        .rev()
-        .find(|&bit| fold_range_has_bit(fold, fold_words, bit, lo, hi));
-    match highest {
-        None => Precision::saturating(1),
-        Some(bit) => Precision::saturating(bit as u8 + if signed { 2 } else { 1 }),
-    }
-}
-
 /// Per-worker scratch for the wide fully-connected path: one output row's
 /// packed weight blocks, reused across every row the worker evaluates.
 #[derive(Default)]
-pub(crate) struct FcArena {
+struct FcArena {
     blocks: Vec<WideBitplaneBlock>,
     pw: Vec<Precision>,
     zero: Vec<bool>,
@@ -909,94 +705,20 @@ struct FcPackedInput {
     zero: Vec<bool>,
 }
 
-/// A fully-connected layer's weight rows in compressed wide bit-plane form,
-/// packed once and reused across requests (the serving layer's per-model
-/// weight cache). Row-major: row `r`, chunk `c` lives at `r * chunks + c`,
-/// mirroring the layout [`WideFcJob::run_rows`] streams through its arena — a
-/// job reading these blocks computes bit-identical results to one that packs
-/// on the fly.
-pub(crate) struct PackedFcRows {
-    blocks: Vec<CompressedWideBlock>,
-    pw: Vec<Precision>,
-    zero: Vec<bool>,
-    chunks: usize,
-    stats: PackStats,
-}
-
-impl PackedFcRows {
-    /// Transposes every weight row of `spec` into compressed wide blocks with
-    /// per-block detected precisions and zero flags — exactly what the
-    /// streaming path computes per row per dispatch, hoisted to pack-once
-    /// time.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the weight slice does not match the spec.
-    pub(crate) fn pack(spec: &FcSpec, weights: &[i32]) -> Self {
-        assert_eq!(
-            weights.len(),
-            spec.in_features * spec.out_features,
-            "weight length mismatch"
-        );
-        let start = std::time::Instant::now();
-        let chunks = spec.in_features.div_ceil(WIDE_LANES);
-        let total = spec.out_features * chunks;
-        let mut blocks = Vec::with_capacity(total);
-        let mut pw = Vec::with_capacity(total);
-        let mut zero = Vec::with_capacity(total);
-        let mut stats = PackStats::default();
-        for r in 0..spec.out_features {
-            let row = &weights[r * spec.in_features..(r + 1) * spec.in_features];
-            for chunk in 0..chunks {
-                let base = chunk * WIDE_LANES;
-                let count = WIDE_LANES.min(spec.in_features - base);
-                let block = WideBitplaneBlock::pack(&row[base..base + count]);
-                pw.push(block.detected_precision(true));
-                zero.push(block.is_zero());
-                let compressed = CompressedWideBlock::compress(&block);
-                stats.absorb_block(&compressed);
-                blocks.push(compressed);
-            }
-        }
-        stats.pack_nanos = start.elapsed().as_nanos() as u64;
-        PackedFcRows {
-            blocks,
-            pw,
-            zero,
-            chunks,
-            stats,
-        }
-    }
-
-    /// Approximate resident size, for cache observability.
-    pub(crate) fn approx_bytes(&self) -> usize {
-        self.blocks
-            .iter()
-            .map(CompressedWideBlock::resident_bytes)
-            .sum::<usize>()
-            + self.blocks.len() * (std::mem::size_of::<Precision>() + std::mem::size_of::<bool>())
-    }
-
-    /// Pack cost and compression footprint of this container.
-    pub(crate) fn stats(&self) -> PackStats {
-        self.stats
-    }
-}
-
 /// A fully-connected layer over one or more batch items on the wide
 /// datapath. Inputs are packed once per item up front; weight rows are packed
 /// once per *task* and applied to every item, so a batch shares the entire
 /// row transpose. Tasks are disjoint output-row groups — the granularity the
 /// network engine fans across its pool.
-pub(crate) struct WideFcJob<'a> {
+struct WideFcJob<'a> {
     spec: &'a FcSpec,
     weights: &'a [i32],
     pw: Precision,
     chunks: usize,
     items: Vec<FcPackedInput>,
     /// Pre-transposed weight rows from a per-model cache; when absent, each
-    /// task streams its rows through the worker arena as before.
-    packed: Option<&'a PackedFcRows>,
+    /// task streams its rows through the worker arena.
+    packed: Option<&'a PackedRows>,
     /// Output rows per pool task, chosen by the cost model.
     rows_per_task: usize,
 }
@@ -1012,13 +734,13 @@ impl<'a> WideFcJob<'a> {
     ///
     /// Panics if any input, the weight slice, or the packed cache does not
     /// match the spec.
-    pub(crate) fn new(
+    fn new(
         spec: &'a FcSpec,
         inputs: &[&[i32]],
         weights: &'a [i32],
         pw: Precision,
         units: usize,
-        packed: Option<&'a PackedFcRows>,
+        packed: Option<&'a PackedRows>,
     ) -> Self {
         assert_eq!(
             weights.len(),
@@ -1027,10 +749,9 @@ impl<'a> WideFcJob<'a> {
         );
         let chunks = spec.in_features.div_ceil(WIDE_LANES);
         if let Some(rows) = packed {
-            assert_eq!(rows.chunks, chunks, "packed rows chunk mismatch");
             assert_eq!(
-                rows.blocks.len(),
-                spec.out_features * chunks,
+                (rows.rows(), rows.blocks_per_row),
+                (spec.out_features, chunks),
                 "packed rows do not tile the layer"
             );
         }
@@ -1041,10 +762,8 @@ impl<'a> WideFcJob<'a> {
                 let mut blocks = Vec::with_capacity(chunks);
                 let mut pa = Vec::with_capacity(chunks);
                 let mut zero = Vec::with_capacity(chunks);
-                for chunk in 0..chunks {
-                    let base = chunk * WIDE_LANES;
-                    let count = WIDE_LANES.min(spec.in_features - base);
-                    let block = WideBitplaneBlock::pack(&input[base..base + count]);
+                for values in input.chunks(WIDE_LANES) {
+                    let block = WideBitplaneBlock::pack(values);
                     pa.push(block.detected_precision(true));
                     zero.push(block.is_zero());
                     blocks.push(block);
@@ -1068,19 +787,14 @@ impl<'a> WideFcJob<'a> {
         }
     }
 
-    /// Number of batch items the job covers.
-    pub(crate) fn items(&self) -> usize {
-        self.items.len()
-    }
-
     /// Number of independent output-row tasks.
-    pub(crate) fn row_group_count(&self) -> usize {
+    fn row_group_count(&self) -> usize {
         self.spec.out_features.div_ceil(self.rows_per_task)
     }
 
     /// Evaluates output rows `[g * rows_per_task, …)` for every item. The
     /// result is row-major (`rows × items`): `out[(r - r0) * items + item]`.
-    pub(crate) fn run_rows(&self, arena: &mut FcArena, g: usize) -> Vec<i64> {
+    fn run_rows(&self, arena: &mut FcArena, g: usize) -> Vec<i64> {
         let r0 = g * self.rows_per_task;
         let r1 = (r0 + self.rows_per_task).min(self.spec.out_features);
         let items = self.items.len();
@@ -1094,94 +808,58 @@ impl<'a> WideFcJob<'a> {
             // One row's blocks, either streamed into the worker arena (the
             // default) or read from the per-model compressed cache; the
             // cached blocks were produced by the same transpose (compressed
-            // losslessly), so both paths feed the kernel identical planes,
+            // losslessly), so both feed the kernel identical planes,
             // precisions and zero flags.
-            match self.packed {
-                Some(rows) => {
-                    let base = r * self.chunks;
-                    for (item, input) in self.items.iter().enumerate() {
-                        let mut acc = 0i64;
-                        for chunk in 0..self.chunks {
-                            if rows.zero[base + chunk] || input.zero[chunk] {
-                                continue;
-                            }
-                            acc += compressed_inner_product(
-                                &rows.blocks[base + chunk],
-                                &input.blocks[chunk],
-                                rows.pw[base + chunk].min(self.pw),
-                                input.pa[chunk],
-                                true,
-                                true,
-                            );
-                        }
-                        out[(r - r0) * items + item] = acc;
-                    }
+            if self.packed.is_none() {
+                let row = &self.weights[r * self.spec.in_features..(r + 1) * self.spec.in_features];
+                for (chunk, values) in row.chunks(WIDE_LANES).enumerate() {
+                    arena.blocks[chunk].pack_into(values);
+                    arena.pw[chunk] = arena.blocks[chunk].detected_precision(true);
+                    arena.zero[chunk] = arena.blocks[chunk].is_zero();
                 }
-                None => {
-                    let row =
-                        &self.weights[r * self.spec.in_features..(r + 1) * self.spec.in_features];
-                    for chunk in 0..self.chunks {
-                        let base = chunk * WIDE_LANES;
-                        let count = WIDE_LANES.min(self.spec.in_features - base);
-                        arena.blocks[chunk].pack_into(&row[base..base + count]);
-                        arena.pw[chunk] = arena.blocks[chunk].detected_precision(true);
-                        arena.zero[chunk] = arena.blocks[chunk].is_zero();
-                    }
-                    for (item, input) in self.items.iter().enumerate() {
-                        let mut acc = 0i64;
-                        for chunk in 0..self.chunks {
-                            if arena.zero[chunk] || input.zero[chunk] {
-                                continue;
-                            }
-                            acc += wide_inner_product(
-                                &arena.blocks[chunk],
-                                &input.blocks[chunk],
-                                arena.pw[chunk].min(self.pw),
-                                input.pa[chunk],
-                                true,
-                                true,
-                            );
+            }
+            for (item, input) in self.items.iter().enumerate() {
+                let mut acc = 0i64;
+                for chunk in 0..self.chunks {
+                    let (weights, pw, zero) = match self.packed {
+                        Some(rows) => {
+                            let i = r * self.chunks + chunk;
+                            (
+                                WeightPlanes::Compressed(&rows.blocks[i]),
+                                rows.precisions[i],
+                                rows.zero[i],
+                            )
                         }
-                        out[(r - r0) * items + item] = acc;
+                        None => (
+                            WeightPlanes::Dense(&arena.blocks[chunk]),
+                            arena.pw[chunk],
+                            arena.zero[chunk],
+                        ),
+                    };
+                    if zero || input.zero[chunk] {
+                        continue;
                     }
+                    acc += weight_inner_product(
+                        weights,
+                        &input.blocks[chunk],
+                        pw.min(self.pw),
+                        input.pa[chunk],
+                        true,
+                        true,
+                    );
                 }
+                out[(r - r0) * items + item] = acc;
             }
         }
         out
     }
 }
 
-/// Everything a legacy (64-lane / bit-serial) convolutional window-group job
-/// needs, shared read-only across the worker pool.
-struct ConvContext<'a> {
-    engine: &'a FunctionalLoom,
-    spec: &'a ConvSpec,
-    input: &'a Tensor3,
-    weights: &'a Tensor4,
-    pa: Precision,
-    pw: Precision,
-    activations_signed: bool,
-    cols: usize,
-    rows: usize,
-    lanes: usize,
-    b: u64,
-    out_w: usize,
-    windows: usize,
-    group_in: usize,
-    group_out: usize,
-    wpf: usize,
-    chunks: usize,
-    packed_kernel: bool,
-    packed_detection: bool,
-    /// Every filter's weight chunks, transposed once for the whole layer.
-    packed_filters: Vec<Vec<BitplaneBlock>>,
-}
-
 /// One conv task's finished partial results: the outputs for its disjoint
 /// `(filter range × window range)` rectangle (filter-major, `filter_count ×
 /// window_count`) plus its cycle and reduced-group contributions (zero for
 /// filter tiles other than 0).
-pub(crate) struct ConvTaskRun {
+struct ConvTaskRun {
     window_base: usize,
     window_count: usize,
     filter_base: usize,
@@ -1191,129 +869,11 @@ pub(crate) struct ConvTaskRun {
     reduced_groups: u64,
 }
 
-impl ConvContext<'_> {
-    /// Runs the window group starting at `window_base` — the body of the
-    /// engine's original serial loop, writing into a group-local output
-    /// buffer instead of the layer-wide one.
-    fn window_group(&self, window_base: usize) -> ConvTaskRun {
-        let spec = self.spec;
-        let window_count = self.cols.min(self.windows - window_base);
-        let mut outputs = vec![0i64; spec.filters * window_count];
-        let mut cycles = 0u64;
-        let mut reduced_groups = 0u64;
-
-        // Extract each window's patch once per (window, filter group) —
-        // every filter of a group reads the same channel slice, so the
-        // extraction must not sit in the filter loop.
-        let patches: Vec<Vec<WindowPatch>> = (0..window_count)
-            .map(|i| {
-                let w = window_base + i;
-                let (oy, ox) = (w / self.out_w, w % self.out_w);
-                (0..spec.groups)
-                    .map(|g| {
-                        window_patch(spec, self.input, oy, ox, g * self.group_in, self.group_in)
-                    })
-                    .collect()
-            })
-            .collect();
-
-        for chunk in 0..self.chunks {
-            let lane_base = chunk * self.lanes;
-            let lane_count = self.lanes.min(self.wpf - lane_base);
-            // Transpose this chunk of every (window, group) patch once;
-            // the blocks are reused by every filter of the group and by
-            // the precision detector below. Skipped when neither needs
-            // them (bit-serial kernel with detection off or grouped).
-            let packed_acts: Vec<Vec<BitplaneBlock>> =
-                if self.packed_kernel || self.packed_detection {
-                    patches
-                        .iter()
-                        .map(|per_group| {
-                            per_group
-                                .iter()
-                                .map(|patch| {
-                                    BitplaneBlock::pack(&patch[lane_base..lane_base + lane_count])
-                                })
-                                .collect()
-                        })
-                        .collect()
-                } else {
-                    Vec::new()
-                };
-
-            // Dynamic precision: detect over all activations this group of
-            // SIP columns consumes concurrently (up to cols x 16 values),
-            // as an OR fold over the already-packed planes. Grouped
-            // convolutions interleave channel ranges per filter group, so
-            // detection is skipped for them (a conservative
-            // simplification; AlexNet's grouped layers still benefit from
-            // their static profile precisions).
-            let effective_pa = if self.packed_detection {
-                let mut fold = MagnitudeOr::new();
-                for per_group in &packed_acts {
-                    fold.absorb(&per_group[0]);
-                }
-                let detected = fold
-                    .detected_precision(self.activations_signed)
-                    .min(self.pa);
-                if detected < self.pa {
-                    reduced_groups += 1;
-                }
-                detected
-            } else {
-                self.pa
-            };
-
-            // The block occupies the SIP array for Pw x ceil(Pa / b) cycles
-            // regardless of how many filter rows exist, but covers at most
-            // `rows` filters at a time.
-            let filter_groups = spec.filters.div_ceil(self.rows) as u64;
-            cycles += filter_groups
-                * self.pw.bits_u64()
-                * (u64::from(effective_pa.bits())).div_ceil(self.b);
-
-            // Compute the partial products this block contributes.
-            for k in 0..spec.filters {
-                let group = k / self.group_out;
-                for col in 0..window_count {
-                    let dot = match self.engine.kernel {
-                        SipKernel::BitSerial => serial_inner_product(
-                            &self.weights.filter(k)[lane_base..lane_base + lane_count],
-                            &patches[col][group][lane_base..lane_base + lane_count],
-                            self.pw,
-                            effective_pa,
-                            true,
-                            self.activations_signed,
-                        ),
-                        _ => packed_inner_product(
-                            &self.packed_filters[k][chunk],
-                            &packed_acts[col][group],
-                            self.pw,
-                            effective_pa,
-                            true,
-                            self.activations_signed,
-                        ),
-                    };
-                    outputs[k * window_count + col] += dot;
-                }
-            }
-        }
-        ConvTaskRun {
-            window_base,
-            window_count,
-            filter_base: 0,
-            filter_count: spec.filters,
-            outputs,
-            cycles,
-            reduced_groups,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::{EquivalentConfig, LoomVariant};
+    use crate::loom::sip::serial_conv;
     use loom_model::reference::{conv_forward, fc_forward};
     use loom_model::synthetic::{synthetic_activations, synthetic_weights, ValueDistribution};
     use loom_model::tensor::Shape4;
@@ -1374,7 +934,7 @@ mod tests {
     }
 
     #[test]
-    fn all_three_kernels_produce_identical_runs() {
+    fn engine_matches_the_bit_serial_oracle() {
         let spec = ConvSpec {
             padding: 1,
             ..ConvSpec::simple(3, 7, 7, 6, 3)
@@ -1402,13 +962,10 @@ mod tests {
             ),
         )
         .unwrap();
-        let engine = FunctionalLoom::new(small_geometry());
-        let wide = engine.run_conv(&spec, &input, &weights, pa, pw);
-        for kernel in [SipKernel::Packed, SipKernel::BitSerial] {
-            let other = engine
-                .with_kernel(kernel)
-                .run_conv(&spec, &input, &weights, pa, pw);
-            assert_eq!(wide, other, "{kernel:?}");
+        let dynamic = FunctionalLoom::new(small_geometry());
+        for engine in [dynamic, dynamic.without_dynamic_precision()] {
+            let run = engine.run_conv(&spec, &input, &weights, pa, pw);
+            assert_eq!(run, serial_conv(&engine, &spec, &input, &weights, pa, pw));
         }
     }
 
@@ -1484,6 +1041,7 @@ mod tests {
         let engine = FunctionalLoom::new(small_geometry()).without_dynamic_precision();
         let run = engine.run_conv(&spec, &input, &weights, pa, pw);
         assert_eq!(run.outputs, conv_forward(&spec, &input, &weights));
+        assert_eq!(run, serial_conv(&engine, &spec, &input, &weights, pa, pw));
     }
 
     #[test]
@@ -1502,17 +1060,6 @@ mod tests {
         let run = engine.run_fc(&spec, &input, &weights, pw);
         assert_eq!(run.outputs, fc_forward(&spec, &input, &weights));
         assert!(run.cycles > 0);
-        // All kernels agree, including on a wide layer spanning several
-        // 256-lane chunks.
-        for kernel in [SipKernel::Packed, SipKernel::BitSerial] {
-            assert_eq!(
-                engine
-                    .with_kernel(kernel)
-                    .run_fc(&spec, &input, &weights, pw),
-                run,
-                "{kernel:?}"
-            );
-        }
     }
 
     #[test]

@@ -1,24 +1,22 @@
-//! The Loom bit-serial engine: functional SIP model, the packed bitplane /
-//! popcount datapaths (64-lane single-word and 256-lane SIMD-wide), the
-//! functional layer engine and its batched whole-network driver, and the
-//! analytic schedules for convolutional and fully-connected layers.
+//! The Loom bit-serial engine: the bit-serial SIP model (the readable
+//! oracle), the 256-lane packed bitplane / popcount datapath the engine runs
+//! and its packed-plane precision detector, the functional layer engine and
+//! its batched whole-network driver, and the analytic schedules for
+//! convolutional and fully-connected layers.
 
 pub mod cost;
 pub mod functional;
 pub mod network;
-pub mod packed;
+mod packed;
 pub mod schedule;
 pub mod sip;
 pub mod store;
 pub mod wide;
 
-pub use functional::{FunctionalLoom, FunctionalRun, PackStats, SipKernel};
+pub use functional::{FunctionalLoom, FunctionalRun, PackStats};
 pub use network::{NetworkEngine, NetworkRun, PackedModel};
-pub use packed::{
-    packed_inner_product, packed_inner_product_slices, BitplaneBlock, MagnitudeOr, MAX_LANES,
-};
 pub use schedule::{conv_schedule, fc_schedule, ScheduleResult};
-pub use sip::{reference_inner_product, serial_inner_product, Sip};
+pub use sip::{reference_inner_product, serial_conv, serial_inner_product, Sip};
 pub use store::{stats as weight_store_stats, WeightStoreStats};
 pub use wide::{
     active_kernel_tier, compressed_inner_product, cpu_features, wide_inner_product,

@@ -4,7 +4,7 @@
 //! one layer compute the right numbers"; this module chains it over a whole
 //! [`LayerGraph`] — branches, concats, pooling, re-quantization and all — and
 //! batches inputs. The executor is *shared* with the golden model
-//! (`loom_model::graph`): [`NetworkEngine`] plugs the bit-serial datapath in
+//! (`loom_model::graph`): [`NetworkEngine`] plugs the functional datapath in
 //! as a [`GraphCompute`] backend, so scheduling, re-quantization, ReLU,
 //! pooling and concatenation are literally the same code on both paths and
 //! the traces must be bit-identical if (and only if) the inner products are.
@@ -64,12 +64,8 @@
 //! ```
 
 use crate::config::LoomGeometry;
-use crate::loom::functional::{
-    merge_conv_tasks, ConvArena, FcArena, FunctionalLoom, PackStats, PackedFcRows, SipKernel,
-    WideFcJob, WideFilterPlanes,
-};
+use crate::loom::functional::{FunctionalLoom, PackStats, PackedRows};
 use crate::loom::store;
-use crate::pool;
 use loom_model::fixed::required_precision;
 use loom_model::graph::{GraphCompute, LayerGraph};
 use loom_model::inference::{InferenceError, InferenceOptions, InferenceTrace, NetworkParams};
@@ -102,7 +98,7 @@ pub const FC_PREPACK_MAX_WEIGHTS: usize = 1 << 22;
 /// with the process-wide weight store) plus its weight precision, both
 /// otherwise recomputed on every dispatch.
 struct CachedConv {
-    planes: Arc<WideFilterPlanes>,
+    planes: Arc<PackedRows>,
     pw: Precision,
 }
 
@@ -110,7 +106,7 @@ struct CachedConv {
 /// [`FC_PREPACK_MAX_WEIGHTS`] (the dispatch streams the transpose as
 /// before); the weight precision is cached either way.
 struct CachedFc {
-    rows: Option<Arc<PackedFcRows>>,
+    rows: Option<Arc<PackedRows>>,
     pw: Precision,
 }
 
@@ -144,19 +140,16 @@ impl PackedModel {
         self.conv.len() + self.fc.values().filter(|f| f.rows.is_some()).count()
     }
 
+    /// Every cached container: conv filter planes and packed FC rows.
+    fn containers(&self) -> impl Iterator<Item = &PackedRows> {
+        let conv = self.conv.values().map(|c| &*c.planes);
+        conv.chain(self.fc.values().filter_map(|f| f.rows.as_deref()))
+    }
+
     /// Approximate resident size of the packed (compressed) planes, for
     /// observability.
     pub fn approx_bytes(&self) -> usize {
-        self.conv
-            .values()
-            .map(|c| c.planes.approx_bytes())
-            .sum::<usize>()
-            + self
-                .fc
-                .values()
-                .filter_map(|f| f.rows.as_ref())
-                .map(|rows| rows.approx_bytes())
-                .sum::<usize>()
+        self.containers().map(PackedRows::approx_bytes).sum()
     }
 
     /// Names of fully-connected layers whose weight count exceeded
@@ -181,13 +174,8 @@ impl PackedModel {
     /// served from the weight store report the cost of their original pack.
     pub fn pack_stats(&self) -> PackStats {
         let mut total = PackStats::default();
-        for conv in self.conv.values() {
-            total.add(&conv.planes.stats());
-        }
-        for fc in self.fc.values() {
-            if let Some(rows) = &fc.rows {
-                total.add(&rows.stats());
-            }
+        for rows in self.containers() {
+            total.add(&rows.stats());
         }
         total
     }
@@ -202,7 +190,7 @@ pub struct NetworkEngine {
 
 impl NetworkEngine {
     /// Creates an engine with the given geometry, dynamic precision
-    /// detection enabled, the wide SIP kernel, and one worker thread.
+    /// detection enabled, and one worker thread.
     pub fn new(geometry: LoomGeometry) -> Self {
         NetworkEngine {
             engine: FunctionalLoom::new(geometry),
@@ -217,12 +205,6 @@ impl NetworkEngine {
     /// the thread count. Results are bit-identical at any thread count.
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads.max(1);
-        self
-    }
-
-    /// Selects the SIP kernel (wide by default).
-    pub fn with_kernel(mut self, kernel: SipKernel) -> Self {
-        self.engine = self.engine.with_kernel(kernel);
         self
     }
 
@@ -242,7 +224,7 @@ impl NetworkEngine {
         self.engine
     }
 
-    /// Runs one input through the graph on the bit-serial datapath, with the
+    /// Runs one input through the graph on the functional datapath, with the
     /// full thread budget fanned across each layer's window / output-row
     /// groups. Exactly [`NetworkEngine::run_batch`] with a batch of one.
     ///
@@ -292,9 +274,6 @@ impl NetworkEngine {
     /// [`FC_PREPACK_MAX_WEIGHTS`] weights) and per-layer weight precisions.
     /// Build once per served model, then pass to
     /// [`NetworkEngine::run_batch_cached`] on every request.
-    ///
-    /// The cache applies to the wide kernel only (the serving default); the
-    /// legacy cross-check kernels ignore it.
     ///
     /// # Panics
     ///
@@ -369,8 +348,7 @@ impl NetworkEngine {
             );
         }
         let mut backend = FunctionalCompute {
-            engine: self.engine,
-            threads: self.threads,
+            engine: self.engine.with_threads(self.threads),
             cache,
             cycles: vec![0; inputs.len()],
             reduced_groups: vec![0; inputs.len()],
@@ -389,58 +367,34 @@ impl NetworkEngine {
     }
 }
 
-/// The functional Loom engine as a [`GraphCompute`] backend: bit-serial inner
-/// products plus per-item cycle and reduced-group accounting. The batch entry
-/// points pack each layer's weight planes once and fan fine-grained tasks
-/// across the worker pool; the single-item entry points exist for callers
-/// driving [`LayerGraph::run_with`] directly.
+/// The functional Loom engine as a [`GraphCompute`] backend: wide-datapath
+/// inner products plus per-item cycle and reduced-group accounting. The batch
+/// entry points pack each layer's weight planes once and fan fine-grained
+/// tasks across the worker pool; a single item is a batch of one.
 struct FunctionalCompute<'c> {
     engine: FunctionalLoom,
-    threads: usize,
     cache: Option<&'c PackedModel>,
     cycles: Vec<u64>,
     reduced_groups: Vec<u64>,
 }
 
-impl FunctionalCompute<'_> {
-    fn ensure_items(&mut self, items: usize) {
-        if self.cycles.len() < items {
-            self.cycles.resize(items, 0);
-            self.reduced_groups.resize(items, 0);
-        }
-    }
-}
-
 impl GraphCompute for FunctionalCompute<'_> {
     fn conv(
         &mut self,
-        _layer: &str,
+        layer: &str,
         spec: &ConvSpec,
         input: &Tensor3,
         weights: &Tensor4,
     ) -> Vec<i64> {
-        self.ensure_items(1);
-        let pa = required_precision(input.as_slice());
-        let pw = required_precision(weights.as_slice());
-        let run = self
-            .engine
-            .with_threads(self.threads)
-            .run_conv(spec, input, weights, pa, pw);
-        self.cycles[0] += run.cycles;
-        self.reduced_groups[0] += run.reduced_groups;
-        run.outputs
+        self.conv_batch(layer, spec, std::slice::from_ref(input), weights)
+            .pop()
+            .expect("one output per input")
     }
 
-    fn fc(&mut self, _layer: &str, spec: &FcSpec, input: &[i32], weights: &[i32]) -> Vec<i64> {
-        self.ensure_items(1);
-        let pw = required_precision(weights);
-        let run = self
-            .engine
-            .with_threads(self.threads)
-            .run_fc(spec, input, weights, pw);
-        self.cycles[0] += run.cycles;
-        self.reduced_groups[0] += run.reduced_groups;
-        run.outputs
+    fn fc(&mut self, layer: &str, spec: &FcSpec, input: &[i32], weights: &[i32]) -> Vec<i64> {
+        self.fc_batch(layer, spec, &[input.to_vec()], weights)
+            .pop()
+            .expect("one output per input")
     }
 
     fn conv_batch(
@@ -450,82 +404,29 @@ impl GraphCompute for FunctionalCompute<'_> {
         inputs: &[Tensor3],
         weights: &Tensor4,
     ) -> Vec<Vec<i64>> {
-        self.ensure_items(inputs.len());
         let cached = self.cache.and_then(|cache| cache.conv.get(layer));
         let pw = match cached {
             Some(cached) => cached.pw,
             None => required_precision(weights.as_slice()),
         };
-        if self.engine.kernel != SipKernel::Wide {
-            // Legacy kernels exist for cross-checks only: fan batch items
-            // across the pool and give leftover threads to window groups,
-            // as the pre-lock-step engine did.
-            let item_workers = self.threads.min(inputs.len()).max(1);
-            let per_item = self
-                .engine
-                .with_threads((self.threads / item_workers).max(1));
-            let runs = pool::ordered_map(item_workers, inputs.len(), |i| {
-                let pa = required_precision(inputs[i].as_slice());
-                per_item.run_conv(spec, &inputs[i], weights, pa, pw)
-            });
-            return runs
-                .into_iter()
-                .enumerate()
-                .map(|(i, run)| {
-                    self.cycles[i] += run.cycles;
-                    self.reduced_groups[i] += run.reduced_groups;
-                    run.outputs
-                })
-                .collect();
-        }
-
-        // Wide path: pack the layer's weight planes once for the whole batch,
-        // then fan (item × cost-model task) jobs across one pool. Each item
-        // plans for its share of the thread budget — a batch of one gets the
-        // whole budget (intra-layer batch-of-1 parallelism), a batch as wide
-        // as the pool gets one task per item.
-        let units = self.threads.div_ceil(inputs.len()).max(1);
+        // The layer's weight planes are packed once for the whole batch.
         let packed_local;
-        let filters: &WideFilterPlanes = match cached {
+        let filters: &PackedRows = match cached {
             Some(cached) => &cached.planes,
             None => {
                 packed_local = store::conv_planes(spec, weights);
                 &packed_local
             }
         };
-        let jobs: Vec<_> = inputs
+        let items: Vec<_> = inputs
             .iter()
-            .map(|input| {
-                let pa = required_precision(input.as_slice());
-                self.engine
-                    .wide_conv_job(spec, input, filters, pa, pw, units)
-            })
+            .map(|input| (input, required_precision(input.as_slice())))
             .collect();
-        // Each item plans from its *own* activation precision, so task counts
-        // can differ across the batch: map the flat pool index to
-        // (item, local task) through a prefix sum rather than assuming item
-        // 0's count holds for everyone.
-        let mut task_base = Vec::with_capacity(jobs.len());
-        let mut total_tasks = 0usize;
-        for job in &jobs {
-            task_base.push(total_tasks);
-            total_tasks += job.task_count();
-        }
-        let results = pool::ordered_map_with(
-            self.threads,
-            total_tasks,
-            ConvArena::default,
-            |arena, task| {
-                let item = task_base.partition_point(|&base| base <= task) - 1;
-                jobs[item].run_task(arena, task - task_base[item])
-            },
-        );
-        let mut results = results.into_iter();
-        jobs.iter()
+        self.engine
+            .run_conv_batch(spec, &items, filters, pw)
+            .into_iter()
             .enumerate()
-            .map(|(i, job)| {
-                let tasks: Vec<_> = results.by_ref().take(job.task_count()).collect();
-                let run = merge_conv_tasks(job.filters(), job.windows(), tasks);
+            .map(|(i, run)| {
                 self.cycles[i] += run.cycles;
                 self.reduced_groups[i] += run.reduced_groups;
                 run.outputs
@@ -540,63 +441,29 @@ impl GraphCompute for FunctionalCompute<'_> {
         inputs: &[Vec<i32>],
         weights: &[i32],
     ) -> Vec<Vec<i64>> {
-        self.ensure_items(inputs.len());
         let cached = self.cache.and_then(|cache| cache.fc.get(layer));
         let pw = match cached {
             Some(cached) => cached.pw,
             None => required_precision(weights),
         };
-        if self.engine.kernel != SipKernel::Wide {
-            let item_workers = self.threads.min(inputs.len()).max(1);
-            let runs = pool::ordered_map(item_workers, inputs.len(), |i| {
-                self.engine.run_fc(spec, &inputs[i], weights, pw)
-            });
-            return runs
-                .into_iter()
-                .enumerate()
-                .map(|(i, run)| {
-                    self.cycles[i] += run.cycles;
-                    self.reduced_groups[i] += run.reduced_groups;
-                    run.outputs
-                })
-                .collect();
+        let cycles = self.engine.fc_cycles(spec, pw);
+        for item_cycles in &mut self.cycles[..inputs.len()] {
+            *item_cycles += cycles;
         }
-
-        // Wide path: inputs pack once per item, each weight row packs once
-        // for the whole batch, and output-row groups fan across the pool.
         let item_slices: Vec<&[i32]> = inputs.iter().map(|v| v.as_slice()).collect();
         let rows = cached.and_then(|cached| cached.rows.as_deref());
-        let job = WideFcJob::new(spec, &item_slices, weights, pw, self.threads, rows);
-        let row_chunks = pool::ordered_map_with(
-            self.threads,
-            job.row_group_count(),
-            FcArena::default,
-            |arena, g| job.run_rows(arena, g),
-        );
-        let items = job.items();
-        let cycles = self.engine.fc_cycles(spec, pw);
-        let mut outputs: Vec<Vec<i64>> = (0..items)
-            .map(|_| Vec::with_capacity(spec.out_features))
-            .collect();
-        for chunk in row_chunks {
-            for row in chunk.chunks_exact(items) {
-                for (item, &value) in row.iter().enumerate() {
-                    outputs[item].push(value);
-                }
-            }
-        }
-        for i in 0..items {
-            self.cycles[i] += cycles;
-        }
-        outputs
+        self.engine
+            .run_fc_batch(spec, &item_slices, weights, pw, rows)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::loom::sip::serial_conv;
     use loom_model::graph::{GraphBuilder, GRAPH_INPUT};
     use loom_model::layer::PoolSpec;
+    use loom_model::reference::fc_forward;
     use loom_model::synthetic::{synthetic_activations, ValueDistribution};
     use loom_model::tensor::Shape3;
     use loom_model::Precision;
@@ -686,23 +553,62 @@ mod tests {
         }
     }
 
+    /// The bit-serial oracle as a graph backend: every convolution through
+    /// [`serial_conv`], fully-connected outputs from the golden kernel with
+    /// the engine's cycle formula.
+    struct SerialOracle {
+        engine: FunctionalLoom,
+        cycles: u64,
+        reduced_groups: u64,
+    }
+
+    impl GraphCompute for SerialOracle {
+        fn conv(
+            &mut self,
+            _layer: &str,
+            spec: &ConvSpec,
+            input: &Tensor3,
+            weights: &Tensor4,
+        ) -> Vec<i64> {
+            let pa = required_precision(input.as_slice());
+            let pw = required_precision(weights.as_slice());
+            let run = serial_conv(&self.engine, spec, input, weights, pa, pw);
+            self.cycles += run.cycles;
+            self.reduced_groups += run.reduced_groups;
+            run.outputs
+        }
+
+        fn fc(&mut self, _layer: &str, spec: &FcSpec, input: &[i32], weights: &[i32]) -> Vec<i64> {
+            self.cycles += self.engine.fc_cycles(spec, required_precision(weights));
+            fc_forward(spec, input, weights)
+        }
+    }
+
     #[test]
-    fn legacy_kernels_match_the_wide_batch_path() {
+    fn batch_cycles_match_the_bit_serial_oracle() {
         let graph = branching_graph();
         let params = NetworkParams::synthetic_for_graph(&graph, &[Precision::new(7).unwrap()], 3);
         let options = InferenceOptions::default();
         let batch = inputs(2);
-        let wide = NetworkEngine::new(geometry())
+        let runs = NetworkEngine::new(geometry())
             .with_threads(2)
             .run_batch(&graph, &params, &batch, options)
             .unwrap();
-        for kernel in [SipKernel::Packed, SipKernel::BitSerial] {
-            let other = NetworkEngine::new(geometry())
-                .with_threads(2)
-                .with_kernel(kernel)
-                .run_batch(&graph, &params, &batch, options)
+        for (run, input) in runs.iter().zip(&batch) {
+            let mut oracle = SerialOracle {
+                engine: FunctionalLoom::new(geometry()),
+                cycles: 0,
+                reduced_groups: 0,
+            };
+            let trace = graph
+                .run_with(&params, input, options, &[], &mut oracle)
                 .unwrap();
-            assert_eq!(other, wide, "{kernel:?}");
+            assert_eq!(run.trace, trace);
+            assert_eq!(
+                (run.cycles, run.reduced_groups),
+                (oracle.cycles, oracle.reduced_groups)
+            );
+            assert!(oracle.reduced_groups > 0, "the inputs exercise detection");
         }
     }
 

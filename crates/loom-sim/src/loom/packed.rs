@@ -1,323 +1,156 @@
-//! The packed SIP datapath: bit planes as words, AND + popcount as the adder
-//! tree. This is the single-word (64-lane) form; [`super::wide`] widens the
-//! same construction to 256 lanes per block and is what the engine runs by
-//! default — this module stays as the intermediate cross-check tier between
-//! the bit-serial model and the SIMD-wide datapath.
+//! Precision detection over packed bit planes: the software image of the
+//! hardware's per-group OR tree + leading-one detector.
 //!
-//! [`super::sip::serial_inner_product`] models the SIP of Figure 3 one bit ×
-//! one lane at a time, which is faithful but slow. The observation this module
-//! exploits is that a SIP cycle — 16 single-bit AND gates feeding a 16-input
-//! adder tree — is exactly a word-wide `AND` followed by `count_ones()` once
-//! the operands are *transposed*: instead of one word per lane holding all of
-//! a value's bits, keep one word per **bit plane** holding that bit of every
-//! lane. [`BitplaneBlock`] performs the transpose (up to 64 lanes per block),
-//! and [`packed_inner_product`] then evaluates each (weight-bit,
-//! activation-bit) plane pair with a single AND + popcount, applying the same
-//! two's-complement MSB negation and shift-accumulate schedule as the serial
-//! model. The arithmetic is identical term by term — only the order in which
-//! the one-bit products of a plane pair are summed changes, and integer
-//! addition is associative — so the result is bit-identical by construction
-//! (and pinned so by the property suite in `tests/functional_equivalence.rs`,
-//! which covers both block widths, ragged tails, 1–16-bit precisions and all
-//! four signedness combinations).
-//!
-//! [`MagnitudeOr`] gives the dynamic precision detectors the same treatment:
-//! the per-group OR-tree + leading-one detector of the hardware becomes an OR
-//! fold over already-packed planes, with no per-group `Vec` materialised. The
-//! wide engine reproduces the identical fold over its `[u64; 4]` plane words.
+//! A value needs `b + 2` bits in two's complement (`b + 1` unsigned), where
+//! `b` is its highest bit that differs from its sign. The magnitude view of a
+//! packed plane ([`WideBitplaneBlock::magnitude_words`], `plane ^ sign`) marks
+//! exactly those bits, so ORing the magnitude planes of everything a SIP group
+//! consumes and finding the highest non-empty plane detects the group's
+//! precision without materialising its values. [`MagnitudeOr`] is that fold.
+//! The convolution engine keeps one per worker, absorbs each window's packed
+//! blocks into it, and reads it once per `sip_lanes` chunk — lane ranges that
+//! need not line up with the 64-lane plane words.
 
-use loom_model::fixed::{bit_plane, sign_plane, Precision, MAX_PRECISION};
+use crate::loom::wide::{WideBitplaneBlock, WIDE_WORDS};
+use loom_model::fixed::{Precision, MAX_PRECISION};
 
-/// Maximum number of lanes a [`BitplaneBlock`] can hold: one lane per bit of
-/// the plane word.
-pub const MAX_LANES: usize = 64;
-
-/// Mask with one bit set per lane (the all-lanes case needs care: `1 << 64`
-/// would overflow the shift).
+/// An OR fold of packed magnitude planes over a row of 256-lane block slots.
 ///
-/// # Panics
-///
-/// Panics if `lanes > 64`.
-pub fn lane_mask(lanes: usize) -> u64 {
-    assert!(lanes <= MAX_LANES, "at most {MAX_LANES} lanes");
-    if lanes == MAX_LANES {
-        u64::MAX
-    } else {
-        (1u64 << lanes) - 1
-    }
-}
-
-/// Up to 64 lanes of operands, transposed into one `u64` word per bit plane.
-///
-/// Bit `i` of [`plane`](Self::plane)`(b)` is bit `b` of lane `i`'s
-/// two's-complement encoding; [`sign_mask`](Self::sign_mask) marks the
-/// negative lanes. Packing happens once, after which every use of the block —
-/// inner products against any number of other blocks, precision detection —
-/// costs a handful of word operations per bit plane.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BitplaneBlock {
-    lanes: usize,
-    planes: [u64; MAX_PRECISION as usize],
-    signs: u64,
-}
-
-impl BitplaneBlock {
-    /// Transposes `values` into bit-plane form.
-    ///
-    /// Values are captured to [`MAX_PRECISION`] (16) planes — the paper's
-    /// fixed-point baseline. As with the serial datapath, operands must be
-    /// representable in the precision later passed to
-    /// [`packed_inner_product`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `values.len() > 64`.
-    pub fn pack(values: &[i32]) -> Self {
-        assert!(
-            values.len() <= MAX_LANES,
-            "a BitplaneBlock holds at most {MAX_LANES} lanes, got {}",
-            values.len()
-        );
-        let mut planes = [0u64; MAX_PRECISION as usize];
-        for (bit, plane) in planes.iter_mut().enumerate() {
-            *plane = bit_plane(values, bit as u8);
-        }
-        BitplaneBlock {
-            lanes: values.len(),
-            planes,
-            signs: sign_plane(values),
-        }
-    }
-
-    /// Number of packed lanes.
-    pub fn lanes(&self) -> usize {
-        self.lanes
-    }
-
-    /// Mask with one bit set per packed lane.
-    pub fn lane_mask(&self) -> u64 {
-        lane_mask(self.lanes)
-    }
-
-    /// The word holding bit `bit` of every lane.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bit >= 16`.
-    pub fn plane(&self, bit: u8) -> u64 {
-        self.planes[usize::from(bit)]
-    }
-
-    /// Mask of the lanes holding negative values.
-    pub fn sign_mask(&self) -> u64 {
-        self.signs
-    }
-
-    /// The word holding, for every lane, whether bit `bit` differs from the
-    /// lane's sign bit — the "magnitude" view the precision detectors consume
-    /// (a two's-complement value needs `b + 2` bits where `b` is its highest
-    /// bit differing from the sign, and `b + 1` bits unsigned).
-    pub fn magnitude_plane(&self, bit: u8) -> u64 {
-        self.planes[usize::from(bit)] ^ self.signs
-    }
-
-    /// Reconstructs the packed values (inverse of [`pack`](Self::pack) for
-    /// operands representable in 16-bit two's complement).
-    pub fn unpack(&self) -> Vec<i32> {
-        (0..self.lanes)
-            .map(|lane| {
-                let mut v: u32 = 0;
-                for bit in 0..MAX_PRECISION {
-                    v |= ((self.planes[usize::from(bit)] >> lane & 1) as u32) << bit;
-                }
-                if self.signs >> lane & 1 == 1 {
-                    v |= !0u32 << MAX_PRECISION;
-                }
-                v as i32
-            })
-            .collect()
-    }
-}
-
-/// The plane-pair loop shared by the portable and `popcnt`-enabled entry
-/// points. The activation MSB negation is applied as a branchless correction
-/// after an unsigned accumulation (subtracting the MSB term twice equals
-/// negating it), which is the same exact i64 sum the serial schedule produces,
-/// just reassociated.
-#[inline(always)]
-fn product_core(
-    w_planes: &[u64],
-    a_planes: &[u64],
-    weights_signed: bool,
-    activations_signed: bool,
-) -> i64 {
-    let pa_msb = a_planes.len() - 1;
-    let mut or_register = 0i64;
-    for (wb, &w_plane) in w_planes.iter().enumerate() {
-        // AC1: accumulate over the activation bit planes.
-        let mut acc1 = 0i64;
-        for (ab, &a_plane) in a_planes.iter().enumerate() {
-            acc1 += i64::from((w_plane & a_plane).count_ones()) << ab;
-        }
-        if activations_signed {
-            // The MSB activation plane is subtracted, not added: remove it twice.
-            acc1 -= i64::from((w_plane & a_planes[pa_msb]).count_ones()) << (pa_msb + 1);
-        }
-        // Negation block: the weight MSB plane is subtracted for signed weights.
-        if weights_signed && wb == w_planes.len() - 1 {
-            acc1 = -acc1;
-        }
-        or_register += acc1 << wb;
-    }
-    or_register
-}
-
-/// `product_core` compiled with the `popcnt` instruction enabled; the baseline
-/// x86-64 target lowers `count_ones` to a ~12-op bit hack, which dominates the
-/// kernel. Runtime feature detection keeps the binary portable.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "popcnt")]
-unsafe fn product_core_popcnt(
-    w_planes: &[u64],
-    a_planes: &[u64],
-    weights_signed: bool,
-    activations_signed: bool,
-) -> i64 {
-    product_core(w_planes, a_planes, weights_signed, activations_signed)
-}
-
-/// Computes the inner product of two packed blocks exactly the way
-/// [`super::sip::serial_inner_product`] does — the same weight-bit outer /
-/// activation-bit inner schedule, the same MSB negations — but with each
-/// (weight-bit, activation-bit) plane pair evaluated as one
-/// `(w & a).count_ones()` instead of a loop over lanes.
-///
-/// The blocks may have different lane counts: missing lanes pack as zero
-/// planes and contribute nothing, matching a SIP whose surplus weight
-/// registers hold zeros.
-pub fn packed_inner_product(
-    weights: &BitplaneBlock,
-    activations: &BitplaneBlock,
-    pw: Precision,
-    pa: Precision,
-    weights_signed: bool,
-    activations_signed: bool,
-) -> i64 {
-    let w_planes = &weights.planes[..usize::from(pw.bits())];
-    let a_planes = &activations.planes[..usize::from(pa.bits())];
-    #[cfg(target_arch = "x86_64")]
-    {
-        if std::arch::is_x86_feature_detected!("popcnt") {
-            // SAFETY: the `popcnt` feature was just detected at runtime.
-            return unsafe {
-                product_core_popcnt(w_planes, a_planes, weights_signed, activations_signed)
-            };
-        }
-    }
-    product_core(w_planes, a_planes, weights_signed, activations_signed)
-}
-
-/// Convenience wrapper: packs both slices and takes their
-/// [`packed_inner_product`]. Use the block form to amortise packing when an
-/// operand is reused.
-///
-/// # Panics
-///
-/// Panics if the slices have different lengths or more than 64 lanes.
-pub fn packed_inner_product_slices(
-    weights: &[i32],
-    activations: &[i32],
-    pw: Precision,
-    pa: Precision,
-    weights_signed: bool,
-    activations_signed: bool,
-) -> i64 {
-    assert_eq!(
-        weights.len(),
-        activations.len(),
-        "weights and activations must pair up lane by lane"
-    );
-    packed_inner_product(
-        &BitplaneBlock::pack(weights),
-        &BitplaneBlock::pack(activations),
-        pw,
-        pa,
-        weights_signed,
-        activations_signed,
-    )
-}
-
-/// Allocation-free precision detection over packed blocks: the software image
-/// of the per-group OR tree + leading-one detector.
-///
-/// Absorbing a block ORs its [`magnitude planes`](BitplaneBlock::magnitude_plane)
-/// into the fold; [`detected_precision`](Self::detected_precision) then reads
-/// the highest non-empty plane. For signed values this equals
-/// [`loom_model::fixed::required_precision`] over the same values, and for
-/// non-negative values it equals
-/// [`loom_model::fixed::required_unsigned_precision`] — without ever
-/// materialising the group in a `Vec`.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct MagnitudeOr {
-    planes: [u64; MAX_PRECISION as usize],
+/// [`absorb`](Self::absorb) ORs a block's magnitude planes into the lanes of
+/// its slot; [`detected_precision`](Self::detected_precision) reads the
+/// highest non-empty plane over a lane range. For signed values that equals
+/// [`loom_model::fixed::required_precision`] over the absorbed values in the
+/// range, and for non-negative values
+/// [`loom_model::fixed::required_unsigned_precision`]. Lanes no block filled
+/// read as zero.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct MagnitudeOr {
+    /// Words per plane row (`slots × WIDE_WORDS`).
+    words: usize,
+    /// `MAX_PRECISION` plane rows of `words` words each.
+    planes: Vec<u64>,
 }
 
 impl MagnitudeOr {
-    /// An empty fold (detects the 1-bit minimum precision).
-    pub fn new() -> Self {
-        Self::default()
+    /// Empties the fold and sizes it for `slots` blocks of lanes, reusing the
+    /// storage.
+    pub(crate) fn reset(&mut self, slots: usize) {
+        self.words = slots * WIDE_WORDS;
+        self.planes.clear();
+        self.planes
+            .resize(usize::from(MAX_PRECISION) * self.words, 0);
     }
 
-    /// ORs a block's magnitude planes into the fold.
-    pub fn absorb(&mut self, block: &BitplaneBlock) {
-        for (bit, plane) in self.planes.iter_mut().enumerate() {
-            *plane |= block.magnitude_plane(bit as u8);
+    /// ORs `block`'s magnitude planes into slot `slot` (lanes
+    /// `256 × slot ..`).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `slot` is not below the slot count of the last
+    /// [`reset`](Self::reset).
+    pub(crate) fn absorb(&mut self, slot: usize, block: &WideBitplaneBlock) {
+        let base = slot * WIDE_WORDS;
+        assert!(base < self.words, "slot {slot} is outside the fold");
+        for bit in 0..MAX_PRECISION {
+            let row = usize::from(bit) * self.words + base;
+            let fold = &mut self.planes[row..row + WIDE_WORDS];
+            for (word, m) in fold.iter_mut().zip(block.magnitude_words(bit)) {
+                *word |= m;
+            }
         }
     }
 
-    /// The smallest precision covering every absorbed value: signed
-    /// two's-complement width when `signed`, magnitude bits otherwise (the
-    /// unsigned reading assumes the absorbed values were non-negative, as
-    /// post-ReLU activations are).
-    pub fn detected_precision(&self, signed: bool) -> Precision {
+    /// The smallest precision covering every absorbed value in lanes
+    /// `[lo, hi)`: signed two's-complement width when `signed`, magnitude
+    /// bits otherwise (the unsigned reading assumes non-negative values, as
+    /// post-ReLU activations are). A range holding only zeros detects the
+    /// 1-bit minimum.
+    pub(crate) fn detected_precision(&self, lo: usize, hi: usize, signed: bool) -> Precision {
         let highest = (0..MAX_PRECISION)
             .rev()
-            .find(|&bit| self.planes[usize::from(bit)] != 0);
+            .find(|&bit| self.range_has_bit(bit, lo, hi));
         match highest {
             None => Precision::saturating(1),
             Some(bit) => Precision::saturating(bit + if signed { 2 } else { 1 }),
         }
     }
+
+    /// Whether any lane in `[lo, hi)` of plane `bit` is set. The range may
+    /// straddle word boundaries (the SIP chunk width need not divide 64).
+    fn range_has_bit(&self, bit: u8, lo: usize, hi: usize) -> bool {
+        let row = &self.planes[usize::from(bit) * self.words..][..self.words];
+        let (w0, w1) = (lo / 64, (hi - 1) / 64);
+        for (w, &value) in row.iter().enumerate().take(w1 + 1).skip(w0) {
+            let mut word = value;
+            if w == w0 {
+                word &= !0u64 << (lo % 64);
+            }
+            if w == w1 {
+                let top = (hi - 1) % 64;
+                if top < 63 {
+                    word &= (1u64 << (top + 1)) - 1;
+                }
+            }
+            if word != 0 {
+                return true;
+            }
+        }
+        false
+    }
 }
 
+/// Besides the fold, these tests pin the packed form within one plane word
+/// (at most 64 lanes), the granularity of the SIP's weight registers; the
+/// tests in `wide` work across word boundaries.
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::loom::sip::{reference_inner_product, serial_inner_product};
-    use loom_model::fixed::{required_precision, required_unsigned_precision};
+    use crate::loom::sip::{reference_inner_product, serial_inner_product, Sip};
+    use crate::loom::wide::{wide_inner_product, wide_inner_product_slices};
+    use loom_model::fixed::{bit_plane, required_precision, required_unsigned_precision};
+
+    /// Folds `values` into a one-slot fold and detects over their lanes.
+    fn detect(values: &[i32], signed: bool) -> Precision {
+        let mut fold = MagnitudeOr::default();
+        fold.reset(1);
+        fold.absorb(0, &WideBitplaneBlock::pack(values));
+        fold.detected_precision(0, values.len(), signed)
+    }
 
     #[test]
     fn pack_roundtrips_sixteen_bit_values() {
         let values = vec![0, 1, -1, 32767, -32768, 1234, -4321];
-        let block = BitplaneBlock::pack(&values);
+        let block = WideBitplaneBlock::pack(&values);
         assert_eq!(block.lanes(), values.len());
         assert_eq!(block.unpack(), values);
-        assert_eq!(block.lane_mask(), 0b111_1111);
-        assert_eq!(block.sign_mask(), 0b101_0100);
+        assert_eq!(block.sign_words(), &[0b101_0100, 0, 0, 0]);
+        // Lanes past the seventh pack as zeros in every plane.
+        for bit in 0..MAX_PRECISION {
+            let words = block.plane_words(bit);
+            assert_eq!(words[0] & !0b111_1111, 0, "bit {bit}");
+            assert_eq!(words[1..], [0; 3], "bit {bit}");
+        }
     }
 
     #[test]
     fn pack_roundtrips_all_64_lanes() {
         let values: Vec<i32> = (0..64).map(|i| i * 1021 - 31000).collect();
-        let block = BitplaneBlock::pack(&values);
-        assert_eq!(block.lane_mask(), u64::MAX);
+        let block = WideBitplaneBlock::pack(&values);
         assert_eq!(block.unpack(), values);
+        // A full first word, and nothing spills into the next.
+        for bit in 0..MAX_PRECISION {
+            let words = block.plane_words(bit);
+            assert_eq!(words[0], bit_plane(&values, bit), "bit {bit}");
+            assert_eq!(words[1..], [0; 3], "bit {bit}");
+        }
     }
 
+    /// A SIP keeps its weight registers in one plane word, so it cannot hold
+    /// a 65th lane.
     #[test]
     #[should_panic(expected = "at most 64 lanes")]
     fn pack_rejects_more_than_64_lanes() {
-        BitplaneBlock::pack(&[0; 65]);
+        Sip::new(Sip::MAX_LANES + 1);
     }
 
     #[test]
@@ -326,7 +159,7 @@ mod tests {
         let activations = vec![1, -2, 3, 2, -4, 5];
         let pw = required_precision(&weights);
         let pa = required_precision(&activations);
-        let packed = packed_inner_product_slices(&weights, &activations, pw, pa, true, true);
+        let packed = wide_inner_product_slices(&weights, &activations, pw, pa, true, true);
         assert_eq!(
             packed,
             serial_inner_product(&weights, &activations, pw, pa, true, true)
@@ -336,33 +169,35 @@ mod tests {
 
     #[test]
     fn mismatched_lane_counts_treat_missing_lanes_as_zero() {
-        let weights = BitplaneBlock::pack(&[3, 5, 7, 9]);
-        let activations = BitplaneBlock::pack(&[2, 4]);
+        let weights = WideBitplaneBlock::pack(&[3, 5, 7, 9]);
+        let activations = WideBitplaneBlock::pack(&[2, 4]);
         let p = Precision::new(5).unwrap();
         assert_eq!(
-            packed_inner_product(&weights, &activations, p, p, false, false),
+            wide_inner_product(&weights, &activations, p, p, false, false),
             3 * 2 + 5 * 4
         );
+        // The fold reads lanes the activations never filled as zero.
+        let mut fold = MagnitudeOr::default();
+        fold.reset(1);
+        fold.absorb(0, &activations);
+        assert_eq!(fold.detected_precision(2, 4, false).bits(), 1);
+        assert_eq!(fold.detected_precision(0, 4, false).bits(), 3);
     }
 
     #[test]
     fn magnitude_or_matches_vec_based_detectors() {
         let signed_groups: [&[i32]; 4] = [&[0, 0], &[1, -1, 3], &[127, -128], &[-1, -1]];
         for values in signed_groups {
-            let mut fold = MagnitudeOr::new();
-            fold.absorb(&BitplaneBlock::pack(values));
             assert_eq!(
-                fold.detected_precision(true),
+                detect(values, true),
                 required_precision(values),
                 "signed {values:?}"
             );
         }
         let unsigned_groups: [&[i32]; 3] = [&[0], &[1, 2, 3], &[255, 17]];
         for values in unsigned_groups {
-            let mut fold = MagnitudeOr::new();
-            fold.absorb(&BitplaneBlock::pack(values));
             assert_eq!(
-                fold.detected_precision(false),
+                detect(values, false),
                 required_unsigned_precision(values),
                 "unsigned {values:?}"
             );
@@ -371,16 +206,28 @@ mod tests {
 
     #[test]
     fn magnitude_or_folds_across_blocks() {
-        let mut fold = MagnitudeOr::new();
-        fold.absorb(&BitplaneBlock::pack(&[1, 2]));
-        fold.absorb(&BitplaneBlock::pack(&[-100]));
-        fold.absorb(&BitplaneBlock::pack(&[0, 0, 0]));
+        let mut fold = MagnitudeOr::default();
+        fold.reset(1);
+        fold.absorb(0, &WideBitplaneBlock::pack(&[1, 2]));
+        fold.absorb(0, &WideBitplaneBlock::pack(&[-100]));
+        fold.absorb(0, &WideBitplaneBlock::pack(&[0, 0, 0]));
         assert_eq!(
-            fold.detected_precision(true),
+            fold.detected_precision(0, 3, true),
             required_precision(&[1, 2, -100, 0, 0, 0])
         );
-        let empty = MagnitudeOr::new();
-        assert_eq!(empty.detected_precision(true).bits(), 1);
-        assert_eq!(empty.detected_precision(false).bits(), 1);
+        let mut empty = MagnitudeOr::default();
+        empty.reset(1);
+        assert_eq!(empty.detected_precision(0, 256, true).bits(), 1);
+        assert_eq!(empty.detected_precision(0, 256, false).bits(), 1);
+
+        // Across slots: a range straddling the block boundary sees both
+        // sides, and a range on one side sees only that side.
+        let mut fold = MagnitudeOr::default();
+        fold.reset(2);
+        fold.absorb(0, &WideBitplaneBlock::pack(&[3; 256]));
+        fold.absorb(1, &WideBitplaneBlock::pack(&[0, 0, 900]));
+        assert_eq!(fold.detected_precision(250, 259, false).bits(), 10);
+        assert_eq!(fold.detected_precision(250, 258, false).bits(), 2);
+        assert_eq!(fold.detected_precision(256, 258, false).bits(), 1);
     }
 }

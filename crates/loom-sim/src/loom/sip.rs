@@ -13,8 +13,18 @@
 //! proven (by unit and property tests) to equal the ordinary integer inner
 //! product for any operand precisions — the core functional-equivalence claim
 //! of the whole design.
+//!
+//! Nothing here runs inside the engine. This module is the readable oracle:
+//! [`serial_conv`] tiles a whole convolution onto the grid with
+//! [`serial_inner_product`], and the tests check the wide datapath of
+//! [`crate::loom::functional`] against it, outputs, cycles and reduced groups
+//! alike.
 
-use loom_model::fixed::{bit_of, Precision};
+use crate::loom::functional::{FunctionalLoom, FunctionalRun};
+use loom_model::fixed::{bit_of, required_precision, required_unsigned_precision, Precision};
+use loom_model::im2col::window_patch;
+use loom_model::layer::ConvSpec;
+use loom_model::tensor::{Tensor3, Tensor4};
 
 /// Computes the inner product of `weights` and `activations` exactly the way a
 /// SIP does: bit-serially over `pw` weight bits (outer) and `pa` activation
@@ -77,16 +87,112 @@ pub fn reference_inner_product(weights: &[i32], activations: &[i32]) -> i64 {
         .sum()
 }
 
+/// Runs a convolutional layer the slow, literal way, as the test oracle for
+/// [`FunctionalLoom::run_conv`]. The layer is tiled as §3.2 describes:
+/// `window_columns` windows per group, `sip_lanes` weights per SIP chunk, and
+/// `filter_rows` filters per pass. Every chunk's products are
+/// [`serial_inner_product`]s. With dynamic precision on, each (window group ×
+/// chunk) block detects its activation precision from the materialised group
+/// values. Grouped convolutions skip detection, as the engine does.
+///
+/// The engine must return the same [`FunctionalRun`]: outputs, cycles and
+/// reduced groups.
+///
+/// # Panics
+///
+/// Panics if the tensors do not match the spec.
+pub fn serial_conv(
+    engine: &FunctionalLoom,
+    spec: &ConvSpec,
+    input: &Tensor3,
+    weights: &Tensor4,
+    pa: Precision,
+    pw: Precision,
+) -> FunctionalRun {
+    assert_eq!(input.shape(), spec.input_shape(), "input shape mismatch");
+    assert_eq!(
+        weights.shape(),
+        spec.weight_shape(),
+        "weight shape mismatch"
+    );
+    let geometry = engine.geometry();
+    let signed = input.as_slice().iter().any(|&v| v < 0);
+    let detect = engine.dynamic_precision && spec.groups == 1;
+    let group_in = spec.in_channels / spec.groups;
+    let group_out = spec.filters / spec.groups;
+    let wpf = spec.weights_per_filter();
+    let windows = spec.windows();
+    let filter_groups = spec.filters.div_ceil(geometry.filter_rows) as u64;
+    let b = u64::from(geometry.act_bits_per_cycle);
+
+    let mut outputs = vec![0i64; spec.filters * windows];
+    let mut cycles = 0u64;
+    let mut reduced_groups = 0u64;
+    for window_base in (0..windows).step_by(geometry.window_columns) {
+        let window_end = windows.min(window_base + geometry.window_columns);
+        // One patch per (window, conv group), indexed [col][group].
+        let patches: Vec<Vec<Vec<i32>>> = (window_base..window_end)
+            .map(|w| {
+                let (oy, ox) = (w / spec.out_width(), w % spec.out_width());
+                (0..spec.groups)
+                    .map(|g| window_patch(spec, input, oy, ox, g * group_in, group_in))
+                    .collect()
+            })
+            .collect();
+        for lo in (0..wpf).step_by(geometry.sip_lanes) {
+            let hi = wpf.min(lo + geometry.sip_lanes);
+            let effective_pa = if detect {
+                let group: Vec<i32> = patches
+                    .iter()
+                    .flat_map(|per_group| per_group[0][lo..hi].iter().copied())
+                    .collect();
+                let detected = if signed {
+                    required_precision(&group)
+                } else {
+                    required_unsigned_precision(&group)
+                }
+                .min(pa);
+                if detected < pa {
+                    reduced_groups += 1;
+                }
+                detected
+            } else {
+                pa
+            };
+            cycles += filter_groups * pw.bits_u64() * effective_pa.bits_u64().div_ceil(b);
+            for k in 0..spec.filters {
+                let filter = &weights.filter(k)[lo..hi];
+                for (col, per_group) in patches.iter().enumerate() {
+                    outputs[k * windows + window_base + col] += serial_inner_product(
+                        filter,
+                        &per_group[k / group_out][lo..hi],
+                        pw,
+                        effective_pa,
+                        true,
+                        signed,
+                    );
+                }
+            }
+        }
+    }
+    FunctionalRun {
+        outputs,
+        cycles,
+        reduced_groups,
+    }
+}
+
 /// A stateful SIP for cycle-by-cycle simulation (used by the functional engine
 /// and the Section 2 walkthrough example). One instance corresponds to one SIP
 /// in the grid; its lane count is configurable (16 in the real design, 2 in the
 /// paper's illustrative example).
 ///
-/// The weight registers are held as a packed plane word (one bit per lane), so
-/// every cycle is a single `AND` + `count_ones()` — the same kernel as
-/// [`crate::loom::packed::packed_inner_product`]. The bit-slice API
-/// ([`load_weight_bits`](Self::load_weight_bits) / [`cycle`](Self::cycle))
-/// remains for didactic callers and simply packs on the way in.
+/// The weight registers are held as one plane word (one bit per lane), so
+/// every cycle is a single `AND` + `count_ones()`, the operation
+/// [`crate::loom::wide_inner_product`] applies 256 lanes at a time. The
+/// bit-slice API ([`load_weight_bits`](Self::load_weight_bits) /
+/// [`cycle`](Self::cycle)) remains for didactic callers and simply packs on
+/// the way in.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Sip {
     lanes: usize,
@@ -97,16 +203,19 @@ pub struct Sip {
 }
 
 impl Sip {
+    /// Lanes a SIP can hold: one per bit of its weight-register plane word.
+    pub const MAX_LANES: usize = u64::BITS as usize;
+
     /// Creates a SIP with the given number of weight registers / lanes.
     ///
     /// # Panics
     ///
-    /// Panics if `lanes` exceeds [`crate::loom::packed::MAX_LANES`].
+    /// Panics if `lanes` exceeds [`Sip::MAX_LANES`].
     pub fn new(lanes: usize) -> Self {
         assert!(
-            lanes <= crate::loom::packed::MAX_LANES,
+            lanes <= Self::MAX_LANES,
             "a SIP holds at most {} lanes",
-            crate::loom::packed::MAX_LANES
+            Self::MAX_LANES
         );
         Sip {
             lanes,
@@ -127,8 +236,13 @@ impl Sip {
         self.cycles
     }
 
+    /// One bit set per lane (`1 << 64` would overflow, hence the check).
     fn lane_mask(&self) -> u64 {
-        crate::loom::packed::lane_mask(self.lanes)
+        if self.lanes == Self::MAX_LANES {
+            u64::MAX
+        } else {
+            (1u64 << self.lanes) - 1
+        }
     }
 
     /// Loads one bit of each weight into the weight registers.
@@ -238,7 +352,6 @@ impl Sip {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use loom_model::fixed::required_precision;
 
     #[test]
     fn matches_reference_for_small_signed_operands() {
@@ -362,25 +475,23 @@ mod tests {
 
     #[test]
     fn packed_cycle_path_matches_bit_slice_path() {
-        use crate::loom::packed::BitplaneBlock;
+        use loom_model::fixed::bit_plane;
         let weights = vec![-5, 3, 7, -2, 11, -13];
         let activations = vec![4, 1, -3, 6, -7, 2];
         let pw = required_precision(&weights);
         let pa = required_precision(&activations);
-        let w_block = BitplaneBlock::pack(&weights);
-        let a_block = BitplaneBlock::pack(&activations);
 
         let mut slice_sip = Sip::new(weights.len());
         let mut plane_sip = Sip::new(weights.len());
         for wb in 0..pw.bits() {
             let bits: Vec<u8> = weights.iter().map(|&w| bit_of(w, wb)).collect();
             slice_sip.load_weight_bits(&bits);
-            plane_sip.load_weight_plane(w_block.plane(wb));
+            plane_sip.load_weight_plane(bit_plane(&weights, wb));
             for ab in 0..pa.bits() {
                 let a_bits: Vec<u8> = activations.iter().map(|&a| bit_of(a, ab)).collect();
                 let negate = ab == pa.bits() - 1;
                 slice_sip.cycle(&a_bits, ab, negate);
-                plane_sip.cycle_packed(a_block.plane(ab), ab, negate);
+                plane_sip.cycle_packed(bit_plane(&activations, ab), ab, negate);
             }
             slice_sip.commit_weight_bit(wb, wb == pw.bits() - 1);
             plane_sip.commit_weight_bit(wb, wb == pw.bits() - 1);
@@ -390,6 +501,12 @@ mod tests {
             plane_sip.output(),
             reference_inner_product(&weights, &activations)
         );
+        // A full-width SIP accepts every bit of its plane word.
+        let mut full = Sip::new(Sip::MAX_LANES);
+        full.load_weight_plane(u64::MAX);
+        full.cycle_packed(u64::MAX, 0, false);
+        full.commit_weight_bit(0, false);
+        assert_eq!(full.output(), 64);
     }
 
     #[test]

@@ -4,7 +4,8 @@
 //! is pure in the weights and the layer dimensions, yet before this store the
 //! engine repeated it per `run_conv` call, per `NetworkEngine::prepack`, and
 //! per conformance-harness backend. The store keys each packed container by
-//! the layer's dimensions plus a double-FNV content hash of its weights, so a
+//! the weight matrix's dimensions plus a double-FNV content hash of its
+//! weights, so a
 //! network's filters are packed exactly once per process: `run_conv`, the
 //! batched network engine, the datapath conformance harness and every
 //! `loom-serve` catalog build share the same [`std::sync::Arc`]'d planes.
@@ -15,7 +16,7 @@
 //! cost and compression footprint, and the current resident size — the bench
 //! binaries report them and CI gates on repack avoidance.
 
-use crate::loom::functional::{FunctionalLoom, PackStats, PackedFcRows, WideFilterPlanes};
+use crate::loom::functional::{PackStats, PackedRows};
 use loom_model::layer::{ConvSpec, FcSpec};
 use loom_model::tensor::Tensor4;
 use std::collections::{HashMap, VecDeque};
@@ -59,29 +60,32 @@ impl WeightStoreStats {
     }
 }
 
+/// A packed container's identity: its row count and row length (a conv's
+/// filters × weights per filter, an FC layer's outputs × inputs) plus the
+/// content hash. Equal keys pack to identical blocks, whichever layer kind
+/// asked first.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
-enum Key {
-    Conv {
-        shape: (usize, usize, usize, usize),
-        hash: (u64, u64),
-    },
-    Fc {
-        dims: (usize, usize),
-        hash: (u64, u64),
-    },
+struct Key {
+    dims: (usize, usize),
+    hash: (u64, u64),
 }
 
-enum Entry {
-    Conv(Arc<WideFilterPlanes>),
-    Fc(Arc<PackedFcRows>),
+/// Which counter pair a lookup updates.
+#[derive(Clone, Copy)]
+enum Kind {
+    Conv,
+    Fc,
 }
 
-impl Entry {
-    fn resident_bytes(&self) -> u64 {
-        match self {
-            Entry::Conv(planes) => planes.approx_bytes() as u64,
-            Entry::Fc(rows) => rows.approx_bytes() as u64,
-        }
+impl WeightStoreStats {
+    fn count(&mut self, kind: Kind, hit: bool) {
+        let counter = match (kind, hit) {
+            (Kind::Conv, false) => &mut self.conv_packs,
+            (Kind::Conv, true) => &mut self.conv_hits,
+            (Kind::Fc, false) => &mut self.fc_packs,
+            (Kind::Fc, true) => &mut self.fc_hits,
+        };
+        *counter += 1;
     }
 }
 
@@ -110,7 +114,7 @@ fn content_hash(values: &[i32]) -> (u64, u64) {
 /// on a local instance with a small cap.
 struct Store {
     cap: usize,
-    entries: HashMap<Key, Entry>,
+    entries: HashMap<Key, Arc<PackedRows>>,
     order: VecDeque<Key>,
     stats: WeightStoreStats,
 }
@@ -125,8 +129,8 @@ impl Store {
         }
     }
 
-    fn insert(&mut self, key: Key, entry: Entry) {
-        self.stats.resident_bytes += entry.resident_bytes();
+    fn insert(&mut self, key: Key, entry: Arc<PackedRows>) {
+        self.stats.resident_bytes += entry.approx_bytes() as u64;
         self.order.push_back(key.clone());
         self.entries.insert(key, entry);
         while self.entries.len() > self.cap {
@@ -134,7 +138,7 @@ impl Store {
                 break;
             };
             if let Some(evicted) = self.entries.remove(&oldest) {
-                self.stats.resident_bytes -= evicted.resident_bytes();
+                self.stats.resident_bytes -= evicted.approx_bytes() as u64;
                 self.stats.evictions += 1;
             }
         }
@@ -147,60 +151,61 @@ fn global() -> &'static Mutex<Store> {
     STORE.get_or_init(|| Mutex::new(Store::new(MAX_ENTRIES)))
 }
 
-/// A convolution's packed, compressed filter planes — from the store when the
-/// same (dimensions, weights) pair was packed before in this process, packed
-/// and inserted otherwise.
-pub(crate) fn conv_planes(spec: &ConvSpec, weights: &Tensor4) -> Arc<WideFilterPlanes> {
-    let shape = weights.shape();
-    let key = Key::Conv {
-        shape: (shape.k, shape.c, shape.h, shape.w),
-        hash: content_hash(weights.as_slice()),
-    };
-    {
-        let mut store = global().lock().expect("weight store poisoned");
-        if let Some(Entry::Conv(planes)) = store.entries.get(&key) {
-            let planes = Arc::clone(planes);
-            store.stats.conv_hits += 1;
-            return planes;
-        }
-    }
-    // Pack outside the lock: layer packs are milliseconds on big networks and
-    // must not serialize unrelated threads behind the store mutex.
-    let planes = Arc::new(FunctionalLoom::pack_wide_filters(spec, weights));
-    let mut store = global().lock().expect("weight store poisoned");
-    store.stats.conv_packs += 1;
-    store.stats.pack.add(&planes.stats());
-    if let Some(Entry::Conv(existing)) = store.entries.get(&key) {
-        // Another thread packed the same layer concurrently; share theirs.
-        return Arc::clone(existing);
-    }
-    store.insert(key, Entry::Conv(Arc::clone(&planes)));
-    planes
+/// A convolution's packed, compressed filter planes.
+///
+/// # Panics
+///
+/// Panics if the weights do not match the spec.
+pub(crate) fn conv_planes(spec: &ConvSpec, weights: &Tensor4) -> Arc<PackedRows> {
+    assert_eq!(
+        weights.shape(),
+        spec.weight_shape(),
+        "weight shape mismatch"
+    );
+    packed(Kind::Conv, weights.as_slice(), spec.weights_per_filter())
 }
 
-/// A fully-connected layer's packed, compressed row transpose — from the
-/// store when already packed this process, packed and inserted otherwise.
-pub(crate) fn fc_rows(spec: &FcSpec, weights: &[i32]) -> Arc<PackedFcRows> {
-    let key = Key::Fc {
-        dims: (spec.in_features, spec.out_features),
+/// A fully-connected layer's packed, compressed row transpose.
+///
+/// # Panics
+///
+/// Panics if the weights do not match the spec.
+pub(crate) fn fc_rows(spec: &FcSpec, weights: &[i32]) -> Arc<PackedRows> {
+    assert_eq!(
+        weights.len(),
+        spec.in_features * spec.out_features,
+        "weight length mismatch"
+    );
+    packed(Kind::Fc, weights, spec.in_features)
+}
+
+/// `weights`, read as rows of `row_len`, packed — from the store when the
+/// same (dimensions, weights) pair was packed before in this process, packed
+/// and inserted otherwise.
+fn packed(kind: Kind, weights: &[i32], row_len: usize) -> Arc<PackedRows> {
+    let key = Key {
+        dims: (weights.len() / row_len, row_len),
         hash: content_hash(weights),
     };
     {
         let mut store = global().lock().expect("weight store poisoned");
-        if let Some(Entry::Fc(rows)) = store.entries.get(&key) {
+        if let Some(rows) = store.entries.get(&key) {
             let rows = Arc::clone(rows);
-            store.stats.fc_hits += 1;
+            store.stats.count(kind, true);
             return rows;
         }
     }
-    let rows = Arc::new(PackedFcRows::pack(spec, weights));
+    // Pack outside the lock: layer packs are milliseconds on big networks and
+    // must not serialize unrelated threads behind the store mutex.
+    let rows = Arc::new(PackedRows::pack(weights, row_len));
     let mut store = global().lock().expect("weight store poisoned");
-    store.stats.fc_packs += 1;
+    store.stats.count(kind, false);
     store.stats.pack.add(&rows.stats());
-    if let Some(Entry::Fc(existing)) = store.entries.get(&key) {
+    if let Some(existing) = store.entries.get(&key) {
+        // Another thread packed the same layer concurrently; share theirs.
         return Arc::clone(existing);
     }
-    store.insert(key, Entry::Fc(Arc::clone(&rows)));
+    store.insert(key, Arc::clone(&rows));
     rows
 }
 
@@ -266,22 +271,22 @@ mod tests {
         // Exercised on a local instance so the global store's entries (shared
         // with concurrently running tests) are untouched.
         let mut store = Store::new(2);
-        let spec = FcSpec::new(8, 2);
         for salt in 0..4 {
             let weights: Vec<i32> = (0..16).map(|i| i + salt).collect();
-            let key = Key::Fc {
-                dims: (spec.in_features, spec.out_features),
+            let key = Key {
+                dims: (2, 8),
                 hash: content_hash(&weights),
             };
-            store.insert(
-                key,
-                Entry::Fc(Arc::new(PackedFcRows::pack(&spec, &weights))),
-            );
+            store.insert(key, Arc::new(PackedRows::pack(&weights, 8)));
         }
         assert_eq!(store.entries.len(), 2);
         assert_eq!(store.stats.entries, 2);
         assert_eq!(store.stats.evictions, 2);
-        let resident: u64 = store.entries.values().map(Entry::resident_bytes).sum();
+        let resident: u64 = store
+            .entries
+            .values()
+            .map(|rows| rows.approx_bytes() as u64)
+            .sum();
         assert_eq!(store.stats.resident_bytes, resident);
     }
 

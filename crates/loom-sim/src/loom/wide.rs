@@ -1,18 +1,22 @@
-//! The SIMD-wide packed SIP datapath: 256 lanes per block, four plane words
-//! wide.
+//! The SIP datapath the engine runs: bit planes as words, AND + popcount as
+//! the adder tree, 256 lanes per block.
 //!
-//! [`super::packed::BitplaneBlock`] holds one `u64` word per bit plane — at
-//! the paper's 16-lane SIP geometry that leaves 48 of every 64 plane bits
-//! idle. [`WideBitplaneBlock`] widens the block to [`WIDE_LANES`] (256) lanes
-//! held as `[u64; 4]` plane words, so one AND + popcount evaluates sixteen
-//! SIPs' worth of one-bit products at once. The arithmetic schedule is the
-//! same weight-bit outer / activation-bit inner walk as
-//! [`super::sip::serial_inner_product`], with the same two's-complement MSB
-//! negations — only the order in which a plane pair's one-bit products are
-//! summed changes, and integer addition is associative, so the result is
-//! bit-identical to the serial model by construction (pinned by the property
-//! suite in `tests/functional_equivalence.rs` across 1–256 lanes, ragged
-//! tails, 1–16-bit precisions and all four signedness combinations).
+//! [`super::sip::serial_inner_product`] models the SIP of Figure 3 one bit ×
+//! one lane at a time, which is faithful but slow. A SIP cycle — 16
+//! single-bit AND gates feeding a 16-input adder tree — is exactly a
+//! word-wide `AND` followed by `count_ones()` once the operands are
+//! *transposed*: instead of one word per lane holding all of a value's bits,
+//! keep one word per **bit plane** holding that bit of every lane.
+//! [`WideBitplaneBlock`] performs the transpose for up to [`WIDE_LANES`] (256)
+//! lanes held as `[u64; 4]` plane words, so one AND + popcount evaluates
+//! sixteen SIPs' worth of one-bit products at once. The arithmetic schedule is
+//! the same weight-bit outer / activation-bit inner walk as the serial model,
+//! with the same two's-complement MSB negations — only the order in which a
+//! plane pair's one-bit products are summed changes, and integer addition is
+//! associative, so the result is bit-identical to the serial model by
+//! construction (pinned by the property suite in
+//! `tests/functional_equivalence.rs` across 1–256 lanes, ragged tails,
+//! 1–16-bit precisions and all four signedness combinations).
 //!
 //! Five kernel tiers are dispatched at runtime on x86-64 (the fastest
 //! detected tier is chosen once, into a process-wide [`KernelTier`]) and all
@@ -101,8 +105,7 @@ impl WideBitplaneBlock {
 
     /// Transposes `values` into wide bit-plane form.
     ///
-    /// As with the narrow block, operands must be representable in 16-bit
-    /// two's complement.
+    /// Operands must be representable in 16-bit two's complement.
     ///
     /// # Panics
     ///
@@ -324,9 +327,10 @@ impl CompressedWideBlock {
 /// compressed one. Both resolve per-bit plane words through
 /// [`plane`](Self::plane); the dense arm always yields a plane, the
 /// compressed arm yields `None` for elided all-zero planes so the kernels
-/// skip them.
+/// skip them. Packed weights (conv filters, cached FC rows) are compressed;
+/// FC rows streamed through a worker arena stay dense.
 #[derive(Clone, Copy)]
-enum WeightPlanes<'a> {
+pub(crate) enum WeightPlanes<'a> {
     Dense(&'a WideBitplaneBlock),
     Compressed(&'a CompressedWideBlock),
 }
@@ -402,9 +406,11 @@ unsafe fn pack_avx2(block: &mut WideBitplaneBlock, values: &[i32]) {
     }
 }
 
-/// The wide plane-pair loop shared by the portable and `popcnt` entry points:
-/// the exact schedule of the narrow block's `product_core`, with each plane
-/// pair evaluated as four AND + popcount word operations.
+/// The plane-pair loop shared by the portable and `popcnt` entry points, with
+/// each plane pair evaluated as four AND + popcount word operations. The
+/// activation MSB negation is applied as a correction after an unsigned
+/// accumulation (subtracting the MSB term twice equals negating it) — the
+/// same exact sum the serial schedule produces, just reassociated.
 #[inline(always)]
 fn wide_product_core(
     w: WeightPlanes<'_>,
@@ -953,7 +959,7 @@ pub fn wide_inner_product(
     weights_signed: bool,
     activations_signed: bool,
 ) -> i64 {
-    dispatch_product(
+    weight_inner_product(
         WeightPlanes::Dense(weights),
         activations,
         pw,
@@ -975,7 +981,7 @@ pub fn compressed_inner_product(
     weights_signed: bool,
     activations_signed: bool,
 ) -> i64 {
-    dispatch_product(
+    weight_inner_product(
         WeightPlanes::Compressed(weights),
         activations,
         pw,
@@ -985,8 +991,9 @@ pub fn compressed_inner_product(
     )
 }
 
-/// Dispatches one inner product to the fastest detected kernel tier.
-fn dispatch_product(
+/// Dispatches one inner product, with the weight operand in either form, to
+/// the fastest detected kernel tier.
+pub(crate) fn weight_inner_product(
     weights: WeightPlanes<'_>,
     activations: &WideBitplaneBlock,
     pw: Precision,
@@ -1094,9 +1101,10 @@ pub fn wide_inner_product_slices(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::loom::packed::BitplaneBlock;
     use crate::loom::sip::{reference_inner_product, serial_inner_product};
-    use loom_model::fixed::{required_precision, required_unsigned_precision};
+    use loom_model::fixed::{
+        bit_plane, required_precision, required_unsigned_precision, sign_plane,
+    };
 
     fn ragged_values(n: usize) -> Vec<i32> {
         (0..n).map(|i| (i as i32 * 977) % 30000 - 15000).collect()
@@ -1130,16 +1138,21 @@ mod tests {
         }
     }
 
+    /// Each plane word equals the single-word transpose of its 64 lanes.
     #[test]
     fn wide_planes_match_narrow_blocks() {
         let values = ragged_values(256);
         let wide = WideBitplaneBlock::pack(&values);
         for word in 0..WIDE_WORDS {
-            let narrow = BitplaneBlock::pack(&values[word * 64..(word + 1) * 64]);
+            let narrow = &values[word * 64..(word + 1) * 64];
             for bit in 0..MAX_PRECISION {
-                assert_eq!(wide.plane_words(bit)[word], narrow.plane(bit), "bit {bit}");
+                assert_eq!(
+                    wide.plane_words(bit)[word],
+                    bit_plane(narrow, bit),
+                    "bit {bit}"
+                );
             }
-            assert_eq!(wide.sign_words()[word], narrow.sign_mask());
+            assert_eq!(wide.sign_words()[word], sign_plane(narrow));
         }
     }
 
@@ -1421,13 +1434,17 @@ mod tests {
         );
     }
 
+    /// The magnitude view is each bit plane XOR the sign plane: set where a
+    /// bit differs from the lane's sign.
     #[test]
     fn magnitude_words_fold_like_the_narrow_detector() {
         let values = vec![3, -100, 0, 17, -1];
         let wide = WideBitplaneBlock::pack(&values);
-        let narrow = BitplaneBlock::pack(&values);
         for bit in 0..MAX_PRECISION {
-            assert_eq!(wide.magnitude_words(bit)[0], narrow.magnitude_plane(bit));
+            assert_eq!(
+                wide.magnitude_words(bit)[0],
+                bit_plane(&values, bit) ^ sign_plane(&values)
+            );
         }
     }
 }

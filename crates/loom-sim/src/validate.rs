@@ -152,32 +152,6 @@ pub fn validate_accelerator_conv(
     report(functional.outputs == reference, functional.cycles, cycles)
 }
 
-/// Cross-checks the three SIP kernels on a convolutional layer: the 256-lane
-/// wide datapath (the default), the 64-lane packed AND+popcount datapath and
-/// the legacy bit-serial loop must produce *identical*
-/// [`crate::loom::FunctionalRun`]s — outputs, cycles, and dynamically reduced
-/// groups. CI's functional benchmark fails the build if this ever returns
-/// `false`.
-pub fn conv_kernels_agree(
-    geometry: LoomGeometry,
-    spec: &ConvSpec,
-    input: &Tensor3,
-    weights: &Tensor4,
-    pa: Precision,
-    pw: Precision,
-) -> bool {
-    use crate::loom::functional::SipKernel;
-    let wide = FunctionalLoom::new(geometry).run_conv(spec, input, weights, pa, pw);
-    [SipKernel::Packed, SipKernel::BitSerial]
-        .into_iter()
-        .all(|kernel| {
-            FunctionalLoom::new(geometry)
-                .with_kernel(kernel)
-                .run_conv(spec, input, weights, pa, pw)
-                == wide
-        })
-}
-
 /// Outcome of validating a whole network: the batched functional engine
 /// against the golden graph executor.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -359,14 +333,12 @@ mod tests {
         assert!(r.outputs_match, "{r}");
         // The analytic model adds a one-cycle pipeline fill; otherwise exact.
         assert!(r.agrees_within(0.02), "{r}");
-        assert!(conv_kernels_agree(
-            geometry(),
-            &spec,
-            &input,
-            &weights,
-            pa,
-            pw
-        ));
+        // With detection on, the whole run matches the bit-serial oracle.
+        let engine = FunctionalLoom::new(geometry());
+        assert_eq!(
+            engine.run_conv(&spec, &input, &weights, pa, pw),
+            crate::loom::sip::serial_conv(&engine, &spec, &input, &weights, pa, pw)
+        );
 
         // The trait-based check must agree with the direct schedule check
         // when the registered backend wraps the same analytic schedule.

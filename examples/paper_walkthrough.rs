@@ -2,16 +2,16 @@
 //! bit-serial subunits processing a fully-connected layer with 2-bit weights
 //! and activations — two activations, four filters, five cycles.
 //!
-//! Since PR 3 the `Sip` holds its weight registers as a packed plane word, so
-//! every `cycle()` below is internally one `AND` + `count_ones()` — the same
-//! kernel the fast functional engine uses. The coda at the end replays the
-//! example through `BitplaneBlock`/`packed_inner_product` directly to show the
-//! two views are the same computation.
+//! The `Sip` holds its weight registers as a packed plane word, so every
+//! `cycle()` below is internally one `AND` + `count_ones()`. The coda replays
+//! the example through `serial_inner_product` (the same recipe as one
+//! function call) and through `wide_inner_product` (the 256-lane datapath the
+//! functional engine runs) to show all three views are the same computation.
 //!
 //! Run with: `cargo run --release -p loom-core --example paper_walkthrough`
 
 use loom_core::loom_model::fixed::{bit_of, Precision};
-use loom_core::loom_sim::loom::{packed_inner_product, BitplaneBlock, Sip};
+use loom_core::loom_sim::loom::{serial_inner_product, wide_inner_product, Sip, WideBitplaneBlock};
 
 fn main() {
     // Two 2-bit input activations and four filters of two 2-bit weights each
@@ -98,20 +98,26 @@ fn main() {
     // is one AND + popcount word operation.
     println!("\nPacked view: one AND + popcount per (weight bit, activation bit) plane pair");
     let p2 = Precision::new(2).unwrap();
-    let a_block = BitplaneBlock::pack(&activations);
+    let a_block = WideBitplaneBlock::pack(&activations);
     println!(
         "activation planes: bit0={:02b} bit1={:02b} (lanes a0,a1)",
-        a_block.plane(0),
-        a_block.plane(1)
+        a_block.plane_words(0)[0],
+        a_block.plane_words(1)[0]
     );
     for (k, (f, sip)) in filters.iter().zip(sips.iter()).enumerate() {
-        let w_block = BitplaneBlock::pack(f);
-        let o = packed_inner_product(&w_block, &a_block, p2, p2, false, false);
+        let serial = serial_inner_product(f, &activations, p2, p2, false, false);
+        assert_eq!(
+            serial,
+            sip.output(),
+            "one-shot recipe must match the replay"
+        );
+        let w_block = WideBitplaneBlock::pack(f);
+        let o = wide_inner_product(&w_block, &a_block, p2, p2, false, false);
         assert_eq!(o, sip.output(), "packed result must match the cycle replay");
         println!(
             "o{k} = {o} from weight planes bit0={:02b} bit1={:02b}",
-            w_block.plane(0),
-            w_block.plane(1)
+            w_block.plane_words(0)[0],
+            w_block.plane_words(1)[0]
         );
     }
 }

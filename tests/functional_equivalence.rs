@@ -3,14 +3,14 @@
 //! for arbitrary values and precisions (property-based).
 
 use loom_core::loom_mem::packing::PackedGroup;
-use loom_core::loom_model::fixed::{required_precision, signed_range, Precision};
+use loom_core::loom_model::fixed::{bit_plane, required_precision, signed_range, Precision};
 use loom_core::loom_model::layer::{ConvSpec, FcSpec};
 use loom_core::loom_model::reference::{conv_forward, fc_forward};
 use loom_core::loom_model::tensor::{Tensor3, Tensor4};
 use loom_core::loom_sim::config::LoomGeometry;
 use loom_core::loom_sim::loom::{
-    packed_inner_product_slices, reference_inner_product, serial_inner_product,
-    wide_inner_product_slices, FunctionalLoom, SipKernel,
+    reference_inner_product, serial_conv, serial_inner_product, wide_inner_product_slices,
+    FunctionalLoom, Sip,
 };
 use proptest::prelude::*;
 
@@ -44,9 +44,9 @@ proptest! {
     }
 
     /// The packed AND+popcount datapath is bit-identical to the bit-serial SIP
-    /// model (and both equal the integer reference) across random lane counts
-    /// up to a full 64-lane plane word, every precision combination, and all
-    /// four signedness combinations.
+    /// model (and both equal the integer reference) on lane counts that fit
+    /// one plane word — up to and including a full 64 lanes — for every
+    /// precision combination and all four signedness combinations.
     #[test]
     fn packed_equals_serial_equals_reference(
         pw in 1u8..=16,
@@ -54,47 +54,12 @@ proptest! {
         lanes in 1usize..=64,
         seed in any::<u64>(),
     ) {
-        use rand::{rngs::StdRng, SeedableRng, RngExt};
-        let mut rng = StdRng::seed_from_u64(seed);
-        let pw_p = Precision::new(pw).unwrap();
-        let pa_p = Precision::new(pa).unwrap();
-        for weights_signed in [false, true] {
-            for activations_signed in [false, true] {
-                let (wmin, wmax) = if weights_signed {
-                    signed_range(pw_p)
-                } else {
-                    (0, ((1u32 << pw) - 1) as i32)
-                };
-                let (amin, amax) = if activations_signed {
-                    signed_range(pa_p)
-                } else {
-                    (0, ((1u32 << pa) - 1) as i32)
-                };
-                let weights: Vec<i32> = (0..lanes).map(|_| rng.random_range(wmin..=wmax)).collect();
-                let activations: Vec<i32> =
-                    (0..lanes).map(|_| rng.random_range(amin..=amax)).collect();
-                let serial = serial_inner_product(
-                    &weights, &activations, pw_p, pa_p, weights_signed, activations_signed,
-                );
-                let packed = packed_inner_product_slices(
-                    &weights, &activations, pw_p, pa_p, weights_signed, activations_signed,
-                );
-                prop_assert!(
-                    packed == serial,
-                    "packed {} != serial {} (ws={} as={} pw={} pa={})",
-                    packed, serial, weights_signed, activations_signed, pw, pa
-                );
-                prop_assert_eq!(serial, reference_inner_product(&weights, &activations));
-            }
-        }
+        wide_matches_serial_and_reference(pw, pa, lanes, seed)?;
     }
 
-    /// The 256-lane SIMD-wide datapath is bit-identical to the bit-serial SIP
-    /// model (and both equal the integer reference) across the full wide lane
-    /// range — 65–256 lanes always spans multiple plane words, and the
-    /// modulus guarantees ragged tails (`lanes % 64 != 0`) are hit
-    /// constantly — for every precision combination and all four signedness
-    /// combinations.
+    /// The same across the rest of the wide lane range — 65–256 lanes always
+    /// spans multiple plane words, and the modulus guarantees ragged tails
+    /// (`lanes % 64 != 0`) are hit constantly.
     #[test]
     fn wide_equals_serial_equals_reference(
         pw in 1u8..=16,
@@ -102,43 +67,12 @@ proptest! {
         lanes in 65usize..=256,
         seed in any::<u64>(),
     ) {
-        use rand::{rngs::StdRng, SeedableRng, RngExt};
-        let mut rng = StdRng::seed_from_u64(seed);
-        let pw_p = Precision::new(pw).unwrap();
-        let pa_p = Precision::new(pa).unwrap();
-        for weights_signed in [false, true] {
-            for activations_signed in [false, true] {
-                let (wmin, wmax) = if weights_signed {
-                    signed_range(pw_p)
-                } else {
-                    (0, ((1u32 << pw) - 1) as i32)
-                };
-                let (amin, amax) = if activations_signed {
-                    signed_range(pa_p)
-                } else {
-                    (0, ((1u32 << pa) - 1) as i32)
-                };
-                let weights: Vec<i32> = (0..lanes).map(|_| rng.random_range(wmin..=wmax)).collect();
-                let activations: Vec<i32> =
-                    (0..lanes).map(|_| rng.random_range(amin..=amax)).collect();
-                let serial = serial_inner_product(
-                    &weights, &activations, pw_p, pa_p, weights_signed, activations_signed,
-                );
-                let wide = wide_inner_product_slices(
-                    &weights, &activations, pw_p, pa_p, weights_signed, activations_signed,
-                );
-                prop_assert!(
-                    wide == serial,
-                    "wide {} != serial {} (ws={} as={} pw={} pa={} lanes={})",
-                    wide, serial, weights_signed, activations_signed, pw, pa, lanes
-                );
-                prop_assert_eq!(serial, reference_inner_product(&weights, &activations));
-            }
-        }
+        wide_matches_serial_and_reference(pw, pa, lanes, seed)?;
     }
 
-    /// On 1–64 lanes the wide kernel also agrees with the 64-lane packed
-    /// block (the two datapaths tile the same values differently).
+    /// On 1–64 lanes the wide kernel also agrees with the cycle-level SIP fed
+    /// one packed plane word per cycle (the two tile the same values
+    /// differently), and the SIP spends exactly Pw × Pa cycles.
     #[test]
     fn wide_equals_packed_on_narrow_lanes(
         pw in 1u8..=16,
@@ -154,9 +88,18 @@ proptest! {
         let (amin, amax) = signed_range(pa_p);
         let weights: Vec<i32> = (0..lanes).map(|_| rng.random_range(wmin..=wmax)).collect();
         let activations: Vec<i32> = (0..lanes).map(|_| rng.random_range(amin..=amax)).collect();
+        let mut sip = Sip::new(lanes);
+        for wb in 0..pw {
+            sip.load_weight_plane(bit_plane(&weights, wb));
+            for ab in 0..pa {
+                sip.cycle_packed(bit_plane(&activations, ab), ab, ab == pa - 1);
+            }
+            sip.commit_weight_bit(wb, wb == pw - 1);
+        }
+        prop_assert_eq!(sip.cycles(), u64::from(pw) * u64::from(pa));
         prop_assert_eq!(
             wide_inner_product_slices(&weights, &activations, pw_p, pa_p, true, true),
-            packed_inner_product_slices(&weights, &activations, pw_p, pa_p, true, true)
+            sip.output()
         );
     }
 
@@ -241,6 +184,65 @@ proptest! {
     }
 }
 
+/// Draws `lanes` random operands per signedness combination and checks the
+/// wide kernel against the bit-serial SIP model and the integer reference.
+fn wide_matches_serial_and_reference(
+    pw: u8,
+    pa: u8,
+    lanes: usize,
+    seed: u64,
+) -> Result<(), TestCaseError> {
+    use rand::{rngs::StdRng, RngExt, SeedableRng};
+    let mut rng = StdRng::seed_from_u64(seed);
+    let pw_p = Precision::new(pw).unwrap();
+    let pa_p = Precision::new(pa).unwrap();
+    for weights_signed in [false, true] {
+        for activations_signed in [false, true] {
+            let (wmin, wmax) = if weights_signed {
+                signed_range(pw_p)
+            } else {
+                (0, ((1u32 << pw) - 1) as i32)
+            };
+            let (amin, amax) = if activations_signed {
+                signed_range(pa_p)
+            } else {
+                (0, ((1u32 << pa) - 1) as i32)
+            };
+            let weights: Vec<i32> = (0..lanes).map(|_| rng.random_range(wmin..=wmax)).collect();
+            let activations: Vec<i32> = (0..lanes).map(|_| rng.random_range(amin..=amax)).collect();
+            let serial = serial_inner_product(
+                &weights,
+                &activations,
+                pw_p,
+                pa_p,
+                weights_signed,
+                activations_signed,
+            );
+            let wide = wide_inner_product_slices(
+                &weights,
+                &activations,
+                pw_p,
+                pa_p,
+                weights_signed,
+                activations_signed,
+            );
+            prop_assert!(
+                wide == serial,
+                "wide {} != serial {} (ws={} as={} pw={} pa={} lanes={})",
+                wide,
+                serial,
+                weights_signed,
+                activations_signed,
+                pw,
+                pa,
+                lanes
+            );
+            prop_assert_eq!(serial, reference_inner_product(&weights, &activations));
+        }
+    }
+    Ok(())
+}
+
 /// The functional Loom engine computes a convolution bit-exactly, with and
 /// without dynamic precision detection, for a deterministic set of shapes.
 #[test]
@@ -297,29 +299,23 @@ fn functional_conv_matches_reference_across_shapes() {
             };
             let run = engine.run_conv(&spec, &input, &weights, pa, pw);
             assert_eq!(run.outputs, reference, "shape {spec:?} dynamic={dynamic}");
-            // All three kernels must produce the whole FunctionalRun
+            // The bit-serial oracle must produce the whole FunctionalRun
             // identically (outputs, cycles, and dynamically reduced groups)
             // — including on this geometry's 5-lane SIP chunks, which
             // straddle the wide datapath's 64-bit plane words.
-            for kernel in [SipKernel::Packed, SipKernel::BitSerial] {
-                let other = engine
-                    .with_kernel(kernel)
-                    .run_conv(&spec, &input, &weights, pa, pw);
-                assert_eq!(run, other, "shape {spec:?} dynamic={dynamic} {kernel:?}");
-            }
+            let oracle = serial_conv(&engine, &spec, &input, &weights, pa, pw);
+            assert_eq!(run, oracle, "shape {spec:?} dynamic={dynamic}");
         }
     }
 }
 
 /// Regression pin for the allocation-free dynamic precision detection: the
 /// OR-fold over packed magnitude planes must report exactly the per-chunk
-/// reduced-group count (and therefore cycles) that the original
-/// materialise-a-`Vec`-then-`required_precision` implementation reported.
-/// The expected counts are recomputed here with that original algorithm.
+/// reduced-group count (and therefore cycles) of the original
+/// materialise-a-`Vec`-then-`required_precision` algorithm, which the
+/// bit-serial oracle `serial_conv` runs.
 #[test]
 fn dynamic_precision_fold_matches_group_values_algorithm() {
-    use loom_core::loom_model::fixed::required_unsigned_precision;
-    use loom_core::loom_model::im2col::window_patch;
     use rand::{rngs::StdRng, RngExt, SeedableRng};
 
     let spec = ConvSpec::simple(4, 10, 10, 6, 3);
@@ -355,48 +351,11 @@ fn dynamic_precision_fold_matches_group_values_algorithm() {
     )
     .unwrap();
 
-    // The original per-chunk group_values algorithm, reproduced verbatim.
-    let cols = geometry.window_columns;
-    let lanes = geometry.sip_lanes;
-    let windows = spec.windows();
-    let out_w = spec.out_width();
-    let wpf = spec.weights_per_filter();
-    let chunks = wpf.div_ceil(lanes);
-    let mut expected_reduced = 0u64;
-    for window_base in (0..windows).step_by(cols) {
-        let window_count = cols.min(windows - window_base);
-        let patches: Vec<Vec<i32>> = (0..window_count)
-            .map(|i| {
-                let w = window_base + i;
-                window_patch(&spec, &input, w / out_w, w % out_w, 0, spec.in_channels)
-            })
-            .collect();
-        for chunk in 0..chunks {
-            let lane_base = chunk * lanes;
-            let lane_count = lanes.min(wpf - lane_base);
-            let mut group_values = Vec::with_capacity(window_count * lane_count);
-            for patch in &patches {
-                group_values.extend_from_slice(&patch[lane_base..lane_base + lane_count]);
-            }
-            if required_unsigned_precision(&group_values).min(pa) < pa {
-                expected_reduced += 1;
-            }
-        }
-    }
-    assert!(expected_reduced > 0, "test data must exercise reduction");
-
-    let run = FunctionalLoom::new(geometry).run_conv(&spec, &input, &weights, pa, pw);
-    assert_eq!(run.reduced_groups, expected_reduced);
+    let engine = FunctionalLoom::new(geometry);
+    let run = engine.run_conv(&spec, &input, &weights, pa, pw);
+    assert!(run.reduced_groups > 0, "test data must exercise reduction");
     assert_eq!(run.outputs, conv_forward(&spec, &input, &weights));
-    // And the other kernels see the identical detection (same cycles) — the
-    // wide path reads the fold from its `[u64; 4]` planes, the packed path
-    // from 64-lane blocks, the bit-serial path from the same packed blocks.
-    for kernel in [SipKernel::Packed, SipKernel::BitSerial] {
-        let other = FunctionalLoom::new(geometry)
-            .with_kernel(kernel)
-            .run_conv(&spec, &input, &weights, pa, pw);
-        assert_eq!(run, other, "{kernel:?}");
-    }
+    assert_eq!(run, serial_conv(&engine, &spec, &input, &weights, pa, pw));
 }
 
 /// Full-network equivalence: every compute layer of a small CNN (conv → pool →

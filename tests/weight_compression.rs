@@ -4,7 +4,7 @@
 //! every signedness combination, and the compressed conv path — the only
 //! conv path since the pack-once store landed — is bit-identical (outputs
 //! *and* cycles) at every thread budget and against the bit-serial
-//! reference kernel.
+//! oracle.
 
 use loom_core::loom_mem::compress::{PLANE_COUNT, PLANE_WORDS};
 use loom_core::loom_mem::{CompressedPlanes, PlaneRef};
@@ -16,7 +16,7 @@ use loom_core::loom_model::tensor::{Tensor3, Tensor4};
 use loom_core::loom_model::Precision;
 use loom_core::loom_sim::config::LoomGeometry;
 use loom_core::loom_sim::loom::{
-    compressed_inner_product, wide_inner_product, CompressedWideBlock, FunctionalLoom, SipKernel,
+    compressed_inner_product, serial_conv, wide_inner_product, CompressedWideBlock, FunctionalLoom,
     WideBitplaneBlock,
 };
 use proptest::prelude::*;
@@ -204,16 +204,15 @@ fn wide_geometry() -> LoomGeometry {
 /// The wide conv path — which packs filters through the compressed weight
 /// store — is bit-identical (outputs, cycles, reduced groups) at every
 /// thread budget, and its outputs and cycles match the dense bit-serial
-/// reference kernel exactly.
+/// oracle exactly.
 #[test]
 fn compressed_conv_matches_dense_reference_at_every_thread_count() {
     let spec = ConvSpec::simple(32, 16, 16, 32, 3);
     let (input, weights) = conv_operands(&spec, 4242);
     let p8 = Precision::new(8).unwrap();
-    let reference = FunctionalLoom::new(wide_geometry())
-        .with_kernel(SipKernel::BitSerial)
-        .run_conv(&spec, &input, &weights, p8, p8);
-    let baseline = FunctionalLoom::new(wide_geometry()).run_conv(&spec, &input, &weights, p8, p8);
+    let engine = FunctionalLoom::new(wide_geometry());
+    let reference = serial_conv(&engine, &spec, &input, &weights, p8, p8);
+    let baseline = engine.run_conv(&spec, &input, &weights, p8, p8);
     assert_eq!(
         baseline, reference,
         "the compressed wide path must match the bit-serial reference"
