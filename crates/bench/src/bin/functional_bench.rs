@@ -41,6 +41,7 @@ use loom_core::export::{
     functional_bench_to_json, BatchBench, DatapathThroughputRow, FunctionalBenchReport,
     KernelBench, ScalingPoint, WeightStoreBench, ZooFunctionalRow,
 };
+use loom_core::loom_model::fixed::required_precision;
 use loom_core::loom_model::graph::LayerGraph;
 use loom_core::loom_model::inference::{InferenceOptions, NetworkParams};
 use loom_core::loom_model::reference::conv_forward;
@@ -53,6 +54,7 @@ use loom_core::loom_model::{layer::ConvSpec, Precision};
 use loom_core::loom_sim::accelerator::Registry;
 use loom_core::loom_sim::config::LoomGeometry;
 use loom_core::loom_sim::datapath;
+use loom_core::loom_sim::loom::store::fingerprint;
 use loom_core::loom_sim::loom::{
     serial_inner_product, weight_store_stats, wide_inner_product, FunctionalLoom, NetworkEngine,
     WideBitplaneBlock, KERNEL_TIERS,
@@ -107,7 +109,8 @@ fn robust_ns<O, F: FnMut() -> O>(mut routine: F) -> f64 {
 }
 
 /// Micro-benchmarks one 256-lane inner product at `bits`-bit operands on the
-/// bit-serial oracle and the wide kernel. The wide operands are
+/// bit-serial oracle and the wide kernel, and one 256-lane `pack_into` of the
+/// activations on the active tier's transposer. The wide operands are
 /// pre-transposed, matching how the engine amortises packing.
 fn bench_kernel(rng: &mut StdRng, bits: u8) -> KernelBench {
     let p = Precision::new(bits).unwrap();
@@ -127,11 +130,17 @@ fn bench_kernel(rng: &mut StdRng, bits: u8) -> KernelBench {
     let a_wide = WideBitplaneBlock::pack(&activations);
     let wide_ns =
         robust_ns(|| wide_inner_product(black_box(&w_wide), black_box(&a_wide), p, p, true, false));
+    let mut block = WideBitplaneBlock::EMPTY;
+    let pack_ns = robust_ns(|| {
+        block.pack_into(black_box(&activations));
+        black_box(&block);
+    });
     KernelBench {
         precision_bits: bits,
         lanes: KERNEL_LANES,
         serial_ns,
         wide_ns,
+        pack_ns,
     }
 }
 
@@ -332,16 +341,21 @@ fn main() {
 
     let mut rng = StdRng::seed_from_u64(2018);
 
-    println!("SIP kernel: {KERNEL_LANES}-lane inner product, bit-serial vs wide");
+    println!(
+        "SIP kernel: {KERNEL_LANES}-lane inner product, bit-serial vs wide, and the \
+         {KERNEL_LANES}-lane transpose"
+    );
     let kernels: Vec<KernelBench> = [4u8, 8, 16]
         .iter()
         .map(|&bits| {
             let k = bench_kernel(&mut rng, bits);
             println!(
-                "  {bits:>2}-bit: serial {:>9.1} ns  wide {:>7.1} ns  -> wide {:.1}x serial",
+                "  {bits:>2}-bit: serial {:>9.1} ns  wide {:>7.1} ns  -> wide {:.1}x serial; \
+                 pack {:>6.1} ns",
                 k.serial_ns,
                 k.wide_ns,
-                k.wide_speedup()
+                k.wide_speedup(),
+                k.pack_ns
             );
             k
         })
@@ -563,6 +577,29 @@ fn main() {
     let repack_avoided = after_probe.packs() == before_probe.packs()
         && after_probe.hits() >= before_probe.hits() + second_pack.packed_layers() as u64
         && first_pack.packed_layers() > 0;
+    // The two per-weight passes an uncached dispatch makes over a layer's
+    // weights, each timed over every layer of the probe model (fastest of
+    // three).
+    let probe_weights = probe_params
+        .layers()
+        .iter()
+        .map(|layer| layer.values.len())
+        .sum::<usize>()
+        .max(1) as f64;
+    let per_weight_ns = |scan: &dyn Fn(&[i32])| {
+        let (seconds, ()) = fastest_of_three(|| {
+            for layer in probe_params.layers() {
+                scan(black_box(&layer.values));
+            }
+        });
+        seconds * 1e9 / probe_weights
+    };
+    let fingerprint_ns_per_weight = per_weight_ns(&|w| {
+        black_box(fingerprint(w));
+    });
+    let precision_scan_ns_per_weight = per_weight_ns(&|w| {
+        black_box(required_precision(w));
+    });
     let store = after_probe;
     let weight_store = WeightStoreBench {
         packs: store.packs(),
@@ -575,11 +612,15 @@ fn main() {
         compressed_bytes: store.pack.compressed_bytes,
         compression_ratio: store.pack.ratio(),
         repack_avoided,
+        fingerprint_ns_per_weight,
+        precision_scan_ns_per_weight,
     };
     println!(
         "Weight store: {} packs / {} hits, {} resident entries ({:.1} KB); \
          pack time {:.3}s; compressed {:.1} -> {:.1} KB resident \
-         (stream ratio {:.2}); repack avoided: {repack_avoided}",
+         (stream ratio {:.2}); repack avoided: {repack_avoided}; per weight: \
+         fingerprint {fingerprint_ns_per_weight:.3} ns, precision scan \
+         {precision_scan_ns_per_weight:.3} ns",
         weight_store.packs,
         weight_store.hits,
         weight_store.entries,

@@ -203,7 +203,8 @@ pub fn sweep_bench_to_json(report: &SweepBenchReport) -> String {
 
 /// One kernel micro-benchmark point: nanoseconds per `lanes`-lane inner
 /// product for the bit-serial oracle loop and the 256-lane SIMD-wide
-/// datapath, at one operand precision.
+/// datapath, and per `lanes`-lane transpose into a wide block, at one
+/// operand precision.
 #[derive(Debug, Clone, PartialEq)]
 pub struct KernelBench {
     /// Operand precision (both weights and activations), in bits.
@@ -215,6 +216,9 @@ pub struct KernelBench {
     /// Mean wall-clock per inner product for the 256-lane wide kernel
     /// (pre-transposed operands, as the engine amortises packing).
     pub wide_ns: f64,
+    /// Mean wall-clock per `lanes`-lane `pack_into` of the activation operand
+    /// on the active kernel tier's transposer.
+    pub pack_ns: f64,
 }
 
 impl KernelBench {
@@ -347,6 +351,12 @@ pub struct WeightStoreBench {
     /// the store (no repacking). CI fails when `--require-repack-avoidance`
     /// is given and this is false.
     pub repack_avoided: bool,
+    /// Nanoseconds per weight of the store's content fingerprint, over the
+    /// probe model's weights.
+    pub fingerprint_ns_per_weight: f64,
+    /// Nanoseconds per weight of `required_precision`, over the probe
+    /// model's weights.
+    pub precision_scan_ns_per_weight: f64,
 }
 
 /// One functional-benchmark measurement: the SIP kernel micro-benchmarks, a
@@ -438,12 +448,13 @@ pub fn functional_bench_to_json(report: &FunctionalBenchReport) -> String {
         };
         let _ = writeln!(
             out,
-            "    {{\"precision_bits\": {}, \"lanes\": {}, \"serial_ns\": {:.2}, \"wide_ns\": {:.2}, \"wide_speedup\": {:.2}}}{comma}",
+            "    {{\"precision_bits\": {}, \"lanes\": {}, \"serial_ns\": {:.2}, \"wide_ns\": {:.2}, \"wide_speedup\": {:.2}, \"pack_ns\": {:.2}}}{comma}",
             k.precision_bits,
             k.lanes,
             k.serial_ns,
             k.wide_ns,
-            k.wide_speedup()
+            k.wide_speedup(),
+            k.pack_ns
         );
     }
     out.push_str("  ],\n");
@@ -577,7 +588,7 @@ pub fn functional_bench_to_json(report: &FunctionalBenchReport) -> String {
     let ws = &report.weight_store;
     let _ = writeln!(
         out,
-        "  \"weight_store\": {{\"packs\": {}, \"hits\": {}, \"evictions\": {}, \"entries\": {}, \"resident_bytes\": {}, \"pack_seconds\": {:.6}, \"dense_bytes\": {}, \"compressed_bytes\": {}, \"compression_ratio\": {:.4}, \"repack_avoided\": {}}}",
+        "  \"weight_store\": {{\"packs\": {}, \"hits\": {}, \"evictions\": {}, \"entries\": {}, \"resident_bytes\": {}, \"pack_seconds\": {:.6}, \"dense_bytes\": {}, \"compressed_bytes\": {}, \"compression_ratio\": {:.4}, \"repack_avoided\": {}, \"fingerprint_ns_per_weight\": {:.4}, \"precision_scan_ns_per_weight\": {:.4}}}",
         ws.packs,
         ws.hits,
         ws.evictions,
@@ -587,7 +598,9 @@ pub fn functional_bench_to_json(report: &FunctionalBenchReport) -> String {
         ws.dense_bytes,
         ws.compressed_bytes,
         ws.compression_ratio,
-        ws.repack_avoided
+        ws.repack_avoided,
+        ws.fingerprint_ns_per_weight,
+        ws.precision_scan_ns_per_weight
     );
     out.push_str("}\n");
     out
@@ -670,12 +683,14 @@ mod tests {
                     lanes: 256,
                     serial_ns: 1000.0,
                     wide_ns: 10.0,
+                    pack_ns: 30.0,
                 },
                 KernelBench {
                     precision_bits: 16,
                     lanes: 256,
                     serial_ns: 4000.0,
                     wide_ns: 40.0,
+                    pack_ns: 50.0,
                 },
             ],
             conv_layer: "conv 32x16x16 k3".into(),
@@ -769,6 +784,8 @@ mod tests {
                 compressed_bytes: 48_000,
                 compression_ratio: 0.55,
                 repack_avoided: true,
+                fingerprint_ns_per_weight: 0.125,
+                precision_scan_ns_per_weight: 0.5,
             },
         };
         assert!((report.conv_speedup() - 40.0).abs() < 1e-12);
@@ -776,7 +793,7 @@ mod tests {
         let json = functional_bench_to_json(&report);
         assert!(json.contains("\"precision_bits\": 8"));
         assert!(json.contains("\"lanes\": 256"));
-        assert!(json.contains("\"wide_speedup\": 100.00"));
+        assert!(json.contains("\"wide_speedup\": 100.00, \"pack_ns\": 30.00}"));
         assert!(json.contains("\"conv_golden_seconds\": 2.000000"));
         assert!(json.contains("\"conv_speedup\": 40.0000"));
         assert!(json.contains("\"conv_wide_seconds\": 0.050000"));
@@ -815,7 +832,8 @@ mod tests {
         assert!(json.contains(
             "\"weight_store\": {\"packs\": 12, \"hits\": 20, \"evictions\": 0, \"entries\": 12, \
              \"resident_bytes\": 48000, \"pack_seconds\": 0.125000, \"dense_bytes\": 96000, \
-             \"compressed_bytes\": 48000, \"compression_ratio\": 0.5500, \"repack_avoided\": true}"
+             \"compressed_bytes\": 48000, \"compression_ratio\": 0.5500, \"repack_avoided\": true, \
+             \"fingerprint_ns_per_weight\": 0.1250, \"precision_scan_ns_per_weight\": 0.5000}"
         ));
         assert!((report.latency.as_ref().unwrap().speedup() - 2.0).abs() < 1e-12);
         let mut bad = report.clone();
@@ -834,6 +852,7 @@ mod tests {
             lanes: 256,
             serial_ns: 1.0,
             wide_ns: 0.0,
+            pack_ns: 0.0,
         };
         assert_eq!(degenerate.wide_speedup(), 1.0);
         let zero = FunctionalBenchReport {

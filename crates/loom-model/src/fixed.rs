@@ -138,21 +138,23 @@ pub fn unsigned_bits(value: u32) -> u8 {
 /// signed two's-complement number, clamped to 16 bits.
 ///
 /// This is the software model of the per-group precision detectors: a per-bit
-/// OR tree followed by a leading-one detector.
+/// OR tree followed by a leading-one detector. `v ^ (v >> 31)` marks the bits
+/// of `v` that differ from its sign, so OR-folding it over the slice and
+/// taking the leading one gives the widest [`signed_bits`] less its sign bit.
+/// The fold is branch-free, so it vectorizes and runs at memory speed.
 pub fn required_precision(values: &[i32]) -> Precision {
-    let bits = values.iter().map(|&v| signed_bits(v)).max().unwrap_or(1);
-    Precision::saturating(bits)
+    let fold = values.iter().fold(0, |acc, &v| acc | (v ^ (v >> 31)));
+    // The fold is non-negative, so its width is at most 31.
+    Precision::saturating((32 - fold.leading_zeros() + 1) as u8)
 }
 
 /// Returns the smallest precision that can hold every value in `values` when
-/// the values are known non-negative (e.g. post-ReLU activations).
+/// the values are known non-negative (e.g. post-ReLU activations). Negative
+/// values count as zero. Like [`required_precision`], an OR-fold (of
+/// `max(v, 0)`) followed by a leading-one detector.
 pub fn required_unsigned_precision(values: &[i32]) -> Precision {
-    let bits = values
-        .iter()
-        .map(|&v| unsigned_bits(v.max(0) as u32))
-        .max()
-        .unwrap_or(1);
-    Precision::saturating(bits)
+    let fold = values.iter().fold(0, |acc, &v| acc | v.max(0));
+    Precision::saturating((32 - fold.leading_zeros()) as u8)
 }
 
 /// The inclusive value range representable by a signed two's-complement number
@@ -418,5 +420,66 @@ mod proptests {
             prop_assert!(rounded >= p);
             prop_assert!(rounded.bits() % step == 0 || rounded.bits() == 16);
         }
+
+        /// The OR-fold detectors equal the per-value maximum they replaced,
+        /// on 16-bit values and on values past 16 bits, which saturate.
+        #[test]
+        fn fold_detectors_match_the_per_value_maximum(
+            narrow in prop::collection::vec(-32768i32..=32767, 0..300),
+            wide in prop::collection::vec(-(1i32 << 24)..=(1 << 24), 0..300),
+        ) {
+            for values in [&narrow, &wide] {
+                prop_assert_eq!(required_precision(values), per_value_signed(values));
+                prop_assert_eq!(required_unsigned_precision(values), per_value_unsigned(values));
+            }
+        }
+    }
+
+    /// The per-value signed detector the fold replaced, kept as the oracle.
+    fn per_value_signed(values: &[i32]) -> Precision {
+        Precision::saturating(values.iter().map(|&v| signed_bits(v)).max().unwrap_or(1))
+    }
+
+    /// The per-value unsigned detector the fold replaced, kept as the oracle.
+    fn per_value_unsigned(values: &[i32]) -> Precision {
+        let bits = values.iter().map(|&v| unsigned_bits(v.max(0) as u32)).max();
+        Precision::saturating(bits.unwrap_or(1))
+    }
+
+    #[test]
+    fn fold_detectors_match_the_per_value_maximum_on_edges() {
+        let edges: [&[i32]; 12] = [
+            &[],
+            &[0],
+            &[-1],
+            &[0, -1, 0, -1],
+            &[32767],
+            &[-32768],
+            &[32768],
+            &[-32769],
+            &[65535, 0],
+            &[1 << 20, -3],
+            &[i32::MIN],
+            &[i32::MAX, i32::MIN, 0],
+        ];
+        for values in edges {
+            assert_eq!(
+                required_precision(values),
+                per_value_signed(values),
+                "{values:?}"
+            );
+            assert_eq!(
+                required_unsigned_precision(values),
+                per_value_unsigned(values),
+                "{values:?}"
+            );
+        }
+        // The 16-bit boundaries, and saturation beyond them.
+        assert_eq!(required_precision(&[0, -1]).bits(), 1);
+        assert_eq!(required_precision(&[32767, -32768]).bits(), 16);
+        assert_eq!(required_precision(&[32768]).bits(), 16);
+        assert_eq!(required_precision(&[i32::MIN]).bits(), 16);
+        assert_eq!(required_unsigned_precision(&[i32::MAX]).bits(), 16);
+        assert_eq!(required_unsigned_precision(&[-5]).bits(), 1);
     }
 }

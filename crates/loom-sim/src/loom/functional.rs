@@ -112,7 +112,12 @@ impl FunctionalLoom {
         pa: Precision,
         pw: Precision,
     ) -> FunctionalRun {
-        let filters = crate::loom::store::conv_planes(spec, weights);
+        assert_eq!(
+            weights.shape(),
+            spec.weight_shape(),
+            "weight shape mismatch"
+        );
+        let filters = crate::loom::store::conv_planes(spec, weights.as_slice());
         self.run_conv_batch(spec, &[(input, pa)], &filters, pw)
             .pop()
             .expect("one run per input")
@@ -387,14 +392,14 @@ impl PackStats {
 
 /// A weight matrix in compressed wide bit-plane form: each row (a conv
 /// filter, or a fully-connected output row) split into `blocks_per_row`
-/// 256-lane blocks, row-major, with every block's detected signed precision
-/// and all-zero flag computed at pack time. Packed once per layer, held by
+/// 256-lane blocks, row-major. Every block carries its detected precision
+/// and all-zero flag from the pack, and the container records the matrix's
+/// weight precision Pw, the widest block's. Packed once per layer, held by
 /// the weight store, and read in place by every task and batch item.
 pub(crate) struct PackedRows {
     blocks: Vec<CompressedWideBlock>,
-    precisions: Vec<Precision>,
-    zero: Vec<bool>,
     blocks_per_row: usize,
+    pw: Precision,
     stats: PackStats,
 }
 
@@ -403,16 +408,14 @@ impl PackedRows {
     pub(crate) fn pack(weights: &[i32], row_len: usize) -> Self {
         let start = std::time::Instant::now();
         let blocks_per_row = row_len.div_ceil(WIDE_LANES);
-        let total = weights.len() / row_len * blocks_per_row;
-        let mut blocks = Vec::with_capacity(total);
-        let mut precisions = Vec::with_capacity(total);
-        let mut zero = Vec::with_capacity(total);
+        let mut blocks = Vec::with_capacity(weights.len() / row_len * blocks_per_row);
+        let mut pw = Precision::saturating(1);
         let mut stats = PackStats::default();
+        let mut block = WideBitplaneBlock::EMPTY;
         for row in weights.chunks(row_len) {
             for chunk in row.chunks(WIDE_LANES) {
-                let block = WideBitplaneBlock::pack(chunk);
-                precisions.push(block.detected_precision(true));
-                zero.push(block.is_zero());
+                block.pack_into(chunk);
+                pw = pw.max(block.detected_precision(true));
                 let compressed = CompressedWideBlock::compress(&block);
                 stats.absorb_block(&compressed);
                 blocks.push(compressed);
@@ -421,9 +424,8 @@ impl PackedRows {
         stats.pack_nanos = start.elapsed().as_nanos() as u64;
         PackedRows {
             blocks,
-            precisions,
-            zero,
             blocks_per_row,
+            pw,
             stats,
         }
     }
@@ -433,13 +435,20 @@ impl PackedRows {
         self.blocks.len() / self.blocks_per_row
     }
 
+    /// The weight precision Pw: the smallest precision covering every packed
+    /// weight, equal to [`loom_model::fixed::required_precision`] of the
+    /// weights (which must be representable in 16-bit two's complement, as
+    /// for any packed operand).
+    pub(crate) fn pw(&self) -> Precision {
+        self.pw
+    }
+
     /// Approximate resident size, for cache observability.
     pub(crate) fn approx_bytes(&self) -> usize {
         self.blocks
             .iter()
             .map(CompressedWideBlock::resident_bytes)
-            .sum::<usize>()
-            + self.blocks.len() * (std::mem::size_of::<Precision>() + std::mem::size_of::<bool>())
+            .sum()
     }
 
     /// Pack cost and compression footprint of this container.
@@ -449,16 +458,14 @@ impl PackedRows {
 }
 
 /// Per-worker scratch for the wide convolutional path: the window patch
-/// buffer, the packed activation blocks of the current window group, their
-/// detected precisions and zero flags, and the magnitude-OR fold the
-/// architectural precision detector reads. Built once per worker and reused
-/// across all of its window-group jobs — the "pack arena".
+/// buffer, the packed activation blocks of the current window group, and
+/// the magnitude-OR fold the architectural precision detector reads. Built
+/// once per worker and reused across all of its window-group jobs — the
+/// "pack arena".
 #[derive(Default)]
 struct ConvArena {
     patch: Vec<i32>,
     acts: Vec<WideBitplaneBlock>,
-    act_pa: Vec<Precision>,
-    act_zero: Vec<bool>,
     fold: MagnitudeOr,
 }
 
@@ -578,12 +585,6 @@ impl WideConvJob<'_> {
         arena
             .acts
             .resize(window_count * conv_groups * bpp, WideBitplaneBlock::EMPTY);
-        arena
-            .act_pa
-            .resize(window_count * conv_groups * bpp, Precision::FULL);
-        arena
-            .act_zero
-            .resize(window_count * conv_groups * bpp, false);
         if folding {
             arena.fold.reset(bpp);
         }
@@ -610,13 +611,10 @@ impl WideConvJob<'_> {
                     let count = WIDE_LANES.min(self.wpf - base);
                     let idx = (col * conv_groups + g) * bpp + blk;
                     arena.acts[idx].pack_into(&arena.patch[base..base + count]);
-                    let block = &arena.acts[idx];
-                    arena.act_pa[idx] = block.detected_precision(self.activations_signed);
-                    arena.act_zero[idx] = block.is_zero();
                     // The architectural detector ORs the magnitude planes of
                     // everything the SIP columns consume concurrently.
                     if folding && g == 0 {
-                        arena.fold.absorb(blk, block);
+                        arena.fold.absorb(blk, &arena.acts[idx]);
                     }
                 }
             }
@@ -670,14 +668,16 @@ impl WideConvJob<'_> {
                 let abase = (col * conv_groups + g) * bpp;
                 let mut acc = 0i64;
                 for blk in 0..bpp {
-                    if self.filters.zero[wbase + blk] || arena.act_zero[abase + blk] {
+                    let weights = &self.filters.blocks[wbase + blk];
+                    let acts = &arena.acts[abase + blk];
+                    if weights.is_zero() || acts.is_zero() {
                         continue;
                     }
                     acc += weight_inner_product(
-                        WeightPlanes::Compressed(&self.filters.blocks[wbase + blk]),
-                        &arena.acts[abase + blk],
-                        self.filters.precisions[wbase + blk],
-                        arena.act_pa[abase + blk],
+                        WeightPlanes::Compressed(weights),
+                        acts,
+                        weights.detected_precision(true),
+                        acts.detected_precision(self.activations_signed),
                         true,
                         self.activations_signed,
                     );
@@ -694,15 +694,6 @@ impl WideConvJob<'_> {
 #[derive(Default)]
 struct FcArena {
     blocks: Vec<WideBitplaneBlock>,
-    pw: Vec<Precision>,
-    zero: Vec<bool>,
-}
-
-/// One item's fully-connected input, packed once into wide blocks.
-struct FcPackedInput {
-    blocks: Vec<WideBitplaneBlock>,
-    pa: Vec<Precision>,
-    zero: Vec<bool>,
 }
 
 /// A fully-connected layer over one or more batch items on the wide
@@ -715,7 +706,8 @@ struct WideFcJob<'a> {
     weights: &'a [i32],
     pw: Precision,
     chunks: usize,
-    items: Vec<FcPackedInput>,
+    /// Every item's input, packed once into `chunks` wide blocks.
+    items: Vec<Vec<WideBitplaneBlock>>,
     /// Pre-transposed weight rows from a per-model cache; when absent, each
     /// task streams its rows through the worker arena.
     packed: Option<&'a PackedRows>,
@@ -759,16 +751,10 @@ impl<'a> WideFcJob<'a> {
             .iter()
             .map(|input| {
                 assert_eq!(input.len(), spec.in_features, "input length mismatch");
-                let mut blocks = Vec::with_capacity(chunks);
-                let mut pa = Vec::with_capacity(chunks);
-                let mut zero = Vec::with_capacity(chunks);
-                for values in input.chunks(WIDE_LANES) {
-                    let block = WideBitplaneBlock::pack(values);
-                    pa.push(block.detected_precision(true));
-                    zero.push(block.is_zero());
-                    blocks.push(block);
-                }
-                FcPackedInput { blocks, pa, zero }
+                input
+                    .chunks(WIDE_LANES)
+                    .map(WideBitplaneBlock::pack)
+                    .collect()
             })
             .collect();
         let rows_per_task = cost::fc_rows_per_task(
@@ -801,8 +787,6 @@ impl<'a> WideFcJob<'a> {
         let mut out = vec![0i64; (r1 - r0) * items];
         if self.packed.is_none() {
             arena.blocks.resize(self.chunks, WideBitplaneBlock::EMPTY);
-            arena.pw.resize(self.chunks, Precision::FULL);
-            arena.zero.resize(self.chunks, false);
         }
         for r in r0..r1 {
             // One row's blocks, either streamed into the worker arena (the
@@ -812,40 +796,34 @@ impl<'a> WideFcJob<'a> {
             // precisions and zero flags.
             if self.packed.is_none() {
                 let row = &self.weights[r * self.spec.in_features..(r + 1) * self.spec.in_features];
-                for (chunk, values) in row.chunks(WIDE_LANES).enumerate() {
-                    arena.blocks[chunk].pack_into(values);
-                    arena.pw[chunk] = arena.blocks[chunk].detected_precision(true);
-                    arena.zero[chunk] = arena.blocks[chunk].is_zero();
+                for (block, values) in arena.blocks.iter_mut().zip(row.chunks(WIDE_LANES)) {
+                    block.pack_into(values);
                 }
             }
             for (item, input) in self.items.iter().enumerate() {
                 let mut acc = 0i64;
-                for chunk in 0..self.chunks {
-                    let (weights, pw, zero) = match self.packed {
+                for (chunk, acts) in input.iter().enumerate() {
+                    let weights = match self.packed {
                         Some(rows) => {
-                            let i = r * self.chunks + chunk;
-                            (
-                                WeightPlanes::Compressed(&rows.blocks[i]),
-                                rows.precisions[i],
-                                rows.zero[i],
-                            )
+                            WeightPlanes::Compressed(&rows.blocks[r * self.chunks + chunk])
                         }
-                        None => (
-                            WeightPlanes::Dense(&arena.blocks[chunk]),
-                            arena.pw[chunk],
-                            arena.zero[chunk],
-                        ),
+                        None => WeightPlanes::Dense(&arena.blocks[chunk]),
                     };
-                    if zero || input.zero[chunk] {
+                    if weights.is_zero() || acts.is_zero() {
                         continue;
                     }
+                    // An input block with no negative lane runs at its
+                    // unsigned width, without the sign-correction plane (the
+                    // conv path does the same per input); the product is
+                    // exact either way.
+                    let signed = acts.has_negative_lanes();
                     acc += weight_inner_product(
                         weights,
-                        &input.blocks[chunk],
-                        pw.min(self.pw),
-                        input.pa[chunk],
+                        acts,
+                        weights.detected_precision().min(self.pw),
+                        acts.detected_precision(signed),
                         true,
-                        true,
+                        signed,
                     );
                 }
                 out[(r - r0) * items + item] = acc;
@@ -1046,20 +1024,32 @@ mod tests {
 
     #[test]
     fn fc_outputs_match_reference() {
-        let spec = FcSpec::new(40, 12);
+        // 300 inputs: a full block and a ragged one.
+        let spec = FcSpec::new(300, 12);
         let mut rng = StdRng::seed_from_u64(77);
         let pw = Precision::new(8).unwrap();
         let input = synthetic_activations(
             &mut rng,
-            40,
+            300,
             Precision::new(10).unwrap(),
             ValueDistribution::activations(),
         );
-        let weights = synthetic_weights(&mut rng, 40 * 12, pw, ValueDistribution::weights());
+        let weights = synthetic_weights(&mut rng, 300 * 12, pw, ValueDistribution::weights());
         let engine = FunctionalLoom::new(small_geometry());
         let run = engine.run_fc(&spec, &input, &weights, pw);
+        assert!(input.iter().all(|&v| v >= 0), "the unsigned branch");
         assert_eq!(run.outputs, fc_forward(&spec, &input, &weights));
         assert!(run.cycles > 0);
+        // Negative inputs take the signed branch: one negative lane in the
+        // ragged block, and a first block of negatives only.
+        let mut signed = input.clone();
+        signed[290] = -513;
+        for v in &mut signed[..256] {
+            *v = -*v - 1;
+        }
+        let signed_run = engine.run_fc(&spec, &signed, &weights, pw);
+        assert_eq!(signed_run.outputs, fc_forward(&spec, &signed, &weights));
+        assert_eq!(signed_run.cycles, run.cycles);
     }
 
     #[test]

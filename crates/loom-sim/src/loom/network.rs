@@ -94,17 +94,10 @@ pub struct NetworkRun {
 /// weights — every reduced network and MLP head — caches comfortably.
 pub const FC_PREPACK_MAX_WEIGHTS: usize = 1 << 22;
 
-/// One convolution's cache entry: the layer's wide filter planes (shared
-/// with the process-wide weight store) plus its weight precision, both
-/// otherwise recomputed on every dispatch.
-struct CachedConv {
-    planes: Arc<PackedRows>,
-    pw: Precision,
-}
-
 /// One fully-connected layer's cache entry. `rows` is `None` above
 /// [`FC_PREPACK_MAX_WEIGHTS`] (the dispatch streams the transpose as
-/// before); the weight precision is cached either way.
+/// before); the weight precision is cached either way, from the packed rows
+/// when there are any.
 struct CachedFc {
     rows: Option<Arc<PackedRows>>,
     pw: Precision,
@@ -114,9 +107,10 @@ struct CachedFc {
 /// ([`NetworkEngine::prepack`]) and shared read-only across every request
 /// that serves the model: per-conv-layer filter planes, per-FC-layer row
 /// transposes (bounded by [`FC_PREPACK_MAX_WEIGHTS`]) and per-layer weight
-/// precisions. [`NetworkEngine::run_batch_cached`] consults it by layer
-/// name; results are bit-identical with and without the cache — only the
-/// per-dispatch packing and precision scans disappear.
+/// precisions (packed planes carry their own).
+/// [`NetworkEngine::run_batch_cached`] consults it by layer name; results
+/// are bit-identical with and without the cache — only the per-dispatch
+/// packing and precision scans disappear.
 ///
 /// The cache is only valid for the exact `(graph, params)` pair it was built
 /// from; [`NetworkEngine::run_batch_cached`] rejects a cache whose graph
@@ -124,7 +118,7 @@ struct CachedFc {
 /// layer specs.
 pub struct PackedModel {
     graph_name: String,
-    conv: HashMap<String, CachedConv>,
+    conv: HashMap<String, Arc<PackedRows>>,
     fc: HashMap<String, CachedFc>,
 }
 
@@ -142,7 +136,7 @@ impl PackedModel {
 
     /// Every cached container: conv filter planes and packed FC rows.
     fn containers(&self) -> impl Iterator<Item = &PackedRows> {
-        let conv = self.conv.values().map(|c| &*c.planes);
+        let conv = self.conv.values().map(|planes| &**planes);
         conv.chain(self.fc.values().filter_map(|f| f.rows.as_deref()))
     }
 
@@ -229,8 +223,9 @@ impl NetworkEngine {
     /// groups. Exactly [`NetworkEngine::run_batch`] with a batch of one.
     ///
     /// Per-layer precisions are taken from the data itself
-    /// ([`required_precision`] of the layer's input activations and weights),
-    /// so the run is self-contained and deterministic.
+    /// ([`required_precision`] of the layer's input activations and weights;
+    /// a convolution's packed filter planes record the latter), so the run
+    /// is self-contained and deterministic.
     ///
     /// # Errors
     ///
@@ -272,8 +267,9 @@ impl NetworkEngine {
     /// Packs every compute layer's weights for the wide datapath up front:
     /// conv filter planes, FC row transposes (layers up to
     /// [`FC_PREPACK_MAX_WEIGHTS`] weights) and per-layer weight precisions.
-    /// Build once per served model, then pass to
-    /// [`NetworkEngine::run_batch_cached`] on every request.
+    /// Packed planes record their own precision, so only the FC layers too
+    /// big to hold are scanned for it. Build once per served model, then
+    /// pass to [`NetworkEngine::run_batch_cached`] on every request.
     ///
     /// # Panics
     ///
@@ -288,22 +284,16 @@ impl NetworkEngine {
                 name, weights.layer_name,
                 "params must list weights in compute-layer order"
             );
-            let pw = required_precision(&weights.values);
             match kind {
                 LayerKind::Conv(spec) => {
-                    let tensor = Tensor4::from_vec(spec.weight_shape(), weights.values.clone())
-                        .expect("weight length matches the layer spec");
-                    conv.insert(
-                        name.to_string(),
-                        CachedConv {
-                            planes: store::conv_planes(spec, &tensor),
-                            pw,
-                        },
-                    );
+                    conv.insert(name.to_string(), store::conv_planes(spec, &weights.values));
                 }
                 LayerKind::FullyConnected(spec) => {
                     let rows = (weights.values.len() <= FC_PREPACK_MAX_WEIGHTS)
                         .then(|| store::fc_rows(spec, &weights.values));
+                    let pw = rows
+                        .as_ref()
+                        .map_or_else(|| required_precision(&weights.values), |rows| rows.pw());
                     fc.insert(name.to_string(), CachedFc { rows, pw });
                 }
                 LayerKind::MaxPool(_) => {}
@@ -404,26 +394,18 @@ impl GraphCompute for FunctionalCompute<'_> {
         inputs: &[Tensor3],
         weights: &Tensor4,
     ) -> Vec<Vec<i64>> {
-        let cached = self.cache.and_then(|cache| cache.conv.get(layer));
-        let pw = match cached {
-            Some(cached) => cached.pw,
-            None => required_precision(weights.as_slice()),
-        };
-        // The layer's weight planes are packed once for the whole batch.
-        let packed_local;
-        let filters: &PackedRows = match cached {
-            Some(cached) => &cached.planes,
-            None => {
-                packed_local = store::conv_planes(spec, weights);
-                &packed_local
-            }
+        // The layer's weight planes are packed once for the whole batch, and
+        // carry their weight precision.
+        let filters = match self.cache.and_then(|cache| cache.conv.get(layer)) {
+            Some(planes) => Arc::clone(planes),
+            None => store::conv_planes(spec, weights.as_slice()),
         };
         let items: Vec<_> = inputs
             .iter()
             .map(|input| (input, required_precision(input.as_slice())))
             .collect();
         self.engine
-            .run_conv_batch(spec, &items, filters, pw)
+            .run_conv_batch(spec, &items, &filters, filters.pw())
             .into_iter()
             .enumerate()
             .map(|(i, run)| {

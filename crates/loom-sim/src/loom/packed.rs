@@ -42,7 +42,8 @@ impl MagnitudeOr {
     }
 
     /// ORs `block`'s magnitude planes into slot `slot` (lanes
-    /// `256 × slot ..`).
+    /// `256 × slot ..`). Planes at or above the block's magnitude width have
+    /// no magnitude bits, so they are skipped.
     ///
     /// # Panics
     ///
@@ -51,7 +52,7 @@ impl MagnitudeOr {
     pub(crate) fn absorb(&mut self, slot: usize, block: &WideBitplaneBlock) {
         let base = slot * WIDE_WORDS;
         assert!(base < self.words, "slot {slot} is outside the fold");
-        for bit in 0..MAX_PRECISION {
+        for bit in 0..block.magnitude_width() {
             let row = usize::from(bit) * self.words + base;
             let fold = &mut self.planes[row..row + WIDE_WORDS];
             for (word, m) in fold.iter_mut().zip(block.magnitude_words(bit)) {

@@ -4,11 +4,20 @@
 //! is pure in the weights and the layer dimensions, yet before this store the
 //! engine repeated it per `run_conv` call, per `NetworkEngine::prepack`, and
 //! per conformance-harness backend. The store keys each packed container by
-//! the weight matrix's dimensions plus a double-FNV content hash of its
-//! weights, so a
-//! network's filters are packed exactly once per process: `run_conv`, the
-//! batched network engine, the datapath conformance harness and every
-//! `loom-serve` catalog build share the same [`std::sync::Arc`]'d planes.
+//! the weight matrix's dimensions plus a 128-bit [`fingerprint`] of its
+//! weights, so a network's filters are packed exactly once per process:
+//! `run_conv`, the batched network engine, the datapath conformance harness
+//! and every `loom-serve` catalog build share the same
+//! [`std::sync::Arc`]'d planes.
+//!
+//! The fingerprint reads the weights a 64-bit word at a time into four
+//! independent lanes, each step a folded 64×64→128-bit multiply, with the
+//! length mixed into the finalizer. It runs at memory speed, because every
+//! uncached dispatch pays it. It is a non-cryptographic content key: a hit
+//! is trusted without comparing the weights, so two layers with the same
+//! dimensions whose fingerprints collided would share planes. Verifying hits,
+//! or keying by identity instead of content, is still open (ROADMAP, "One
+//! weight-preparation path").
 //!
 //! Entries are evicted FIFO beyond a fixed cap so long-running processes
 //! (test harnesses, soak benches cycling synthetic layers) cannot grow the
@@ -18,7 +27,6 @@
 
 use crate::loom::functional::{PackStats, PackedRows};
 use loom_model::layer::{ConvSpec, FcSpec};
-use loom_model::tensor::Tensor4;
 use std::collections::{HashMap, VecDeque};
 use std::sync::{Arc, Mutex, OnceLock};
 
@@ -62,8 +70,8 @@ impl WeightStoreStats {
 
 /// A packed container's identity: its row count and row length (a conv's
 /// filters × weights per filter, an FC layer's outputs × inputs) plus the
-/// content hash. Equal keys pack to identical blocks, whichever layer kind
-/// asked first.
+/// content fingerprint. Equal keys pack to identical blocks, whichever layer
+/// kind asked first.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 struct Key {
     dims: (usize, usize),
@@ -89,24 +97,68 @@ impl WeightStoreStats {
     }
 }
 
-/// FNV-1a over the weight values; two independent seeds give a 128-bit
-/// content fingerprint, which together with the dimension key makes
-/// accidental collisions vanishingly unlikely.
-fn fnv1a(values: &[i32], seed: u64) -> u64 {
-    let mut h = seed;
-    for &v in values {
-        for b in (v as u32).to_le_bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-    h
+/// Start states of the fingerprint's four lanes.
+const LANE_SEEDS: [u64; 4] = [
+    0x243f_6a88_85a3_08d3,
+    0x1319_8a2e_0370_7344,
+    0xa409_3822_299f_31d0,
+    0x082e_fa98_ec4e_6c89,
+];
+
+/// Odd per-lane multipliers, one per lane so equal words in different lanes
+/// mix differently.
+const LANE_MULTIPLIERS: [u64; 4] = [
+    0x9e37_79b9_7f4a_7c15,
+    0xc2b2_ae3d_27d4_eb4f,
+    0x1656_67b1_9e37_79f9,
+    0xd6e8_feb8_6659_fd93,
+];
+
+/// The high and low halves of the full 128-bit product, XORed together.
+#[inline(always)]
+fn folded_multiply(a: u64, b: u64) -> u64 {
+    let product = u128::from(a) * u128::from(b);
+    (product as u64) ^ ((product >> 64) as u64)
 }
 
-fn content_hash(values: &[i32]) -> (u64, u64) {
+/// Two values as one little-endian 64-bit word.
+#[inline(always)]
+fn pair_word(lo: i32, hi: i32) -> u64 {
+    u64::from(lo as u32) | u64::from(hi as u32) << 32
+}
+
+/// A 128-bit content fingerprint of `values`, read a 64-bit word (two
+/// values) at a time. Words go round-robin to four independent lanes, so the
+/// multiplies of one round overlap. Each step XORs the word into its lane and
+/// takes a folded 64×64→128-bit multiply. The length is mixed into the
+/// finalizer, so a trailing zero changes the fingerprint even though an odd
+/// tail pads with zero.
+///
+/// It is a non-cryptographic content key, not a checksum: together with
+/// the dimensions it makes accidental collisions vanishingly unlikely, but
+/// a hit is not verified against the weights.
+pub fn fingerprint(values: &[i32]) -> (u64, u64) {
+    let mut lanes = LANE_SEEDS;
+    let mut absorb = |lane: usize, word: u64| {
+        lanes[lane] = folded_multiply(lanes[lane] ^ word, LANE_MULTIPLIERS[lane]);
+    };
+    let rounds = values.chunks_exact(8);
+    let tail = rounds.remainder();
+    for round in rounds {
+        for lane in 0..4 {
+            absorb(lane, pair_word(round[2 * lane], round[2 * lane + 1]));
+        }
+    }
+    for (lane, pair) in tail.chunks(2).enumerate() {
+        absorb(lane, pair_word(pair[0], pair.get(1).copied().unwrap_or(0)));
+    }
+    let len = values.len() as u64;
+    let [a, b, c, d] = lanes;
+    let left = folded_multiply(a ^ LANE_SEEDS[2], b ^ LANE_MULTIPLIERS[2]);
+    let right = folded_multiply(c ^ LANE_SEEDS[3], d ^ LANE_MULTIPLIERS[3]);
     (
-        fnv1a(values, 0xcbf2_9ce4_8422_2325),
-        fnv1a(values, 0x6c62_272e_07bb_0142),
+        folded_multiply(left ^ len, right ^ LANE_MULTIPLIERS[0]),
+        folded_multiply(right ^ len, left ^ LANE_MULTIPLIERS[1]),
     )
 }
 
@@ -151,18 +203,19 @@ fn global() -> &'static Mutex<Store> {
     STORE.get_or_init(|| Mutex::new(Store::new(MAX_ENTRIES)))
 }
 
-/// A convolution's packed, compressed filter planes.
+/// A convolution's packed, compressed filter planes, from its weights in
+/// filter-major order.
 ///
 /// # Panics
 ///
-/// Panics if the weights do not match the spec.
-pub(crate) fn conv_planes(spec: &ConvSpec, weights: &Tensor4) -> Arc<PackedRows> {
+/// Panics if the weight count does not match the spec.
+pub(crate) fn conv_planes(spec: &ConvSpec, weights: &[i32]) -> Arc<PackedRows> {
     assert_eq!(
-        weights.shape(),
-        spec.weight_shape(),
-        "weight shape mismatch"
+        weights.len(),
+        spec.weight_shape().len(),
+        "weight count mismatch"
     );
-    packed(Kind::Conv, weights.as_slice(), spec.weights_per_filter())
+    packed(Kind::Conv, weights, spec.weights_per_filter())
 }
 
 /// A fully-connected layer's packed, compressed row transpose.
@@ -185,7 +238,7 @@ pub(crate) fn fc_rows(spec: &FcSpec, weights: &[i32]) -> Arc<PackedRows> {
 fn packed(kind: Kind, weights: &[i32], row_len: usize) -> Arc<PackedRows> {
     let key = Key {
         dims: (weights.len() / row_len, row_len),
-        hash: content_hash(weights),
+        hash: fingerprint(weights),
     };
     {
         let mut store = global().lock().expect("weight store poisoned");
@@ -217,14 +270,11 @@ pub fn stats() -> WeightStoreStats {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use loom_model::fixed::required_precision;
 
-    fn conv_weights(spec: &ConvSpec, salt: i32) -> Tensor4 {
-        let n = spec.weight_shape().len();
-        Tensor4::from_vec(
-            spec.weight_shape(),
-            (0..n as i32).map(|i| (i * 31 + salt) % 200 - 100).collect(),
-        )
-        .unwrap()
+    fn conv_weights(spec: &ConvSpec, salt: i32) -> Vec<i32> {
+        let n = spec.weight_shape().len() as i32;
+        (0..n).map(|i| (i * 31 + salt) % 200 - 100).collect()
     }
 
     #[test]
@@ -275,7 +325,7 @@ mod tests {
             let weights: Vec<i32> = (0..16).map(|i| i + salt).collect();
             let key = Key {
                 dims: (2, 8),
-                hash: content_hash(&weights),
+                hash: fingerprint(&weights),
             };
             store.insert(key, Arc::new(PackedRows::pack(&weights, 8)));
         }
@@ -292,7 +342,52 @@ mod tests {
 
     #[test]
     fn content_hash_is_order_sensitive() {
-        assert_ne!(content_hash(&[1, 2, 3]), content_hash(&[3, 2, 1]));
-        assert_ne!(content_hash(&[0]), content_hash(&[0, 0]));
+        assert_ne!(fingerprint(&[1, 2, 3]), fingerprint(&[3, 2, 1]));
+        assert_ne!(fingerprint(&[0]), fingerprint(&[0, 0]));
+        assert_ne!(fingerprint(&[]), fingerprint(&[0]));
+        // 37 values: four full rounds of eight plus a ragged, odd tail. The
+        // probed indices cover both halves of a word, every lane, a later
+        // round and the padded tail.
+        let base: Vec<i32> = (0..37).map(|i| (i * 7919) % 4001 - 2000).collect();
+        let reference = fingerprint(&base);
+        for index in [0, 1, 2, 5, 7, 8, 19, 35, 36] {
+            for bit in 0..32 {
+                let mut flipped = base.clone();
+                flipped[index] ^= 1 << bit;
+                assert_ne!(
+                    fingerprint(&flipped),
+                    reference,
+                    "bit {bit} of value {index}"
+                );
+            }
+            // Values that agree in their low 16 bits.
+            let mut high = base.clone();
+            high[index] = high[index].wrapping_add(0x5a5a << 16);
+            assert_ne!(fingerprint(&high), reference, "high half of value {index}");
+        }
+        for index in [0, 1, 6, 7, 15, 35] {
+            let mut swapped = base.clone();
+            swapped.swap(index, index + 1);
+            assert_ne!(fingerprint(&swapped), reference, "swap at {index}");
+        }
+    }
+
+    #[test]
+    fn packed_rows_record_the_weights_precision() {
+        // The widest value sits in the last, ragged block of a row, so a Pw
+        // that skipped the tail would read narrower.
+        let spec = FcSpec::new(300, 3);
+        let mut weights: Vec<i32> = (0..900).map(|i| (i * 13 + 90031) % 31 - 15).collect();
+        weights[2 * 300 + 290] = -700;
+        let rows = fc_rows(&spec, &weights);
+        assert_eq!(rows.pw(), required_precision(&weights));
+        assert_eq!(rows.pw().bits(), 11);
+
+        let spec = ConvSpec::simple(3, 6, 6, 4, 3);
+        let weights = conv_weights(&spec, 90041);
+        let filters = conv_planes(&spec, &weights);
+        assert_eq!(filters.pw(), required_precision(&weights));
+        let zeros = vec![0; spec.weight_shape().len()];
+        assert_eq!(conv_planes(&spec, &zeros).pw().bits(), 1);
     }
 }

@@ -39,11 +39,16 @@
 //!   the `popcnt` feature enabled.
 //! * **portable** — the same loop on the baseline target, for non-x86 hosts.
 //!
-//! Packing is dispatched the same way: the AVX2 path transposes eight lanes
-//! per `_mm256_movemask_ps` instead of one bit at a time, and both paths stop
-//! extracting planes at the block's detected magnitude width (every higher
-//! plane of a two's-complement value equals its sign, so those planes are
-//! filled with the sign word directly).
+//! Packing is dispatched from the same once-resolved tier. Both AVX-512 tiers
+//! transpose sixteen lanes per `_mm512_test_epi32_mask` (masked loads for a
+//! ragged tail), the AVX2 tier eight lanes per `_mm256_movemask_ps`, and the
+//! others one bit at a time; all produce identical blocks. Every packer
+//! first OR-folds `v ^ (v >> 31)` over the values. The fold's width is the
+//! block's magnitude width: packing stops extracting planes there (every
+//! higher plane of a two's-complement value equals its sign, so those planes
+//! are filled with the sign words directly), and the block keeps it, so
+//! [`WideBitplaneBlock::detected_precision`] and
+//! [`WideBitplaneBlock::is_zero`] read it instead of rescanning 16 planes.
 
 use loom_mem::compress::{CompressedPlanes, PlaneRef, PLANE_LANES, PLANE_WORDS};
 use loom_model::fixed::{Precision, MAX_PRECISION};
@@ -93,6 +98,8 @@ pub struct WideBitplaneBlock {
     lanes: usize,
     planes: [[u64; WIDE_WORDS]; MAX_PRECISION as usize],
     signs: [u64; WIDE_WORDS],
+    /// Planes below this hold magnitude bits; the rest equal the sign plane.
+    width: u8,
 }
 
 impl WideBitplaneBlock {
@@ -101,6 +108,7 @@ impl WideBitplaneBlock {
         lanes: 0,
         planes: [[0; WIDE_WORDS]; MAX_PRECISION as usize],
         signs: [0; WIDE_WORDS],
+        width: 0,
     };
 
     /// Transposes `values` into wide bit-plane form.
@@ -118,24 +126,44 @@ impl WideBitplaneBlock {
 
     /// Re-packs the block in place from `values`, reusing the storage — the
     /// arena path the conv/FC pipelines use to avoid per-window allocation.
+    /// The transposer is the one of [`active_kernel_tier`]; the block's
+    /// magnitude width (and so its detected precision and zero flag) comes
+    /// from the same pass.
     ///
     /// # Panics
     ///
     /// Panics if `values.len() > 256`.
     pub fn pack_into(&mut self, values: &[i32]) {
+        // SAFETY: `active_kernel_tier` only selects tiers detected on this
+        // CPU.
+        unsafe { self.pack_on(active_kernel_tier(), values) };
+    }
+
+    /// [`pack_into`](Self::pack_into) on the transposer of `tier`.
+    ///
+    /// # Safety
+    ///
+    /// `tier` must be detected on this CPU ([`KernelTier::detected`]).
+    unsafe fn pack_on(&mut self, tier: KernelTier, values: &[i32]) {
         assert!(
             values.len() <= WIDE_LANES,
             "a WideBitplaneBlock holds at most {WIDE_LANES} lanes, got {}",
             values.len()
         );
+        debug_assert!(tier.detected(), "{} is not detected", tier.name());
         *self = Self::EMPTY;
         self.lanes = values.len();
         #[cfg(target_arch = "x86_64")]
         {
-            if std::arch::is_x86_feature_detected!("avx2") {
-                // SAFETY: the `avx2` feature was just detected at runtime.
-                unsafe { pack_avx2(self, values) };
-                return;
+            // SAFETY (each arm): the caller guarantees `tier` is detected,
+            // which implies its features; both AVX-512 tiers include
+            // `avx512f`.
+            match tier {
+                KernelTier::Avx512 | KernelTier::Avx512Vpopcnt => {
+                    return unsafe { pack_avx512(self, values) };
+                }
+                KernelTier::Avx2 => return unsafe { pack_avx2(self, values) },
+                KernelTier::Popcnt | KernelTier::Portable => {}
             }
         }
         pack_scalar(self, values);
@@ -171,10 +199,22 @@ impl WideBitplaneBlock {
         std::array::from_fn(|w| plane[w] ^ self.signs[w])
     }
 
+    /// Number of planes holding magnitude bits (`0..=16`): the width of the
+    /// widest lane less its sign bit. Every plane at or above it equals the
+    /// sign plane, so its [`magnitude_words`](Self::magnitude_words) are zero.
+    pub(crate) fn magnitude_width(&self) -> u8 {
+        self.width
+    }
+
+    /// Whether any packed lane is negative.
+    pub(crate) fn has_negative_lanes(&self) -> bool {
+        self.signs != [0; WIDE_WORDS]
+    }
+
     /// Whether every packed lane is zero (such a block contributes nothing to
     /// any inner product, so the engine skips it outright).
     pub fn is_zero(&self) -> bool {
-        self.signs == [0; WIDE_WORDS] && self.planes.iter().all(|p| *p == [0; WIDE_WORDS])
+        self.width == 0 && !self.has_negative_lanes()
     }
 
     /// The smallest precision covering every packed lane: signed
@@ -186,13 +226,7 @@ impl WideBitplaneBlock {
     /// the narrower schedule is exactly what the serial model produces at the
     /// same precision.
     pub fn detected_precision(&self, signed: bool) -> Precision {
-        let highest = (0..MAX_PRECISION)
-            .rev()
-            .find(|&bit| self.magnitude_words(bit) != [0; WIDE_WORDS]);
-        match highest {
-            None => Precision::saturating(1),
-            Some(bit) => Precision::saturating(bit + if signed { 2 } else { 1 }),
-        }
+        Precision::saturating(self.width + u8::from(signed))
     }
 
     /// Reconstructs the packed values (inverse of [`pack`](Self::pack) for
@@ -232,7 +266,8 @@ pub struct CompressedWideBlock {
     /// Per-bit resolution LUT: [`SLOT_ZERO`], [`SLOT_SIGN`], or an index
     /// into the stored-plane array — one branchless lookup per weight bit.
     slots: [u8; MAX_PRECISION as usize],
-    zero: bool,
+    /// The dense block's magnitude width.
+    width: u8,
 }
 
 impl CompressedWideBlock {
@@ -255,7 +290,7 @@ impl CompressedWideBlock {
         CompressedWideBlock {
             inner,
             slots,
-            zero: block.is_zero(),
+            width: block.width,
         }
     }
 
@@ -267,6 +302,7 @@ impl CompressedWideBlock {
             lanes: self.inner.lanes(),
             planes,
             signs,
+            width: self.width,
         }
     }
 
@@ -287,28 +323,16 @@ impl CompressedWideBlock {
     }
 
     /// Whether every packed lane is zero (same contract as
-    /// [`WideBitplaneBlock::is_zero`], captured at compression time).
+    /// [`WideBitplaneBlock::is_zero`]).
     pub fn is_zero(&self) -> bool {
-        self.zero
+        self.width == 0 && *self.inner.signs() == [0; WIDE_WORDS]
     }
 
     /// The smallest precision covering every packed lane — identical to
-    /// [`WideBitplaneBlock::detected_precision`] on the dense block, computed
-    /// here from the compressed form (an elided zero plane's magnitude view
-    /// is the sign plane; a sign-extension plane's is zero).
+    /// [`WideBitplaneBlock::detected_precision`] on the dense block, from the
+    /// magnitude width captured at compression time.
     pub fn detected_precision(&self, signed: bool) -> Precision {
-        let signs = *self.inner.signs();
-        let highest = (0..MAX_PRECISION).rev().find(|&bit| {
-            let magnitude: [u64; WIDE_WORDS] = match self.plane(usize::from(bit)) {
-                None => signs,
-                Some(plane) => std::array::from_fn(|w| plane[w] ^ signs[w]),
-            };
-            magnitude != [0; WIDE_WORDS]
-        });
-        match highest {
-            None => Precision::saturating(1),
-            Some(bit) => Precision::saturating(bit + if signed { 2 } else { 1 }),
-        }
+        Precision::saturating(self.width + u8::from(signed))
     }
 
     /// The underlying compressed-plane storage (footprint accounting).
@@ -343,23 +367,50 @@ impl<'a> WeightPlanes<'a> {
             WeightPlanes::Compressed(block) => block.plane(wb),
         }
     }
+
+    /// The block's signed detected precision, in either form.
+    pub(crate) fn detected_precision(self) -> Precision {
+        match self {
+            WeightPlanes::Dense(block) => block.detected_precision(true),
+            WeightPlanes::Compressed(block) => block.detected_precision(true),
+        }
+    }
+
+    /// Whether every lane of the block is zero, in either form.
+    pub(crate) fn is_zero(self) -> bool {
+        match self {
+            WeightPlanes::Dense(block) => block.is_zero(),
+            WeightPlanes::Compressed(block) => block.is_zero(),
+        }
+    }
 }
 
-/// Plane extraction cutoff: the widest magnitude (sign-excluded) bit count of
-/// any value in the slice. Every plane at or above the cutoff equals the sign
-/// plane, so packers fill those planes from the sign words instead of
-/// extracting them.
-fn magnitude_cutoff(values: &[i32]) -> usize {
-    let mut fold: u32 = 0;
-    for &v in values {
-        fold |= (v ^ (v >> 31)) as u32;
+/// The magnitude width of `values`: the highest of their 16 packed planes
+/// in which some bit differs from its lane's sign, plus one (0 when every
+/// value is 0 or -1). The OR-fold of `v ^ (v >> 31)` marks exactly those
+/// bits; it is branch-free, so it vectorizes inside each packer. Bits above
+/// the 16 packed planes are masked off, so the width matches what a rescan
+/// of the planes would find for any `i32`.
+#[inline(always)]
+fn magnitude_width(values: &[i32]) -> u8 {
+    let fold = values.iter().fold(0, |acc, &v| acc | (v ^ (v >> 31)));
+    let packed = fold as u32 & ((1 << MAX_PRECISION) - 1);
+    (32 - packed.leading_zeros()) as u8
+}
+
+/// Fills the planes at and above the block's magnitude width from the sign
+/// words.
+#[inline(always)]
+fn fill_sign_planes(block: &mut WideBitplaneBlock) {
+    for plane in usize::from(block.width)..usize::from(MAX_PRECISION) {
+        block.planes[plane] = block.signs;
     }
-    ((32 - fold.leading_zeros()) as usize).min(usize::from(MAX_PRECISION))
 }
 
 /// Portable bit-by-bit transpose.
 fn pack_scalar(block: &mut WideBitplaneBlock, values: &[i32]) {
-    let cutoff = magnitude_cutoff(values);
+    block.width = magnitude_width(values);
+    let cutoff = usize::from(block.width);
     for (lane, &v) in values.iter().enumerate() {
         let (word, bit) = (lane / 64, lane % 64);
         let u = v as u32;
@@ -368,9 +419,7 @@ fn pack_scalar(block: &mut WideBitplaneBlock, values: &[i32]) {
         }
         block.signs[word] |= u64::from(v < 0) << bit;
     }
-    for plane in cutoff..usize::from(MAX_PRECISION) {
-        block.planes[plane] = block.signs;
-    }
+    fill_sign_planes(block);
 }
 
 /// AVX2 transpose: eight lanes at a time via `_mm256_movemask_ps`, which
@@ -380,7 +429,8 @@ fn pack_scalar(block: &mut WideBitplaneBlock, values: &[i32]) {
 #[target_feature(enable = "avx2")]
 unsafe fn pack_avx2(block: &mut WideBitplaneBlock, values: &[i32]) {
     use std::arch::x86_64::*;
-    let cutoff = magnitude_cutoff(values);
+    block.width = magnitude_width(values);
+    let cutoff = usize::from(block.width);
     let mut chunk = 0usize;
     while chunk * 8 < values.len() {
         let base = chunk * 8;
@@ -401,9 +451,46 @@ unsafe fn pack_avx2(block: &mut WideBitplaneBlock, values: &[i32]) {
         }
         chunk += 1;
     }
-    for plane in cutoff..usize::from(MAX_PRECISION) {
-        block.planes[plane] = block.signs;
+    fill_sign_planes(block);
+}
+
+/// AVX-512F transpose: sixteen lanes per `_mm512_test_epi32_mask`, which
+/// sets one mask bit per 32-bit lane whose target bit is set. Four 16-lane
+/// loads cover a 64-lane plane word, so each word of each plane is written
+/// once; a ragged tail loads through a lane mask (masked-off lanes read as
+/// zero and never touch memory).
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+unsafe fn pack_avx512(block: &mut WideBitplaneBlock, values: &[i32]) {
+    use std::arch::x86_64::*;
+    block.width = magnitude_width(values);
+    let zero = _mm512_setzero_si512();
+    for word in 0..values.len().div_ceil(64) {
+        let mut quarters = [zero; 4];
+        for (q, quarter) in quarters.iter_mut().enumerate() {
+            let base = word * 64 + q * 16;
+            if base >= values.len() {
+                break;
+            }
+            let lanes = (values.len() - base).min(16);
+            let mask = (u32::MAX >> (32 - lanes)) as __mmask16;
+            *quarter = _mm512_maskz_loadu_epi32(mask, values.as_ptr().add(base).cast());
+        }
+        let mut signs = 0u64;
+        for (q, &v) in quarters.iter().enumerate() {
+            signs |= u64::from(_mm512_cmplt_epi32_mask(v, zero)) << (16 * q);
+        }
+        block.signs[word] = signs;
+        for plane in 0..usize::from(block.width) {
+            let bit = _mm512_set1_epi32(1 << plane);
+            let mut bits = 0u64;
+            for (q, &v) in quarters.iter().enumerate() {
+                bits |= u64::from(_mm512_test_epi32_mask(v, bit)) << (16 * q);
+            }
+            block.planes[plane][word] = bits;
+        }
     }
+    fill_sign_planes(block);
 }
 
 /// The plane-pair loop shared by the portable and `popcnt` entry points, with
@@ -1110,6 +1197,75 @@ mod tests {
         (0..n).map(|i| (i as i32 * 977) % 30000 - 15000).collect()
     }
 
+    /// Which lanes of [`values_of_width`] are negative.
+    #[derive(Clone, Copy, PartialEq, Debug)]
+    enum Signs {
+        NonNegative,
+        Negative,
+        Mixed,
+    }
+
+    /// `lanes` values whose magnitude width (highest bit differing from the
+    /// sign, plus one) is exactly `width`, with the given signs.
+    fn values_of_width(lanes: usize, width: u8, signs: Signs) -> Vec<i32> {
+        let limit = (1u32 << width) - 1;
+        let mut state = 0x9e37_79b9u32 ^ (lanes as u32) << 8 ^ u32::from(width);
+        (0..lanes)
+            .map(|lane| {
+                state = state.wrapping_mul(1_664_525).wrapping_add(1_013_904_223);
+                let mut magnitude = (state >> 8) & limit;
+                if lane == lanes / 2 && width > 0 {
+                    magnitude |= 1 << (width - 1);
+                }
+                let negative = match signs {
+                    Signs::NonNegative => false,
+                    Signs::Negative => true,
+                    Signs::Mixed => state >> 31 == 1,
+                };
+                if negative {
+                    !(magnitude as i32)
+                } else {
+                    magnitude as i32
+                }
+            })
+            .collect()
+    }
+
+    /// The tiers whose transposers this CPU can run.
+    fn detected_tiers() -> impl Iterator<Item = KernelTier> {
+        KERNEL_TIERS.into_iter().filter(|tier| tier.detected())
+    }
+
+    /// Packs `values` on the transposer of `tier`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `tier` is not detected on this CPU.
+    fn pack_on(tier: KernelTier, values: &[i32]) -> WideBitplaneBlock {
+        assert!(tier.detected(), "{} is not detected", tier.name());
+        let mut block = WideBitplaneBlock::EMPTY;
+        // SAFETY: `tier` was just checked to be detected.
+        unsafe { block.pack_on(tier, values) };
+        block
+    }
+
+    /// The plane-rescanning detector the magnitude width replaced, kept as
+    /// the oracle.
+    fn rescanned_precision(block: &WideBitplaneBlock, signed: bool) -> Precision {
+        let highest = (0..MAX_PRECISION)
+            .rev()
+            .find(|&bit| block.magnitude_words(bit) != [0; WIDE_WORDS]);
+        match highest {
+            None => Precision::saturating(1),
+            Some(bit) => Precision::saturating(bit + if signed { 2 } else { 1 }),
+        }
+    }
+
+    /// The plane-rescanning zero detector, kept as the oracle.
+    fn rescanned_zero(block: &WideBitplaneBlock) -> bool {
+        block.signs == [0; WIDE_WORDS] && block.planes.iter().all(|p| *p == [0; WIDE_WORDS])
+    }
+
     #[test]
     fn pack_roundtrips_across_word_boundaries() {
         for lanes in [0, 1, 63, 64, 65, 127, 128, 200, 255, 256] {
@@ -1126,16 +1282,41 @@ mod tests {
         WideBitplaneBlock::pack(&[0; 257]);
     }
 
+    /// Every detected transposer tier packs exactly what the scalar
+    /// transposer packs, over every ragged lane count, every magnitude width
+    /// and both signs (each width and sign at the lane counts around word
+    /// boundaries, one of them at every other lane count).
     #[test]
     fn scalar_pack_matches_dispatched_pack() {
-        for lanes in [1, 7, 64, 100, 256] {
-            let values = ragged_values(lanes);
-            let dispatched = WideBitplaneBlock::pack(&values);
-            let mut scalar = WideBitplaneBlock::EMPTY;
-            scalar.lanes = values.len();
-            pack_scalar(&mut scalar, &values);
-            assert_eq!(dispatched, scalar, "{lanes} lanes");
+        let every_case: Vec<(u8, Signs)> = (0..=MAX_PRECISION)
+            .flat_map(|w| [Signs::NonNegative, Signs::Negative, Signs::Mixed].map(|s| (w, s)))
+            .collect();
+        for lanes in 1..=WIDE_LANES {
+            let cases = if [1, 15, 16, 17, 63, 64, 65, 200, 255, 256].contains(&lanes) {
+                every_case.clone()
+            } else {
+                vec![every_case[lanes % every_case.len()]]
+            };
+            for (width, signs) in cases {
+                let values = values_of_width(lanes, width, signs);
+                let scalar = pack_on(KernelTier::Portable, &values);
+                assert_eq!(scalar.magnitude_width(), width, "{lanes} lanes {signs:?}");
+                assert_eq!(scalar.unpack(), values);
+                for tier in detected_tiers() {
+                    assert_eq!(
+                        pack_on(tier, &values),
+                        scalar,
+                        "{} {lanes} lanes width {width} {signs:?}",
+                        tier.name()
+                    );
+                }
+            }
         }
+        let values = ragged_values(100);
+        assert_eq!(
+            WideBitplaneBlock::pack(&values),
+            pack_on(KernelTier::Portable, &values)
+        );
     }
 
     /// Each plane word equals the single-word transpose of its 64 lanes.
@@ -1300,6 +1481,52 @@ mod tests {
 
     #[test]
     fn detected_precision_matches_vec_detectors() {
+        for tier in detected_tiers() {
+            for lanes in [1, 5, 64, 77, 200, 256] {
+                for width in 0..=MAX_PRECISION {
+                    for signs in [Signs::NonNegative, Signs::Negative, Signs::Mixed] {
+                        let values = values_of_width(lanes, width, signs);
+                        let block = pack_on(tier, &values);
+                        let case = format!("{} {lanes} lanes width {width} {signs:?}", tier.name());
+                        assert_eq!(block.detected_precision(true), required_precision(&values));
+                        assert_eq!(
+                            block.detected_precision(true),
+                            rescanned_precision(&block, true),
+                            "{case}"
+                        );
+                        if signs == Signs::NonNegative {
+                            assert_eq!(
+                                block.detected_precision(false),
+                                required_unsigned_precision(&values),
+                                "{case}"
+                            );
+                            assert_eq!(
+                                block.detected_precision(false),
+                                rescanned_precision(&block, false),
+                                "{case}"
+                            );
+                        }
+                    }
+                }
+            }
+            // Bits beyond the 16 packed planes never count.
+            for values in [
+                &[1 << 20, 3][..],
+                &[-(1 << 20)],
+                &[i32::MIN, i32::MAX],
+                &[1 << 16],
+            ] {
+                let block = pack_on(tier, values);
+                for signed in [true, false] {
+                    assert_eq!(
+                        block.detected_precision(signed),
+                        rescanned_precision(&block, signed),
+                        "{} {values:?}",
+                        tier.name()
+                    );
+                }
+            }
+        }
         for lanes in [1, 5, 64, 77, 256] {
             let values = ragged_values(lanes);
             let block = WideBitplaneBlock::pack(&values);
@@ -1319,6 +1546,29 @@ mod tests {
         assert!(WideBitplaneBlock::EMPTY.is_zero());
         assert!(!WideBitplaneBlock::pack(&[0, 0, 1]).is_zero());
         assert!(!WideBitplaneBlock::pack(&[-1]).is_zero());
+        for tier in detected_tiers() {
+            for lanes in [1, 17, 64, 65, 200, 256] {
+                let zeros = vec![0; lanes];
+                assert!(pack_on(tier, &zeros).is_zero(), "{} {lanes}", tier.name());
+                // One non-zero lane anywhere, including a ragged tail's last
+                // lane. A value whose only set bits lie above the 16 packed
+                // planes packs as zero, as the rescan sees it.
+                for lane in [0, lanes / 2, lanes - 1] {
+                    for value in [1, -1, 1 << 15, -(1 << 15), 1 << 16] {
+                        let mut values = zeros.clone();
+                        values[lane] = value;
+                        let block = pack_on(tier, &values);
+                        assert_eq!(
+                            block.is_zero(),
+                            rescanned_zero(&block),
+                            "{} {lanes} lanes, {value} at {lane}",
+                            tier.name()
+                        );
+                        assert_eq!(block.is_zero(), value == 1 << 16);
+                    }
+                }
+            }
+        }
     }
 
     #[test]
@@ -1353,6 +1603,7 @@ mod tests {
         let c = CompressedWideBlock::compress(&dense);
         assert_eq!(c.planes().stored_planes().len(), 0);
         assert_eq!(c.decompress(), dense);
+        assert!(!c.is_zero());
         // All zero: nothing stored, block flagged zero.
         let c = CompressedWideBlock::compress(&WideBitplaneBlock::pack(&[0; 100]));
         assert!(c.is_zero());
