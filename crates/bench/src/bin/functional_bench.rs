@@ -5,7 +5,8 @@
 //! the active kernel tier, physical core count):
 //!
 //! 1. **Kernels** — times 256-lane inner products at several precisions on
-//!    the bit-serial oracle loop and the 256-lane SIMD-wide datapath; then a
+//!    the bit-serial oracle loop and the 256-lane SIMD-wide datapath, alone
+//!    and inside a full tile (the kernel call the engine makes); then a
 //!    mid-size convolutional layer through the golden `i64` reference and the
 //!    functional engine, verifying identical outputs.
 //! 2. **Zoo** — runs whole networks (`loom_model::zoo::graphs`, including
@@ -56,8 +57,8 @@ use loom_core::loom_sim::config::LoomGeometry;
 use loom_core::loom_sim::datapath;
 use loom_core::loom_sim::loom::store::fingerprint;
 use loom_core::loom_sim::loom::{
-    serial_inner_product, weight_store_stats, wide_inner_product, FunctionalLoom, NetworkEngine,
-    WideBitplaneBlock, KERNEL_TIERS,
+    serial_inner_product, tile_inner_products, weight_store_stats, wide_inner_product,
+    CompressedWideBlock, FunctionalLoom, NetworkEngine, WideBitplaneBlock, KERNEL_TIERS, TILE,
 };
 use loom_core::loom_sim::EquivalentConfig;
 use loom_core::sweep::SweepOptions;
@@ -72,6 +73,9 @@ const DEFAULT_MIN_CONV_SPEEDUP: f64 = 1.5;
 
 /// Lanes per kernel micro-benchmark inner product.
 const KERNEL_LANES: usize = 256;
+
+/// Blocks in the tile benchmark's weight row: a 3×3×256 filter.
+const TILE_ROW_BLOCKS: usize = 9;
 
 /// Times `routine` with batch-size calibration (so `Instant` overhead stays
 /// negligible) until ~100 ms have elapsed; returns mean nanoseconds per call.
@@ -109,9 +113,11 @@ fn robust_ns<O, F: FnMut() -> O>(mut routine: F) -> f64 {
 }
 
 /// Micro-benchmarks one 256-lane inner product at `bits`-bit operands on the
-/// bit-serial oracle and the wide kernel, and one 256-lane `pack_into` of the
-/// activations on the active tier's transposer. The wide operands are
-/// pre-transposed, matching how the engine amortises packing.
+/// bit-serial oracle, the wide kernel alone and inside a full tile, and one
+/// 256-lane `pack_into` of the activations on the active tier's transposer.
+/// The wide operands are pre-transposed, matching how the engine amortises
+/// packing. The tile is the engine's kernel call: a compressed 9-block row
+/// (a 3×3×256 filter) against `TILE` windows, timed per 256-lane product.
 fn bench_kernel(rng: &mut StdRng, bits: u8) -> KernelBench {
     let p = Precision::new(bits).unwrap();
     let weights = synthetic_weights(rng, KERNEL_LANES, p, ValueDistribution::weights());
@@ -130,6 +136,32 @@ fn bench_kernel(rng: &mut StdRng, bits: u8) -> KernelBench {
     let a_wide = WideBitplaneBlock::pack(&activations);
     let wide_ns =
         robust_ns(|| wide_inner_product(black_box(&w_wide), black_box(&a_wide), p, p, true, false));
+    // The tile draws its operands from its own generator, so the data of the
+    // sections after the kernels stays what it was.
+    let mut tile_rng = StdRng::seed_from_u64(u64::from(bits));
+    let row: Vec<CompressedWideBlock> = (0..TILE_ROW_BLOCKS)
+        .map(|_| {
+            let block =
+                synthetic_weights(&mut tile_rng, KERNEL_LANES, p, ValueDistribution::weights());
+            CompressedWideBlock::compress(&WideBitplaneBlock::pack(&block))
+        })
+        .collect();
+    let windows: Vec<WideBitplaneBlock> = (0..TILE * TILE_ROW_BLOCKS)
+        .map(|_| {
+            let block = synthetic_activations(
+                &mut tile_rng,
+                KERNEL_LANES,
+                p,
+                ValueDistribution::activations(),
+            );
+            WideBitplaneBlock::pack(&block)
+        })
+        .collect();
+    let mut out = [0i64; TILE];
+    let tile_ns = robust_ns(|| {
+        tile_inner_products(black_box(&row), black_box(&windows), &mut out);
+        black_box(&out);
+    }) / (TILE * TILE_ROW_BLOCKS) as f64;
     let mut block = WideBitplaneBlock::EMPTY;
     let pack_ns = robust_ns(|| {
         block.pack_into(black_box(&activations));
@@ -140,6 +172,7 @@ fn bench_kernel(rng: &mut StdRng, bits: u8) -> KernelBench {
         lanes: KERNEL_LANES,
         serial_ns,
         wide_ns,
+        tile_ns,
         pack_ns,
     }
 }
@@ -342,8 +375,9 @@ fn main() {
     let mut rng = StdRng::seed_from_u64(2018);
 
     println!(
-        "SIP kernel: {KERNEL_LANES}-lane inner product, bit-serial vs wide, and the \
-         {KERNEL_LANES}-lane transpose"
+        "SIP kernel: {KERNEL_LANES}-lane inner product, bit-serial vs wide (alone, and in a \
+         {TILE}-window tile of a {TILE_ROW_BLOCKS}-block row), and the {KERNEL_LANES}-lane \
+         transpose"
     );
     let kernels: Vec<KernelBench> = [4u8, 8, 16]
         .iter()
@@ -351,10 +385,11 @@ fn main() {
             let k = bench_kernel(&mut rng, bits);
             println!(
                 "  {bits:>2}-bit: serial {:>9.1} ns  wide {:>7.1} ns  -> wide {:.1}x serial; \
-                 pack {:>6.1} ns",
+                 in a tile {:>6.1} ns; pack {:>6.1} ns",
                 k.serial_ns,
                 k.wide_ns,
                 k.wide_speedup(),
+                k.tile_ns,
                 k.pack_ns
             );
             k

@@ -203,8 +203,8 @@ pub fn sweep_bench_to_json(report: &SweepBenchReport) -> String {
 
 /// One kernel micro-benchmark point: nanoseconds per `lanes`-lane inner
 /// product for the bit-serial oracle loop and the 256-lane SIMD-wide
-/// datapath, and per `lanes`-lane transpose into a wide block, at one
-/// operand precision.
+/// datapath (alone, and inside a full tile), and per `lanes`-lane transpose
+/// into a wide block, at one operand precision.
 #[derive(Debug, Clone, PartialEq)]
 pub struct KernelBench {
     /// Operand precision (both weights and activations), in bits.
@@ -216,6 +216,10 @@ pub struct KernelBench {
     /// Mean wall-clock per inner product for the 256-lane wide kernel
     /// (pre-transposed operands, as the engine amortises packing).
     pub wide_ns: f64,
+    /// Mean wall-clock per 256-lane product inside a full tile on the active
+    /// kernel tier: a 9-block row (a 3×3×256 filter) against `TILE` windows,
+    /// the kernel call the engine makes.
+    pub tile_ns: f64,
     /// Mean wall-clock per `lanes`-lane `pack_into` of the activation operand
     /// on the active kernel tier's transposer.
     pub pack_ns: f64,
@@ -448,11 +452,12 @@ pub fn functional_bench_to_json(report: &FunctionalBenchReport) -> String {
         };
         let _ = writeln!(
             out,
-            "    {{\"precision_bits\": {}, \"lanes\": {}, \"serial_ns\": {:.2}, \"wide_ns\": {:.2}, \"wide_speedup\": {:.2}, \"pack_ns\": {:.2}}}{comma}",
+            "    {{\"precision_bits\": {}, \"lanes\": {}, \"serial_ns\": {:.2}, \"wide_ns\": {:.2}, \"tile_ns\": {:.2}, \"wide_speedup\": {:.2}, \"pack_ns\": {:.2}}}{comma}",
             k.precision_bits,
             k.lanes,
             k.serial_ns,
             k.wide_ns,
+            k.tile_ns,
             k.wide_speedup(),
             k.pack_ns
         );
@@ -683,6 +688,7 @@ mod tests {
                     lanes: 256,
                     serial_ns: 1000.0,
                     wide_ns: 10.0,
+                    tile_ns: 4.5,
                     pack_ns: 30.0,
                 },
                 KernelBench {
@@ -690,6 +696,7 @@ mod tests {
                     lanes: 256,
                     serial_ns: 4000.0,
                     wide_ns: 40.0,
+                    tile_ns: 20.25,
                     pack_ns: 50.0,
                 },
             ],
@@ -793,7 +800,10 @@ mod tests {
         let json = functional_bench_to_json(&report);
         assert!(json.contains("\"precision_bits\": 8"));
         assert!(json.contains("\"lanes\": 256"));
-        assert!(json.contains("\"wide_speedup\": 100.00, \"pack_ns\": 30.00}"));
+        assert!(json.contains(
+            "\"wide_ns\": 10.00, \"tile_ns\": 4.50, \"wide_speedup\": 100.00, \"pack_ns\": 30.00}"
+        ));
+        assert!(json.contains("\"wide_ns\": 40.00, \"tile_ns\": 20.25,"));
         assert!(json.contains("\"conv_golden_seconds\": 2.000000"));
         assert!(json.contains("\"conv_speedup\": 40.0000"));
         assert!(json.contains("\"conv_wide_seconds\": 0.050000"));
@@ -852,6 +862,7 @@ mod tests {
             lanes: 256,
             serial_ns: 1.0,
             wide_ns: 0.0,
+            tile_ns: 0.0,
             pack_ns: 0.0,
         };
         assert_eq!(degenerate.wide_speedup(), 1.0);

@@ -12,11 +12,13 @@
 //! The inner products run on the 256-lane `[u64; 4]` datapath of
 //! [`crate::loom::wide`], with runtime SIMD dispatch. Window patches are
 //! extracted into per-worker pack arenas (scratch reused across a worker's
-//! jobs), packed into wide blocks once per window, and evaluated
-//! filters-outer / plane-inner so one filter's weight planes stay hot while a
-//! window group's activation planes stream from L1. Cycle accounting follows
-//! the architectural per-SIP-group detector (window group × `sip_lanes`
-//! chunk), however the arithmetic is vectorised.
+//! jobs) and packed into wide blocks once per window. Products then take one
+//! tile-kernel call per (filter, window tile), or per (output row, item tile)
+//! for a fully-connected batch: the call broadcasts each of the row's weight
+//! planes once for up to [`TILE`] windows or items, and reduces each
+//! member's accumulator once per output. Cycle accounting follows the
+//! architectural per-SIP-group detector (window group × `sip_lanes` chunk),
+//! however the arithmetic is vectorised.
 //!
 //! Outputs are checked against the golden model from `loom-model`, cycles
 //! against the analytic schedules, and whole runs against the bit-serial
@@ -26,7 +28,7 @@ use crate::config::LoomGeometry;
 use crate::loom::cost::{self, ConvPlan};
 use crate::loom::packed::MagnitudeOr;
 use crate::loom::wide::{
-    weight_inner_product, CompressedWideBlock, WeightPlanes, WideBitplaneBlock, WIDE_LANES,
+    tile_inner_products, CompressedWideBlock, WeightBlock, WideBitplaneBlock, TILE, WIDE_LANES,
 };
 use crate::pool;
 use loom_model::fixed::Precision;
@@ -96,10 +98,12 @@ impl FunctionalLoom {
 
     /// Runs a convolutional layer.
     ///
-    /// `pa`/`pw` are the layer's profile precisions; activations are treated as
-    /// signed two's-complement (the engine's negation block handles both
-    /// operand signs, and post-ReLU data simply never exercises the negative
-    /// range).
+    /// `pa`/`pw` are the layer's profile precisions. They set the cycles and
+    /// the task plan, not the products: every block's product runs at the
+    /// block's detected weight and activation precisions, so the outputs are
+    /// exact for any `pa`/`pw`. Whether the activations are signed is
+    /// detected from the data: per input for the cycles, per block for the
+    /// products.
     ///
     /// # Panics
     ///
@@ -173,6 +177,10 @@ impl FunctionalLoom {
     /// cascades, slicing each output's inputs across multiple SIPs on the same
     /// row and reducing the partial sums at the end (§3.2 "Processing Layers
     /// with Few Outputs").
+    ///
+    /// `pw` sets the cycles and the task plan, not the products: as in
+    /// [`run_conv`](Self::run_conv), every block's product runs at the
+    /// block's detected precisions, so the outputs are exact for any `pw`.
     ///
     /// # Panics
     ///
@@ -561,9 +569,9 @@ impl WideConvJob<'_> {
     /// window's patch into the arena, pack it into wide blocks, fold the
     /// magnitude planes for the architectural detector, account cycles per
     /// `sip_lanes` chunk exactly as the serial model does (when `account`),
-    /// then evaluate the tile's products filters-outer / plane-inner into
-    /// `outputs` at `col_offset`. Returns the group's (cycles,
-    /// reduced-group) contribution.
+    /// then evaluate the filter tile's products, one kernel call per
+    /// (filter, window tile), into `outputs` at `col_offset`. Returns the
+    /// group's (cycles, reduced-group) contribution.
     #[allow(clippy::too_many_arguments)]
     fn run_group_into(
         &self,
@@ -591,7 +599,8 @@ impl WideConvJob<'_> {
 
         // Pack every (window, conv-group) patch into wide blocks — each
         // window is packed once per (layer, filter tile), into storage the
-        // worker reuses across its tasks.
+        // worker reuses across its tasks. One conv group's windows are
+        // contiguous, member-major, as the tile kernel reads them.
         for col in 0..window_count {
             let w = window_base + col;
             let (oy, ox) = (w / self.out_w, w % self.out_w);
@@ -609,7 +618,7 @@ impl WideConvJob<'_> {
                 for blk in 0..bpp {
                     let base = blk * WIDE_LANES;
                     let count = WIDE_LANES.min(self.wpf - base);
-                    let idx = (col * conv_groups + g) * bpp + blk;
+                    let idx = (g * window_count + col) * bpp + blk;
                     arena.acts[idx].pack_into(&arena.patch[base..base + count]);
                     // The architectural detector ORs the magnitude planes of
                     // everything the SIP columns consume concurrently.
@@ -655,34 +664,18 @@ impl WideConvJob<'_> {
             }
         }
 
-        // Products, filters-outer: one filter's weight blocks stay in
-        // registers/L1 while the group's activation blocks stream. Inner
-        // products run at the *detected* per-block precisions — every skipped
-        // plane is zero or sign extension, so the narrower schedule is
-        // bit-identical (and all-zero blocks are skipped outright).
+        // Products: one tile-kernel call per (filter, window tile), each
+        // filter block's planes broadcast once for the tile's windows and
+        // each window's sum reduced once. Blocks run at their detected
+        // precisions, which is exact.
         for f in 0..filter_count {
             let k = filter_base + f;
-            let g = k / self.group_out;
-            let wbase = k * bpp;
-            for col in 0..window_count {
-                let abase = (col * conv_groups + g) * bpp;
-                let mut acc = 0i64;
-                for blk in 0..bpp {
-                    let weights = &self.filters.blocks[wbase + blk];
-                    let acts = &arena.acts[abase + blk];
-                    if weights.is_zero() || acts.is_zero() {
-                        continue;
-                    }
-                    acc += weight_inner_product(
-                        WeightPlanes::Compressed(weights),
-                        acts,
-                        weights.detected_precision(true),
-                        acts.detected_precision(self.activations_signed),
-                        true,
-                        self.activations_signed,
-                    );
-                }
-                outputs[f * task_window_count + col_offset + col] = acc;
+            let filter = &self.filters.blocks[k * bpp..][..bpp];
+            let windows = &arena.acts[k / self.group_out * window_count * bpp..];
+            let out = &mut outputs[f * task_window_count + col_offset..][..window_count];
+            for (t, out) in out.chunks_mut(TILE).enumerate() {
+                let tile = &windows[t * TILE * bpp..][..out.len() * bpp];
+                tile_inner_products(filter, tile, out);
             }
         }
         (cycles, reduced_groups)
@@ -704,10 +697,12 @@ struct FcArena {
 struct WideFcJob<'a> {
     spec: &'a FcSpec,
     weights: &'a [i32],
-    pw: Precision,
     chunks: usize,
-    /// Every item's input, packed once into `chunks` wide blocks.
-    items: Vec<Vec<WideBitplaneBlock>>,
+    /// Batch items.
+    batch: usize,
+    /// Every item's input, packed once into `chunks` wide blocks, item-major
+    /// as the tile kernel reads them.
+    items: Vec<WideBitplaneBlock>,
     /// Pre-transposed weight rows from a per-model cache; when absent, each
     /// task streams its rows through the worker arena.
     packed: Option<&'a PackedRows>,
@@ -749,12 +744,9 @@ impl<'a> WideFcJob<'a> {
         }
         let items = inputs
             .iter()
-            .map(|input| {
+            .flat_map(|input| {
                 assert_eq!(input.len(), spec.in_features, "input length mismatch");
-                input
-                    .chunks(WIDE_LANES)
-                    .map(WideBitplaneBlock::pack)
-                    .collect()
+                input.chunks(WIDE_LANES).map(WideBitplaneBlock::pack)
             })
             .collect();
         let rows_per_task = cost::fc_rows_per_task(
@@ -765,8 +757,8 @@ impl<'a> WideFcJob<'a> {
         WideFcJob {
             spec,
             weights,
-            pw,
             chunks,
+            batch: inputs.len(),
             items,
             packed,
             rows_per_task,
@@ -783,53 +775,38 @@ impl<'a> WideFcJob<'a> {
     fn run_rows(&self, arena: &mut FcArena, g: usize) -> Vec<i64> {
         let r0 = g * self.rows_per_task;
         let r1 = (r0 + self.rows_per_task).min(self.spec.out_features);
-        let items = self.items.len();
-        let mut out = vec![0i64; (r1 - r0) * items];
+        let mut out = vec![0i64; (r1 - r0) * self.batch];
         if self.packed.is_none() {
             arena.blocks.resize(self.chunks, WideBitplaneBlock::EMPTY);
         }
         for r in r0..r1 {
-            // One row's blocks, either streamed into the worker arena (the
-            // default) or read from the per-model compressed cache; the
-            // cached blocks were produced by the same transpose (compressed
-            // losslessly), so both feed the kernel identical planes,
-            // precisions and zero flags.
-            if self.packed.is_none() {
-                let row = &self.weights[r * self.spec.in_features..(r + 1) * self.spec.in_features];
-                for (block, values) in arena.blocks.iter_mut().zip(row.chunks(WIDE_LANES)) {
-                    block.pack_into(values);
-                }
-            }
-            for (item, input) in self.items.iter().enumerate() {
-                let mut acc = 0i64;
-                for (chunk, acts) in input.iter().enumerate() {
-                    let weights = match self.packed {
-                        Some(rows) => {
-                            WeightPlanes::Compressed(&rows.blocks[r * self.chunks + chunk])
-                        }
-                        None => WeightPlanes::Dense(&arena.blocks[chunk]),
-                    };
-                    if weights.is_zero() || acts.is_zero() {
-                        continue;
+            let row_out = &mut out[(r - r0) * self.batch..][..self.batch];
+            // One row's blocks, either read from the per-model compressed
+            // cache or streamed into the worker arena; the cached blocks were
+            // produced by the same transpose (compressed losslessly), so both
+            // feed the kernel identical planes, precisions and zero flags.
+            match self.packed {
+                Some(rows) => self.run_row(&rows.blocks[r * self.chunks..][..self.chunks], row_out),
+                None => {
+                    let row =
+                        &self.weights[r * self.spec.in_features..(r + 1) * self.spec.in_features];
+                    for (block, values) in arena.blocks.iter_mut().zip(row.chunks(WIDE_LANES)) {
+                        block.pack_into(values);
                     }
-                    // An input block with no negative lane runs at its
-                    // unsigned width, without the sign-correction plane (the
-                    // conv path does the same per input); the product is
-                    // exact either way.
-                    let signed = acts.has_negative_lanes();
-                    acc += weight_inner_product(
-                        weights,
-                        acts,
-                        weights.detected_precision().min(self.pw),
-                        acts.detected_precision(signed),
-                        true,
-                        signed,
-                    );
+                    self.run_row(&arena.blocks, row_out);
                 }
-                out[(r - r0) * items + item] = acc;
             }
         }
         out
+    }
+
+    /// One output row against every item: one tile-kernel call per item
+    /// tile, each block at its detected precisions.
+    fn run_row<W: WeightBlock>(&self, row: &[W], out: &mut [i64]) {
+        for (t, out) in out.chunks_mut(TILE).enumerate() {
+            let tile = &self.items[t * TILE * self.chunks..][..out.len() * self.chunks];
+            tile_inner_products(row, tile, out);
+        }
     }
 }
 
@@ -852,6 +829,7 @@ mod tests {
     use super::*;
     use crate::config::{EquivalentConfig, LoomVariant};
     use crate::loom::sip::serial_conv;
+    use loom_model::fixed::required_precision;
     use loom_model::reference::{conv_forward, fc_forward};
     use loom_model::synthetic::{synthetic_activations, synthetic_weights, ValueDistribution};
     use loom_model::tensor::Shape4;
@@ -940,10 +918,22 @@ mod tests {
             ),
         )
         .unwrap();
-        let dynamic = FunctionalLoom::new(small_geometry());
-        for engine in [dynamic, dynamic.without_dynamic_precision()] {
-            let run = engine.run_conv(&spec, &input, &weights, pa, pw);
-            assert_eq!(run, serial_conv(&engine, &spec, &input, &weights, pa, pw));
+        // Window groups of 1, 3, 5 and 8 windows (and 12, two tiles) over
+        // 49 windows: single windows, partial and full tiles, and ragged
+        // last groups, in outputs, cycles and reduced groups.
+        for window_columns in [1, 3, 5, 8, 12] {
+            let dynamic = FunctionalLoom::new(LoomGeometry {
+                window_columns,
+                ..small_geometry()
+            });
+            for engine in [dynamic, dynamic.without_dynamic_precision()] {
+                let run = engine.run_conv(&spec, &input, &weights, pa, pw);
+                assert_eq!(
+                    run,
+                    serial_conv(&engine, &spec, &input, &weights, pa, pw),
+                    "{window_columns} window columns"
+                );
+            }
         }
     }
 
@@ -1050,6 +1040,97 @@ mod tests {
         let signed_run = engine.run_fc(&spec, &signed, &weights, pw);
         assert_eq!(signed_run.outputs, fc_forward(&spec, &signed, &weights));
         assert_eq!(signed_run.cycles, run.cycles);
+    }
+
+    /// Pw sets the cycles and the task plan, not the products, on both layer
+    /// types: 8-bit weights passed with Pw = 2 still give the reference
+    /// outputs, and the cycles are those of the Pw passed in. (`serial_conv`
+    /// is the literal hardware model, so it is compared only at a valid Pw.)
+    #[test]
+    fn pw_sets_cycles_not_products() {
+        let mut rng = StdRng::seed_from_u64(314);
+        let p8 = Precision::new(8).unwrap();
+        let p2 = Precision::new(2).unwrap();
+        let engine = FunctionalLoom::new(small_geometry());
+
+        let spec = ConvSpec {
+            padding: 1,
+            ..ConvSpec::simple(3, 6, 6, 5, 3)
+        };
+        let input = Tensor3::from_vec(
+            spec.input_shape(),
+            synthetic_activations(
+                &mut rng,
+                spec.input_shape().len(),
+                p8,
+                ValueDistribution::activations(),
+            ),
+        )
+        .unwrap();
+        let weights = Tensor4::from_vec(
+            spec.weight_shape(),
+            synthetic_weights(
+                &mut rng,
+                spec.weight_shape().len(),
+                p8,
+                ValueDistribution::weights(),
+            ),
+        )
+        .unwrap();
+        assert!(required_precision(weights.as_slice()) > p2);
+        let narrow = engine.run_conv(&spec, &input, &weights, p8, p2);
+        let full = engine.run_conv(&spec, &input, &weights, p8, p8);
+        assert_eq!(narrow.outputs, conv_forward(&spec, &input, &weights));
+        assert_eq!(narrow.reduced_groups, full.reduced_groups);
+        assert_eq!(4 * narrow.cycles, full.cycles);
+
+        let spec = FcSpec::new(300, 12);
+        let input = synthetic_activations(&mut rng, 300, p8, ValueDistribution::activations());
+        let weights = synthetic_weights(&mut rng, 300 * 12, p8, ValueDistribution::weights());
+        assert!(required_precision(&weights) > p2);
+        let narrow = engine.run_fc(&spec, &input, &weights, p2);
+        assert_eq!(narrow.outputs, fc_forward(&spec, &input, &weights));
+        assert_eq!(narrow.cycles, engine.fc_cycles(&spec, p2));
+        assert!(narrow.cycles < engine.run_fc(&spec, &input, &weights, p8).cycles);
+    }
+
+    /// Batches of 1–9 items (a full tile and one more at 9), of differing
+    /// widths and some with negative lanes, through both the streamed and
+    /// the cached row paths, equal the reference item by item.
+    #[test]
+    fn fc_batches_match_reference_per_item() {
+        let spec = FcSpec::new(300, 10);
+        let mut rng = StdRng::seed_from_u64(901);
+        let pw = Precision::new(7).unwrap();
+        let weights = synthetic_weights(&mut rng, 300 * 10, pw, ValueDistribution::weights());
+        let inputs: Vec<Vec<i32>> = (0..9u8)
+            .map(|i| {
+                let pa = Precision::new(1 + i).unwrap();
+                let mut input =
+                    synthetic_activations(&mut rng, 300, pa, ValueDistribution::activations());
+                if i % 3 == 2 {
+                    input[usize::from(i) * 30] = -i32::from(i) - 1;
+                }
+                input
+            })
+            .collect();
+        let rows = PackedRows::pack(&weights, spec.in_features);
+        let engine = FunctionalLoom::new(small_geometry()).with_threads(2);
+        for batch in 1..=inputs.len() {
+            let items: Vec<&[i32]> = inputs[..batch].iter().map(Vec::as_slice).collect();
+            for cached in [None, Some(&rows)] {
+                let outputs = engine.run_fc_batch(&spec, &items, &weights, pw, cached);
+                assert_eq!(outputs.len(), batch);
+                for (item, output) in items.iter().zip(&outputs) {
+                    assert_eq!(
+                        output,
+                        &fc_forward(&spec, item, &weights),
+                        "batch {batch}, cached {}",
+                        cached.is_some()
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -19,7 +19,7 @@ pub use schedule::{conv_schedule, fc_schedule, ScheduleResult};
 pub use sip::{reference_inner_product, serial_conv, serial_inner_product, Sip};
 pub use store::{stats as weight_store_stats, WeightStoreStats};
 pub use wide::{
-    active_kernel_tier, compressed_inner_product, cpu_features, wide_inner_product,
-    wide_inner_product_slices, CompressedWideBlock, CpuFeatures, KernelTier, WideBitplaneBlock,
-    KERNEL_TIERS, WIDE_LANES,
+    active_kernel_tier, compressed_inner_product, cpu_features, tile_inner_products,
+    wide_inner_product, wide_inner_product_slices, CompressedWideBlock, CpuFeatures, KernelTier,
+    WeightBlock, WideBitplaneBlock, KERNEL_TIERS, TILE, WIDE_LANES,
 };

@@ -1,5 +1,6 @@
 //! The SIP datapath the engine runs: bit planes as words, AND + popcount as
-//! the adder tree, 256 lanes per block.
+//! the adder tree, 256 lanes per block, and one weight row against a tile of
+//! activation rows per kernel call.
 //!
 //! [`super::sip::serial_inner_product`] models the SIP of Figure 3 one bit ×
 //! one lane at a time, which is faithful but slow. A SIP cycle — 16
@@ -18,23 +19,39 @@
 //! `tests/functional_equivalence.rs` across 1–256 lanes, ragged tails,
 //! 1–16-bit precisions and all four signedness combinations).
 //!
+//! The kernel evaluates a **tile** ([`tile_inner_products`]), as Loom's SIP
+//! grid does (§3.2): a filter occupies a row of SIPs whose columns work on
+//! different windows, so a weight bit, once loaded, serves a whole window
+//! group, and each SIP holds its partial sum until the window's last chunk.
+//! One call takes one weight row (every 256-lane block of a conv filter or of
+//! a fully-connected output row) and up to [`TILE`] activation rows (the
+//! windows of one window group, or the items of a fully-connected batch). Per
+//! block, each weight plane is resolved and broadcast once for the whole
+//! tile; each member keeps one vector accumulator across all of the row's
+//! blocks, and each accumulator is reduced once, at the end. A block runs at
+//! the weight block's detected Pw and the widest member's detected Pa, which
+//! is exact because the extra planes are zero or sign extension; zero weight
+//! blocks and blocks whose every member is zero are skipped.
+//! [`wide_inner_product`] and [`compressed_inner_product`] are the one-block,
+//! one-member case at explicit precisions.
+//!
 //! Five kernel tiers are dispatched at runtime on x86-64 (the fastest
-//! detected tier is chosen once, into a process-wide [`KernelTier`]) and all
-//! produce identical results:
+//! detected tier is chosen once, into a process-wide [`KernelTier`]). Each
+//! takes the tile form, and all produce identical results:
 //!
 //! * **AVX-512 + `vpopcntdq`** — `_mm512_popcnt_epi64` counts a whole plane
 //!   pair per instruction: two adjacent activation planes load with one
-//!   512-bit read (the plane array is contiguous), AND against the broadcast
-//!   weight plane, popcount per 64-bit lane, and `_mm512_sllv_epi64` applies
-//!   each half's plane shift in-register.
+//!   512-bit read (the plane array is contiguous), AND against the weight
+//!   plane broadcast once per block, and popcount per 64-bit lane; Horner
+//!   steps weigh the plane pairs and the weight planes, and the odd planes'
+//!   extra factor of two is applied once per output.
 //! * **AVX-512 (`avx512f` + `avx512bw`)** — the `vpshufb` nibble-lookup
 //!   popcount at 512-bit width for parts without `vpopcntdq`: four
 //!   activation planes fold into one `_mm512_sad_epu8` (two per load, byte
-//!   counts combined as `c01 + 4·c23`), with per-half shifts applied by
-//!   `_mm512_sllv_epi64`.
+//!   counts combined as `c01 + 4·c23`), weighed by Horner steps.
 //! * **AVX2** — `_mm256_and_si256` + a `vpshufb` nibble-lookup popcount
-//!   (`_mm256_sad_epu8` folds the byte counts into four lane sums that are
-//!   shift-accumulated vector-wide, one horizontal reduction per weight bit).
+//!   (`_mm256_sad_epu8` folds four planes' byte counts into four lane sums
+//!   that are shift-accumulated vector-wide).
 //! * **`popcnt`** — four scalar `count_ones` per plane pair, compiled with
 //!   the `popcnt` feature enabled.
 //! * **portable** — the same loop on the baseline target, for non-x86 hosts.
@@ -207,7 +224,7 @@ impl WideBitplaneBlock {
     }
 
     /// Whether any packed lane is negative.
-    pub(crate) fn has_negative_lanes(&self) -> bool {
+    fn has_negative_lanes(&self) -> bool {
         self.signs != [0; WIDE_WORDS]
     }
 
@@ -306,17 +323,6 @@ impl CompressedWideBlock {
         }
     }
 
-    /// Resolves weight plane `wb`: `None` when the plane is all zeros (the
-    /// kernels skip it outright), otherwise the four plane words.
-    #[inline(always)]
-    fn plane(&self, wb: usize) -> Option<&[u64; WIDE_WORDS]> {
-        match self.slots[wb] {
-            SLOT_ZERO => None,
-            SLOT_SIGN => Some(self.inner.signs()),
-            index => Some(&self.inner.stored_planes()[usize::from(index)]),
-        }
-    }
-
     /// Number of packed lanes.
     pub fn lanes(&self) -> usize {
         self.inner.lanes()
@@ -347,40 +353,67 @@ impl CompressedWideBlock {
     }
 }
 
-/// The weight operand of the wide kernels: either a dense block or a
-/// compressed one. Both resolve per-bit plane words through
-/// [`plane`](Self::plane); the dense arm always yields a plane, the
-/// compressed arm yields `None` for elided all-zero planes so the kernels
-/// skip them. Packed weights (conv filters, cached FC rows) are compressed;
-/// FC rows streamed through a worker arena stay dense.
-#[derive(Clone, Copy)]
-pub(crate) enum WeightPlanes<'a> {
-    Dense(&'a WideBitplaneBlock),
-    Compressed(&'a CompressedWideBlock),
-}
+/// A 256-lane weight block in either form the kernels read in place: a dense
+/// [`WideBitplaneBlock`] (fully-connected rows streamed through a worker
+/// arena) or a [`CompressedWideBlock`] (packed conv filters and cached
+/// fully-connected rows). Both forms give bit-identical products. Sealed:
+/// the kernels rely on the plane, width and zero facts each form reports.
+pub trait WeightBlock: sealed::WeightPlanes {}
 
-impl<'a> WeightPlanes<'a> {
-    #[inline(always)]
-    fn plane(self, wb: usize) -> Option<&'a [u64; WIDE_WORDS]> {
-        match self {
-            WeightPlanes::Dense(block) => Some(&block.planes[wb]),
-            WeightPlanes::Compressed(block) => block.plane(wb),
+impl WeightBlock for WideBitplaneBlock {}
+impl WeightBlock for CompressedWideBlock {}
+
+mod sealed {
+    use super::{CompressedWideBlock, WideBitplaneBlock, SLOT_SIGN, SLOT_ZERO, WIDE_WORDS};
+
+    /// What the kernels read of a weight block.
+    pub trait WeightPlanes {
+        /// The words of plane `wb`, or `None` when the plane is all zeros
+        /// (an elided compressed plane), which the kernels skip.
+        fn plane(&self, wb: usize) -> Option<&[u64; WIDE_WORDS]>;
+        /// The block's magnitude width.
+        fn width(&self) -> u8;
+        /// Whether every lane is zero.
+        fn all_zero(&self) -> bool;
+    }
+
+    impl WeightPlanes for WideBitplaneBlock {
+        #[inline(always)]
+        fn plane(&self, wb: usize) -> Option<&[u64; WIDE_WORDS]> {
+            Some(&self.planes[wb])
+        }
+
+        #[inline(always)]
+        fn width(&self) -> u8 {
+            self.width
+        }
+
+        #[inline(always)]
+        fn all_zero(&self) -> bool {
+            self.is_zero()
         }
     }
 
-    /// The block's signed detected precision, in either form.
-    pub(crate) fn detected_precision(self) -> Precision {
-        match self {
-            WeightPlanes::Dense(block) => block.detected_precision(true),
-            WeightPlanes::Compressed(block) => block.detected_precision(true),
+    impl WeightPlanes for CompressedWideBlock {
+        /// One slot lookup: an elided plane is `None`, a sign-extension
+        /// plane reads the shared sign words.
+        #[inline(always)]
+        fn plane(&self, wb: usize) -> Option<&[u64; WIDE_WORDS]> {
+            match self.slots[wb] {
+                SLOT_ZERO => None,
+                SLOT_SIGN => Some(self.inner.signs()),
+                index => Some(&self.inner.stored_planes()[usize::from(index)]),
+            }
         }
-    }
 
-    /// Whether every lane of the block is zero, in either form.
-    pub(crate) fn is_zero(self) -> bool {
-        match self {
-            WeightPlanes::Dense(block) => block.is_zero(),
-            WeightPlanes::Compressed(block) => block.is_zero(),
+        #[inline(always)]
+        fn width(&self) -> u8 {
+            self.width
+        }
+
+        #[inline(always)]
+        fn all_zero(&self) -> bool {
+            self.is_zero()
         }
     }
 }
@@ -493,63 +526,189 @@ unsafe fn pack_avx512(block: &mut WideBitplaneBlock, values: &[i32]) {
     fill_sign_planes(block);
 }
 
-/// The plane-pair loop shared by the portable and `popcnt` entry points, with
-/// each plane pair evaluated as four AND + popcount word operations. The
-/// activation MSB negation is applied as a correction after an unsigned
-/// accumulation (subtracting the MSB term twice equals negating it) — the
-/// same exact sum the serial schedule produces, just reassociated.
-#[inline(always)]
-fn wide_product_core(
-    w: WeightPlanes<'_>,
-    a: &WideBitplaneBlock,
+/// Activation rows one kernel call evaluates against one weight row: the
+/// tile's members, which are the windows of one window group or the items of
+/// a fully-connected batch. Eight members cover a whole window group of the
+/// serving geometry; on a 2-vCPU `avx512-vpopcnt` host, `zoo-b1` ran 3.38
+/// images/s with eight against 3.11 with four.
+pub const TILE: usize = 8;
+
+/// The precisions and signedness one block's products run at.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct BlockPlan {
     pw: usize,
     pa: usize,
     weights_signed: bool,
     activations_signed: bool,
-) -> i64 {
-    let pa_msb = pa - 1;
-    let mut or_register = 0i64;
-    for wb in 0..pw {
-        // An elided all-zero weight plane contributes zero to every
-        // accumulator (including the negated weight-MSB plane: -0 = 0), so
-        // skipping it preserves bit-exactness at any precision pair.
-        let Some(wp) = w.plane(wb) else { continue };
-        let mut acc1 = 0i64;
-        for (ab, ap) in a.planes[..pa].iter().enumerate() {
-            let count = (wp[0] & ap[0]).count_ones()
-                + (wp[1] & ap[1]).count_ones()
-                + (wp[2] & ap[2]).count_ones()
-                + (wp[3] & ap[3]).count_ones();
-            acc1 += i64::from(count) << ab;
-        }
-        if activations_signed {
-            let ap = &a.planes[pa_msb];
-            let count = (wp[0] & ap[0]).count_ones()
-                + (wp[1] & ap[1]).count_ones()
-                + (wp[2] & ap[2]).count_ones()
-                + (wp[3] & ap[3]).count_ones();
-            acc1 -= i64::from(count) << (pa_msb + 1);
-        }
-        if weights_signed && wb == pw - 1 {
-            acc1 = -acc1;
-        }
-        or_register += acc1 << wb;
-    }
-    or_register
 }
 
-/// [`wide_product_core`] compiled with the `popcnt` instruction enabled.
+impl BlockPlan {
+    fn new(pw: Precision, pa: Precision, weights_signed: bool, activations_signed: bool) -> Self {
+        BlockPlan {
+            pw: usize::from(pw.bits()),
+            pa: usize::from(pa.bits()),
+            weights_signed,
+            activations_signed,
+        }
+    }
+
+    /// Activation planes that add: all `pa` of them, less the MSB plane
+    /// two's complement subtracts when the activations are signed.
+    #[inline(always)]
+    fn body_planes(self) -> usize {
+        self.pa - usize::from(self.activations_signed)
+    }
+
+    /// Whether weight plane `wb` is subtracted (the MSB of signed weights).
+    #[inline(always)]
+    fn negates_weight_plane(self, wb: usize) -> bool {
+        self.weights_signed && wb == self.pw - 1
+    }
+}
+
+/// How a kernel call picks each block's [`BlockPlan`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Schedule {
+    /// The engine's rule. Weights run signed at the weight block's detected
+    /// precision. Activations run at the widest member's detected precision,
+    /// signed when any member has a negative lane. This is exact, because
+    /// every plane above a block's own width is zero or sign extension. A
+    /// zero weight block is skipped, and so is a block whose every member is
+    /// zero.
+    Detected,
+    /// The same plan for every block, as the explicit-precision entry points
+    /// ([`wide_inner_product`], [`compressed_inner_product`]) ask.
+    Fixed(BlockPlan),
+}
+
+impl Schedule {
+    /// The plan of one block given its weight block and the tile members'
+    /// activation blocks at the same position, or `None` when the block adds
+    /// nothing to any member.
+    #[inline(always)]
+    fn plan<'a, W: WeightBlock>(
+        self,
+        weights: &W,
+        members: impl Iterator<Item = &'a WideBitplaneBlock>,
+    ) -> Option<BlockPlan> {
+        match self {
+            Schedule::Fixed(plan) => Some(plan),
+            Schedule::Detected => {
+                if weights.all_zero() {
+                    return None;
+                }
+                let (width, negative) = members.fold((0, false), |(width, negative), a| {
+                    (width.max(a.width), negative | a.has_negative_lanes())
+                });
+                if width == 0 && !negative {
+                    return None;
+                }
+                Some(BlockPlan {
+                    pw: usize::from(Precision::saturating(weights.width() + 1).bits()),
+                    pa: usize::from(Precision::saturating(width + u8::from(negative)).bits()),
+                    weights_signed: true,
+                    activations_signed: negative,
+                })
+            }
+        }
+    }
+}
+
+/// The portable tile kernel, also the `popcnt` tier's body: four AND +
+/// popcount word operations per plane pair, summed exactly as the serial
+/// schedule sums them, only reassociated. Per block, each live weight plane
+/// is resolved once for the whole tile; each member's products then
+/// accumulate into its own `i64` across every block of the row.
+#[inline(always)]
+fn tile_scalar<W: WeightBlock>(
+    weights: &[W],
+    activations: &[WideBitplaneBlock],
+    schedule: Schedule,
+    out: &mut [i64],
+) {
+    const NO_PLANE: [u64; WIDE_WORDS] = [0; WIDE_WORDS];
+    let blocks = weights.len();
+    let mut totals = [0i64; TILE];
+    for (b, w) in weights.iter().enumerate() {
+        let Some(plan) = schedule.plan(w, activations.iter().skip(b).step_by(blocks)) else {
+            continue;
+        };
+        // Elided all-zero weight planes contribute zero to every product
+        // (the negated MSB plane too: -0 = 0), so only live planes are kept.
+        let mut planes = [&NO_PLANE; MAX_PRECISION as usize];
+        let mut bits = [0usize; MAX_PRECISION as usize];
+        let mut live = 0;
+        for wb in 0..plan.pw {
+            if let Some(plane) = w.plane(wb) {
+                planes[live] = plane;
+                bits[live] = wb;
+                live += 1;
+            }
+        }
+        let body = plan.body_planes();
+        for (total, member) in totals.iter_mut().zip(activations.chunks_exact(blocks)) {
+            let a = &member[b];
+            let mut sum = 0i64;
+            for (&wp, &wb) in planes[..live].iter().zip(&bits[..live]) {
+                let count = |ap: &[u64; WIDE_WORDS]| {
+                    i64::from(
+                        (wp[0] & ap[0]).count_ones()
+                            + (wp[1] & ap[1]).count_ones()
+                            + (wp[2] & ap[2]).count_ones()
+                            + (wp[3] & ap[3]).count_ones(),
+                    )
+                };
+                let mut acc = 0i64;
+                for (ab, ap) in a.planes[..body].iter().enumerate() {
+                    acc += count(ap) << ab;
+                }
+                if plan.activations_signed {
+                    acc -= count(&a.planes[plan.pa - 1]) << (plan.pa - 1);
+                }
+                if plan.negates_weight_plane(wb) {
+                    sum -= acc << wb;
+                } else {
+                    sum += acc << wb;
+                }
+            }
+            *total += sum;
+        }
+    }
+    out.copy_from_slice(&totals[..out.len()]);
+}
+
+/// [`tile_scalar`] compiled with the `popcnt` instruction enabled.
+///
+/// # Safety
+///
+/// The CPU must support `popcnt`.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "popcnt")]
-unsafe fn wide_product_popcnt(
-    w: WeightPlanes<'_>,
-    a: &WideBitplaneBlock,
-    pw: usize,
-    pa: usize,
-    weights_signed: bool,
-    activations_signed: bool,
-) -> i64 {
-    wide_product_core(w, a, pw, pa, weights_signed, activations_signed)
+unsafe fn tile_popcnt<W: WeightBlock>(
+    weights: &[W],
+    activations: &[WideBitplaneBlock],
+    schedule: Schedule,
+    out: &mut [i64],
+) {
+    tile_scalar(weights, activations, schedule, out)
+}
+
+/// The shift counts `0..16` for `_mm256_sll_epi64` / `_mm512_sll_epi64`,
+/// built once per call.
+///
+/// # Safety
+///
+/// The CPU must support `sse2`, as every x86-64 CPU does.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "sse2")]
+#[inline]
+unsafe fn bit_shift_table() -> [std::arch::x86_64::__m128i; MAX_PRECISION as usize] {
+    use std::arch::x86_64::*;
+    let mut table = [_mm_setzero_si128(); MAX_PRECISION as usize];
+    for (bit, shift) in table.iter_mut().enumerate() {
+        *shift = _mm_cvtsi32_si128(bit as i32);
+    }
+    table
 }
 
 /// Sums the four `u64` lanes of an AVX2 register.
@@ -564,21 +723,23 @@ unsafe fn hsum_epi64(v: std::arch::x86_64::__m256i) -> i64 {
     _mm_cvtsi128_si64(_mm_add_epi64(sum, _mm_unpackhi_epi64(sum, sum)))
 }
 
-/// AVX2 kernel: one 256-bit AND per plane pair, `vpshufb` nibble-lookup
-/// popcount, and `_mm256_sad_epu8` byte folding. The four per-lane sums are
-/// shift-accumulated vector-wide across activation planes *and* weight bits,
-/// so a whole product pays only a handful of horizontal reductions at the
-/// end (one per MSB-negation class).
+/// AVX2 tile kernel: one 256-bit AND per plane pair, a `vpshufb`
+/// nibble-lookup popcount, and `_mm256_sad_epu8` byte folding. Four
+/// activation planes share one `sad`. Each member keeps one vector
+/// accumulator across every block of the row, with the MSB negations applied
+/// in-vector, and pays one horizontal reduction at the end.
+///
+/// # Safety
+///
+/// The CPU must support `avx2`.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-unsafe fn wide_product_avx2(
-    w: WeightPlanes<'_>,
-    a: &WideBitplaneBlock,
-    pw: usize,
-    pa: usize,
-    weights_signed: bool,
-    activations_signed: bool,
-) -> i64 {
+unsafe fn tile_avx2<W: WeightBlock>(
+    weights: &[W],
+    activations: &[WideBitplaneBlock],
+    schedule: Schedule,
+    out: &mut [i64],
+) {
     use std::arch::x86_64::*;
     #[rustfmt::skip]
     let lut = _mm256_setr_epi8(
@@ -588,9 +749,9 @@ unsafe fn wide_product_avx2(
     let low_mask = _mm256_set1_epi8(0x0f);
     let zero = _mm256_setzero_si256();
     // Nibble-lookup popcount of `wp & ap` as per-byte counts (each ≤ 8). The
-    // weight plane is pre-split into nibble halves once per weight bit
-    // (`wp_lo` has high nibbles zeroed, so `wp_lo & ap` *is* the AND's low
-    // nibbles), leaving one AND + shift + AND + two lookups per pair.
+    // weight plane is pre-split into nibble halves once per block (`wp_lo`
+    // has high nibbles zeroed, so `wp_lo & ap` *is* the AND's low nibbles),
+    // leaving one AND + shift + AND + two lookups per pair.
     macro_rules! pair_counts {
         ($wp_lo:expr, $wp_hi:expr, $ap:expr) => {{
             let ap = _mm256_loadu_si256($ap.as_ptr().cast());
@@ -599,86 +760,77 @@ unsafe fn wide_product_avx2(
             _mm256_add_epi8(_mm256_shuffle_epi8(lut, lo), _mm256_shuffle_epi8(lut, hi))
         }};
     }
-    let mut shifts = [_mm_setzero_si128(); MAX_PRECISION as usize];
-    for (bit, shift) in shifts.iter_mut().enumerate() {
-        *shift = _mm_cvtsi32_si128(bit as i32);
-    }
-    let pa_msb = pa - 1;
-    // Everything accumulates in u64 vector lanes until one horizontal
-    // reduction per accumulator at the very end; the weight-MSB plane (which
-    // two's complement subtracts) and the activation-MSB corrections keep
-    // their own accumulators so the negations apply after the reduction. The
-    // bounds are comfortable: a lane's per-weight-bit sum is at most
-    // 4 groups × 960 ≪ 2^13, shifted by ≤ 15 and summed over ≤ 16 weight
-    // bits — under 2^42.
-    let mut body = zero;
-    let mut body_msb = zero;
-    let mut wmsb = zero;
-    let mut wmsb_msb = zero;
-    let w_last = if weights_signed { pw - 1 } else { pw };
-    for wb in 0..pw {
-        // Elided all-zero weight planes contribute nothing to any
-        // accumulator, so they are skipped before the load.
-        let Some(plane) = w.plane(wb) else { continue };
-        let wp = _mm256_loadu_si256(plane.as_ptr().cast());
-        let wp_lo = _mm256_and_si256(wp, low_mask);
-        let wp_hi = _mm256_and_si256(_mm256_srli_epi32::<4>(wp), low_mask);
-        let mut acc = zero;
-        let mut ab = 0usize;
-        // Four activation planes share one `sad`: their byte counts combine
-        // as c0 + 2·c1 + 4·c2 + 8·c3 (≤ 120, well inside a byte), so the
-        // shift-accumulate collapses to one fold per four planes.
-        while ab + 3 < pa {
-            let c0 = pair_counts!(wp_lo, wp_hi, a.planes[ab]);
-            let c1 = pair_counts!(wp_lo, wp_hi, a.planes[ab + 1]);
-            let c2 = pair_counts!(wp_lo, wp_hi, a.planes[ab + 2]);
-            let c3 = pair_counts!(wp_lo, wp_hi, a.planes[ab + 3]);
-            let t = _mm256_add_epi8(_mm256_add_epi8(c3, c3), c2);
-            let t = _mm256_add_epi8(_mm256_add_epi8(t, t), c1);
-            let t = _mm256_add_epi8(_mm256_add_epi8(t, t), c0);
-            let sums = _mm256_sad_epu8(t, zero);
-            acc = _mm256_add_epi64(acc, _mm256_sll_epi64(sums, shifts[ab]));
-            ab += 4;
-        }
-        while ab < pa {
-            let sums = _mm256_sad_epu8(pair_counts!(wp_lo, wp_hi, a.planes[ab]), zero);
-            acc = _mm256_add_epi64(acc, _mm256_sll_epi64(sums, shifts[ab]));
-            ab += 1;
-        }
-        let acc = _mm256_sll_epi64(acc, shifts[wb]);
-        if wb < w_last {
-            body = _mm256_add_epi64(body, acc);
-        } else {
-            wmsb = _mm256_add_epi64(wmsb, acc);
-        }
-        if activations_signed {
-            // The MSB activation plane is subtracted, not added: remove it
-            // twice, exactly as the scalar cores do (recomputed here so the
-            // hot loop stays branch-free).
-            let msb = _mm256_sll_epi64(
-                _mm256_sad_epu8(pair_counts!(wp_lo, wp_hi, a.planes[pa_msb]), zero),
-                shifts[wb],
-            );
-            if wb < w_last {
-                body_msb = _mm256_add_epi64(body_msb, msb);
-            } else {
-                wmsb_msb = _mm256_add_epi64(wmsb_msb, msb);
+    let shifts = bit_shift_table();
+    let blocks = weights.len();
+    let mut totals = [zero; TILE];
+    for (b, w) in weights.iter().enumerate() {
+        let Some(plan) = schedule.plan(w, activations.iter().skip(b).step_by(blocks)) else {
+            continue;
+        };
+        // Each live weight plane, split into nibble halves once for the tile.
+        let mut halves = [(zero, zero); MAX_PRECISION as usize];
+        let mut bits = [0usize; MAX_PRECISION as usize];
+        let mut live = 0;
+        for wb in 0..plan.pw {
+            if let Some(plane) = w.plane(wb) {
+                let wp = _mm256_loadu_si256(plane.as_ptr().cast());
+                halves[live] = (
+                    _mm256_and_si256(wp, low_mask),
+                    _mm256_and_si256(_mm256_srli_epi32::<4>(wp), low_mask),
+                );
+                bits[live] = wb;
+                live += 1;
             }
         }
+        let body = plan.body_planes();
+        for (total, member) in totals.iter_mut().zip(activations.chunks_exact(blocks)) {
+            let a = &member[b];
+            let mut sum = zero;
+            for (&(wp_lo, wp_hi), &wb) in halves[..live].iter().zip(&bits[..live]) {
+                let mut acc = zero;
+                let mut ab = 0usize;
+                // Four planes' byte counts combine as c0 + 2·c1 + 4·c2 + 8·c3
+                // (≤ 120, well inside a byte) before one fold.
+                while ab + 3 < body {
+                    let c0 = pair_counts!(wp_lo, wp_hi, a.planes[ab]);
+                    let c1 = pair_counts!(wp_lo, wp_hi, a.planes[ab + 1]);
+                    let c2 = pair_counts!(wp_lo, wp_hi, a.planes[ab + 2]);
+                    let c3 = pair_counts!(wp_lo, wp_hi, a.planes[ab + 3]);
+                    let t = _mm256_add_epi8(_mm256_add_epi8(c3, c3), c2);
+                    let t = _mm256_add_epi8(_mm256_add_epi8(t, t), c1);
+                    let t = _mm256_add_epi8(_mm256_add_epi8(t, t), c0);
+                    let sums = _mm256_sad_epu8(t, zero);
+                    acc = _mm256_add_epi64(acc, _mm256_sll_epi64(sums, shifts[ab]));
+                    ab += 4;
+                }
+                while ab < body {
+                    let sums = _mm256_sad_epu8(pair_counts!(wp_lo, wp_hi, a.planes[ab]), zero);
+                    acc = _mm256_add_epi64(acc, _mm256_sll_epi64(sums, shifts[ab]));
+                    ab += 1;
+                }
+                if plan.activations_signed {
+                    let msb = plan.pa - 1;
+                    let sums = _mm256_sad_epu8(pair_counts!(wp_lo, wp_hi, a.planes[msb]), zero);
+                    acc = _mm256_sub_epi64(acc, _mm256_sll_epi64(sums, shifts[msb]));
+                }
+                let acc = _mm256_sll_epi64(acc, shifts[wb]);
+                sum = if plan.negates_weight_plane(wb) {
+                    _mm256_sub_epi64(sum, acc)
+                } else {
+                    _mm256_add_epi64(sum, acc)
+                };
+            }
+            *total = _mm256_add_epi64(*total, sum);
+        }
     }
-    let mut positive = hsum_epi64(body);
-    let mut negated = hsum_epi64(wmsb);
-    if activations_signed {
-        positive -= hsum_epi64(body_msb) << (pa_msb + 1);
-        negated -= hsum_epi64(wmsb_msb) << (pa_msb + 1);
+    for (out, total) in out.iter_mut().zip(totals) {
+        *out = hsum_epi64(total);
     }
-    positive - negated
 }
 
 /// Broadcasts a 256-bit weight plane into both halves of a zmm register, so
 /// one 512-bit AND pairs it against two adjacent activation planes at once.
-/// (`_mm512_inserti64x4` needs only `avx512f`, unlike `_mm512_broadcast_i64x4`
-/// which pulls in `avx512dq`.)
+/// (`_mm512_inserti64x4` needs only `avx512f`.)
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f")]
 #[inline]
@@ -708,7 +860,7 @@ unsafe fn load_plane_pair_512(block: &WideBitplaneBlock, ab: usize) -> std::arch
 }
 
 /// Loads activation plane `ab` into the low half of a zmm register, upper
-/// half zeroed (odd-`pa` tails and the MSB correction plane).
+/// half zeroed (odd plane counts and the MSB correction plane).
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f")]
 #[inline]
@@ -717,6 +869,7 @@ unsafe fn load_plane_single_512(
     ab: usize,
 ) -> std::arch::x86_64::__m512i {
     use std::arch::x86_64::*;
+    debug_assert!(ab < usize::from(MAX_PRECISION));
     _mm512_maskz_loadu_epi64(
         0x0f,
         block
@@ -728,34 +881,25 @@ unsafe fn load_plane_single_512(
     )
 }
 
-/// Per-pair shift vector for [`_mm512_sllv_epi64`]: lanes 0–3 shift by `ab`
-/// (the first plane of the pair), lanes 4–7 by `ab + 1`.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f")]
-#[inline]
-unsafe fn pair_shifts_512(ab: usize) -> std::arch::x86_64::__m512i {
-    use std::arch::x86_64::*;
-    let lo = ab as i64;
-    _mm512_setr_epi64(lo, lo, lo, lo, lo + 1, lo + 1, lo + 1, lo + 1)
-}
-
-/// AVX-512 `vpshufb` kernel (`avx512f` + `avx512bw`): the AVX2 nibble-lookup
-/// popcount at double width. Each 512-bit load covers two adjacent activation
-/// planes; two loads (four planes) combine their byte counts as `c01 + 4·c23`
-/// (≤ 40 per byte) before one `_mm512_sad_epu8`, and `_mm512_sllv_epi64`
-/// applies each half's activation-plane shift so the accumulator structure —
-/// `body` / `wmsb` plus the two activation-MSB correctors — matches
-/// [`wide_product_avx2`] exactly.
+/// AVX-512 `vpshufb` tile kernel (`avx512f` + `avx512bw`): the AVX2
+/// nibble-lookup popcount at double width. Each 512-bit load covers two
+/// adjacent activation planes; two loads (four planes) combine their byte
+/// counts as `c01 + 4·c23` (≤ 40 per byte) before one `_mm512_sad_epu8`, so
+/// lanes 0–3 carry a quad's even planes and lanes 4–7 its odd ones; Horner
+/// steps (shift by four) weigh the quads. Accumulation and the
+/// once-per-member reduction are as in [`tile_avx512_vpopcnt`].
+///
+/// # Safety
+///
+/// The CPU must support `avx512f` and `avx512bw`.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f,avx512bw")]
-unsafe fn wide_product_avx512(
-    w: WeightPlanes<'_>,
-    a: &WideBitplaneBlock,
-    pw: usize,
-    pa: usize,
-    weights_signed: bool,
-    activations_signed: bool,
-) -> i64 {
+unsafe fn tile_avx512<W: WeightBlock>(
+    weights: &[W],
+    activations: &[WideBitplaneBlock],
+    schedule: Schedule,
+    out: &mut [i64],
+) {
     use std::arch::x86_64::*;
     #[rustfmt::skip]
     let lut = _mm512_broadcast_i32x4(_mm_setr_epi8(
@@ -764,8 +908,7 @@ unsafe fn wide_product_avx512(
     let low_mask = _mm512_set1_epi8(0x0f);
     let zero = _mm512_setzero_si512();
     // Byte-wise popcount of `wp & ap`, both nibble halves (same scheme as the
-    // AVX2 kernel: `wp_lo` has high nibbles zeroed, so `wp_lo & ap` is the
-    // AND's low nibbles).
+    // AVX2 kernel).
     macro_rules! pair_counts {
         ($wp_lo:expr, $wp_hi:expr, $ap:expr) => {{
             let ap = $ap;
@@ -774,151 +917,182 @@ unsafe fn wide_product_avx512(
             _mm512_add_epi8(_mm512_shuffle_epi8(lut, lo), _mm512_shuffle_epi8(lut, hi))
         }};
     }
-    let mut wb_shifts = [_mm_setzero_si128(); MAX_PRECISION as usize];
-    for (bit, shift) in wb_shifts.iter_mut().enumerate() {
-        *shift = _mm_cvtsi32_si128(bit as i32);
-    }
-    let pa_msb = pa - 1;
-    // Same overflow headroom argument as the AVX2 kernel: a sad lane sums
-    // eight bytes of ≤ 40 (< 2^9), shifted by ≤ 15 and summed over ≤ 16
-    // weight bits shifted by ≤ 15 — comfortably inside i64.
-    let mut body = zero;
-    let mut body_msb = zero;
-    let mut wmsb = zero;
-    let mut wmsb_msb = zero;
-    let w_last = if weights_signed { pw - 1 } else { pw };
-    for wb in 0..pw {
-        // Elided all-zero weight planes are skipped before the broadcast.
-        let Some(plane) = w.plane(wb) else { continue };
-        let wz = broadcast_plane_512(plane);
-        let wp_lo = _mm512_and_si512(wz, low_mask);
-        let wp_hi = _mm512_and_si512(_mm512_srli_epi32::<4>(wz), low_mask);
-        let mut acc = zero;
-        let mut ab = 0usize;
-        while ab + 3 < pa {
-            let c01 = pair_counts!(wp_lo, wp_hi, load_plane_pair_512(a, ab));
-            let c23 = pair_counts!(wp_lo, wp_hi, load_plane_pair_512(a, ab + 2));
-            // c01 + 4·c23: half 0 carries planes ab and ab+2, half 1 carries
-            // ab+1 and ab+3, each +2 plane folded in at byte level.
-            let c23x2 = _mm512_add_epi8(c23, c23);
-            let t = _mm512_add_epi8(c01, _mm512_add_epi8(c23x2, c23x2));
-            let sums = _mm512_sad_epu8(t, zero);
-            acc = _mm512_add_epi64(acc, _mm512_sllv_epi64(sums, pair_shifts_512(ab)));
-            ab += 4;
-        }
-        while ab < pa {
-            let (ap, step) = if ab + 1 < pa {
-                (load_plane_pair_512(a, ab), 2)
-            } else {
-                (load_plane_single_512(a, ab), 1)
-            };
-            let sums = _mm512_sad_epu8(pair_counts!(wp_lo, wp_hi, ap), zero);
-            acc = _mm512_add_epi64(acc, _mm512_sllv_epi64(sums, pair_shifts_512(ab)));
-            ab += step;
-        }
-        let acc = _mm512_sll_epi64(acc, wb_shifts[wb]);
-        if wb < w_last {
-            body = _mm512_add_epi64(body, acc);
-        } else {
-            wmsb = _mm512_add_epi64(wmsb, acc);
-        }
-        if activations_signed {
-            let msb = _mm512_sll_epi64(
-                _mm512_sad_epu8(
-                    pair_counts!(wp_lo, wp_hi, load_plane_single_512(a, pa_msb)),
-                    zero,
-                ),
-                wb_shifts[wb],
-            );
-            if wb < w_last {
-                body_msb = _mm512_add_epi64(body_msb, msb);
-            } else {
-                wmsb_msb = _mm512_add_epi64(wmsb_msb, msb);
+    let bit_shifts = bit_shift_table();
+    let blocks = weights.len();
+    let mut totals = [zero; TILE];
+    for (b, w) in weights.iter().enumerate() {
+        let Some(plan) = schedule.plan(w, activations.iter().skip(b).step_by(blocks)) else {
+            continue;
+        };
+        // Each live weight plane, broadcast and split into nibble halves
+        // once for the tile.
+        let mut halves = [(zero, zero); MAX_PRECISION as usize];
+        let mut bits = [0usize; MAX_PRECISION as usize];
+        let mut live = 0;
+        for wb in 0..plan.pw {
+            if let Some(plane) = w.plane(wb) {
+                let wz = broadcast_plane_512(plane);
+                halves[live] = (
+                    _mm512_and_si512(wz, low_mask),
+                    _mm512_and_si512(_mm512_srli_epi32::<4>(wz), low_mask),
+                );
+                bits[live] = wb;
+                live += 1;
             }
         }
+        let body = plan.body_planes();
+        let quads = body / 4;
+        for (total, member) in totals.iter_mut().zip(activations.chunks_exact(blocks)) {
+            let a = &member[b];
+            let mut sum = zero;
+            for (&(wp_lo, wp_hi), &wb) in halves[..live].iter().zip(&bits[..live]) {
+                // Horner over the added planes, top down, four per step:
+                // one `sad` folds a pair of loads combined as c01 + 4·c23,
+                // so lanes 0–3 carry planes q and q+2, lanes 4–7 planes q+1
+                // and q+3. The 1–3 planes above the last full quad start it.
+                let top = 4 * quads;
+                let mut acc = match body - top {
+                    0 => zero,
+                    1 => _mm512_sad_epu8(
+                        pair_counts!(wp_lo, wp_hi, load_plane_single_512(a, top)),
+                        zero,
+                    ),
+                    2 => _mm512_sad_epu8(
+                        pair_counts!(wp_lo, wp_hi, load_plane_pair_512(a, top)),
+                        zero,
+                    ),
+                    _ => {
+                        let c01 = pair_counts!(wp_lo, wp_hi, load_plane_pair_512(a, top));
+                        let c2 = pair_counts!(wp_lo, wp_hi, load_plane_single_512(a, top + 2));
+                        let c2x2 = _mm512_add_epi8(c2, c2);
+                        _mm512_sad_epu8(_mm512_add_epi8(c01, _mm512_add_epi8(c2x2, c2x2)), zero)
+                    }
+                };
+                for q in (0..quads).rev() {
+                    let c01 = pair_counts!(wp_lo, wp_hi, load_plane_pair_512(a, 4 * q));
+                    let c23 = pair_counts!(wp_lo, wp_hi, load_plane_pair_512(a, 4 * q + 2));
+                    let c23x2 = _mm512_add_epi8(c23, c23);
+                    let t = _mm512_add_epi8(c01, _mm512_add_epi8(c23x2, c23x2));
+                    acc = _mm512_add_epi64(_mm512_slli_epi64::<4>(acc), _mm512_sad_epu8(t, zero));
+                }
+                // The odd planes sit one bit above their pair's even plane.
+                let mut acc = _mm512_mask_add_epi64(acc, 0xf0, acc, acc);
+                if plan.activations_signed {
+                    let msb = plan.pa - 1;
+                    let ap = load_plane_single_512(a, msb);
+                    let sums = _mm512_sad_epu8(pair_counts!(wp_lo, wp_hi, ap), zero);
+                    acc = _mm512_sub_epi64(acc, _mm512_sll_epi64(sums, bit_shifts[msb]));
+                }
+                let acc = _mm512_sll_epi64(acc, bit_shifts[wb]);
+                sum = if plan.negates_weight_plane(wb) {
+                    _mm512_sub_epi64(sum, acc)
+                } else {
+                    _mm512_add_epi64(sum, acc)
+                };
+            }
+            *total = _mm512_add_epi64(*total, sum);
+        }
     }
-    let mut positive = _mm512_reduce_add_epi64(body);
-    let mut negated = _mm512_reduce_add_epi64(wmsb);
-    if activations_signed {
-        positive -= _mm512_reduce_add_epi64(body_msb) << (pa_msb + 1);
-        negated -= _mm512_reduce_add_epi64(wmsb_msb) << (pa_msb + 1);
+    for (out, total) in out.iter_mut().zip(totals) {
+        *out = _mm512_reduce_add_epi64(total);
     }
-    positive - negated
 }
 
-/// AVX-512 `vpopcntdq` kernel: `_mm512_popcnt_epi64` counts each 64-bit lane
-/// of the AND directly — no nibble lookup, no byte folding. Two activation
-/// planes per load, per-half plane shifts via `_mm512_sllv_epi64`, and the
-/// same four accumulators as the other vector kernels. Kept as a separate
-/// function (not a const-generic switch) so `avx512vpopcntdq` codegen never
-/// reaches parts that only detect `avx512f`/`avx512bw`.
+/// AVX-512 `vpopcntdq` tile kernel: `_mm512_popcnt_epi64` counts each 64-bit
+/// lane of the AND directly, with no nibble lookup or byte folding. Each
+/// weight plane is broadcast into both halves of a zmm register once per
+/// block for the whole tile. A member's activation planes load two per
+/// 512-bit read, so lanes 0–3 count a pair's even plane and lanes 4–7 its
+/// odd one; Horner steps weigh the pairs (shift by two) and the weight
+/// planes (shift by one), and the odd planes' extra factor of two is applied
+/// once per member, at the reduction. A member's accumulator carries its
+/// signed partial sums (MSB negations applied in-vector) across every block
+/// of the row and is reduced once, at the end. Kept as a separate function
+/// (not a const-generic switch) so `avx512vpopcntdq` codegen never reaches
+/// parts that only detect `avx512f`/`avx512bw`.
+///
+/// # Safety
+///
+/// The CPU must support `avx512f` and `avx512vpopcntdq`.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f,avx512vpopcntdq")]
-unsafe fn wide_product_avx512_vpopcnt(
-    w: WeightPlanes<'_>,
-    a: &WideBitplaneBlock,
-    pw: usize,
-    pa: usize,
-    weights_signed: bool,
-    activations_signed: bool,
-) -> i64 {
+unsafe fn tile_avx512_vpopcnt<W: WeightBlock>(
+    weights: &[W],
+    activations: &[WideBitplaneBlock],
+    schedule: Schedule,
+    out: &mut [i64],
+) {
     use std::arch::x86_64::*;
     let zero = _mm512_setzero_si512();
-    let mut wb_shifts = [_mm_setzero_si128(); MAX_PRECISION as usize];
-    for (bit, shift) in wb_shifts.iter_mut().enumerate() {
-        *shift = _mm_cvtsi32_si128(bit as i32);
-    }
-    let pa_msb = pa - 1;
-    let mut body = zero;
-    let mut body_msb = zero;
-    let mut wmsb = zero;
-    let mut wmsb_msb = zero;
-    let w_last = if weights_signed { pw - 1 } else { pw };
-    for wb in 0..pw {
-        // Elided all-zero weight planes are skipped before the broadcast.
-        let Some(plane) = w.plane(wb) else { continue };
-        let wz = broadcast_plane_512(plane);
-        let mut acc = zero;
-        let mut ab = 0usize;
-        while ab < pa {
-            let (ap, step) = if ab + 1 < pa {
-                (load_plane_pair_512(a, ab), 2)
-            } else {
-                (load_plane_single_512(a, ab), 1)
-            };
-            let counts = _mm512_popcnt_epi64(_mm512_and_si512(wz, ap));
-            acc = _mm512_add_epi64(acc, _mm512_sllv_epi64(counts, pair_shifts_512(ab)));
-            ab += step;
-        }
-        let acc = _mm512_sll_epi64(acc, wb_shifts[wb]);
-        if wb < w_last {
-            body = _mm512_add_epi64(body, acc);
-        } else {
-            wmsb = _mm512_add_epi64(wmsb, acc);
-        }
-        if activations_signed {
-            let counts =
-                _mm512_popcnt_epi64(_mm512_and_si512(wz, load_plane_single_512(a, pa_msb)));
-            let msb = _mm512_sll_epi64(counts, wb_shifts[wb]);
-            if wb < w_last {
-                body_msb = _mm512_add_epi64(body_msb, msb);
-            } else {
-                wmsb_msb = _mm512_add_epi64(wmsb_msb, msb);
+    let blocks = weights.len();
+    let mut totals = [zero; TILE];
+    for (b, w) in weights.iter().enumerate() {
+        let Some(plan) = schedule.plan(w, activations.iter().skip(b).step_by(blocks)) else {
+            continue;
+        };
+        // Each weight plane, broadcast once for the tile; elided planes
+        // are left out of `live` and only shift the Horner sum.
+        let mut planes = [zero; MAX_PRECISION as usize];
+        let mut live = 0u32;
+        for (wb, slot) in planes[..plan.pw].iter_mut().enumerate() {
+            if let Some(plane) = w.plane(wb) {
+                *slot = broadcast_plane_512(plane);
+                live |= 1 << wb;
             }
         }
+        let (pairs, odd) = (plan.pa / 2, plan.pa % 2 == 1);
+        for (total, member) in totals.iter_mut().zip(activations.chunks_exact(blocks)) {
+            let a = &member[b];
+            let mut sum = zero;
+            for wb in (0..plan.pw).rev() {
+                sum = _mm512_add_epi64(sum, sum);
+                if live >> wb & 1 == 0 {
+                    continue;
+                }
+                let wz = planes[wb];
+                let count = |ap| _mm512_popcnt_epi64(_mm512_and_si512(wz, ap));
+                // Horner over the activation planes, top down, a pair per
+                // step. The top plane is the single one of an odd count;
+                // when the activations are signed it is the MSB, negated
+                // (the upper half of the top pair for an even count).
+                let mut pair = pairs;
+                let mut acc = zero;
+                if odd {
+                    let counts = count(load_plane_single_512(a, plan.pa - 1));
+                    acc = if plan.activations_signed {
+                        _mm512_sub_epi64(zero, counts)
+                    } else {
+                        counts
+                    };
+                } else if plan.activations_signed {
+                    pair -= 1;
+                    let counts = count(load_plane_pair_512(a, 2 * pair));
+                    acc = _mm512_mask_sub_epi64(counts, 0xf0, zero, counts);
+                }
+                while pair > 0 {
+                    pair -= 1;
+                    let counts = count(load_plane_pair_512(a, 2 * pair));
+                    acc = _mm512_add_epi64(_mm512_slli_epi64::<2>(acc), counts);
+                }
+                sum = if plan.negates_weight_plane(wb) {
+                    _mm512_sub_epi64(sum, acc)
+                } else {
+                    _mm512_add_epi64(sum, acc)
+                };
+            }
+            *total = _mm512_add_epi64(*total, sum);
+        }
     }
-    let mut positive = _mm512_reduce_add_epi64(body);
-    let mut negated = _mm512_reduce_add_epi64(wmsb);
-    if activations_signed {
-        positive -= _mm512_reduce_add_epi64(body_msb) << (pa_msb + 1);
-        negated -= _mm512_reduce_add_epi64(wmsb_msb) << (pa_msb + 1);
+    for (out, total) in out.iter_mut().zip(totals) {
+        // The odd planes sit one bit above their pair's even plane.
+        *out = _mm512_reduce_add_epi64(_mm512_mask_add_epi64(total, 0xf0, total, total));
     }
-    positive - negated
 }
 
-/// The kernel tiers [`wide_inner_product`] dispatches across, slowest to
-/// fastest. All tiers compute bit-identical results; the fastest detected one
-/// is selected once per process ([`active_kernel_tier`]).
+/// The kernel tiers [`tile_inner_products`] and [`wide_inner_product`]
+/// dispatch across, slowest to fastest. All tiers compute bit-identical
+/// results; the fastest detected one is selected once per process
+/// ([`active_kernel_tier`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum KernelTier {
     /// The plain Rust plane-pair loop; always available.
@@ -978,8 +1152,9 @@ impl KernelTier {
     }
 }
 
-/// The tier [`wide_inner_product`] uses on this machine: the fastest detected
-/// one, chosen once per process.
+/// The tier the kernels ([`tile_inner_products`], [`wide_inner_product`]) and
+/// the transposers use on this machine: the fastest detected one, chosen once
+/// per process.
 pub fn active_kernel_tier() -> KernelTier {
     static TIER: std::sync::OnceLock<KernelTier> = std::sync::OnceLock::new();
     *TIER.get_or_init(|| {
@@ -1028,13 +1203,92 @@ pub fn cpu_features() -> CpuFeatures {
     }
 }
 
+/// Evaluates one weight row against a tile of up to [`TILE`] activation rows
+/// — the kernel form every tier takes, and the one the engine runs. `weights`
+/// holds the row's 256-lane blocks (a conv filter, or a fully-connected
+/// output row); `activations` holds `out.len()` members of as many blocks,
+/// member-major: block `b` of member `m` is `activations[m * weights.len() +
+/// b]`. Writes `out[m]`, the exact inner product of the row with member `m`.
+///
+/// Each block runs signed at the weight block's detected precision and at
+/// the widest member's detected activation precision, signed when any
+/// member's block has a negative lane: every plane above a block's own width
+/// is zero or sign extension, so the products are exact. A zero weight
+/// block is skipped, and so is a block whose every member is zero. Per
+/// block, each weight plane is resolved and broadcast once for the whole
+/// tile; each member keeps one accumulator across every block of the row,
+/// reduced once, at the end. Dispatches to the fastest detected
+/// [`KernelTier`]; all tiers are bit-identical.
+///
+/// **Accumulator bound.** A lane of a member's accumulator (a 64-bit vector
+/// lane, or the scalar tiers' `i64`) gathers, per block, at most 256 one-bit
+/// products per plane pair, each pair weighted by at most 2^30, so one block
+/// moves it by less than 256 · (2^16 − 1)^2 < 2^40. A row of fewer than
+/// 2^23 blocks (2.1·10^9 inputs) therefore never overflows it; VGGS fc6, the
+/// widest zoo row, has 72.
+///
+/// Operands must be representable in 16-bit two's complement, as for any
+/// packed block.
+///
+/// # Panics
+///
+/// Panics if `out.len() > TILE`, or if `activations.len()` is not
+/// `out.len() * weights.len()`.
+///
+/// # Examples
+///
+/// ```
+/// use loom_sim::loom::{reference_inner_product, tile_inner_products, WideBitplaneBlock};
+///
+/// let weights: Vec<i32> = (0..600).map(|i| (i % 13) - 6).collect();
+/// let row: Vec<_> = weights.chunks(256).map(WideBitplaneBlock::pack).collect();
+/// let members: Vec<Vec<i32>> = (0..3)
+///     .map(|m| (0..600).map(|i| (i * (m + 2)) % 50).collect())
+///     .collect();
+/// let activations: Vec<_> = members
+///     .iter()
+///     .flat_map(|member| member.chunks(256).map(WideBitplaneBlock::pack))
+///     .collect();
+/// let mut out = [0i64; 3];
+/// tile_inner_products(&row, &activations, &mut out);
+/// for (member, &dot) in members.iter().zip(&out) {
+///     assert_eq!(dot, reference_inner_product(&weights, member));
+/// }
+/// ```
+pub fn tile_inner_products<W: WeightBlock>(
+    weights: &[W],
+    activations: &[WideBitplaneBlock],
+    out: &mut [i64],
+) {
+    assert!(
+        out.len() <= TILE,
+        "a tile holds at most {TILE} members, got {}",
+        out.len()
+    );
+    assert_eq!(
+        activations.len(),
+        out.len() * weights.len(),
+        "every member needs one activation block per weight block"
+    );
+    // SAFETY: `active_kernel_tier` only selects tiers detected on this CPU.
+    unsafe {
+        tile_on(
+            active_kernel_tier(),
+            weights,
+            activations,
+            Schedule::Detected,
+            out,
+        )
+    }
+}
+
 /// Computes the inner product of two wide blocks exactly the way
-/// [`super::sip::serial_inner_product`] does — the same weight-bit outer /
-/// activation-bit inner schedule, the same MSB negations — with each plane
-/// pair evaluated 256 lanes at a time. Dispatches once per process to the
-/// fastest detected [`KernelTier`] — AVX-512 (`vpopcntdq` or `vpshufb`),
-/// AVX2, the `popcnt`-enabled scalar kernel, or the portable loop; all
-/// tiers are bit-identical.
+/// [`super::sip::serial_inner_product`] does at the given precisions — the
+/// same weight-bit outer / activation-bit inner schedule, the same MSB
+/// negations — with each plane pair evaluated 256 lanes at a time. This is
+/// the one-block, one-member case of the tile kernel
+/// ([`tile_inner_products`]), at explicit rather than detected precisions,
+/// on the fastest detected [`KernelTier`]; all tiers are bit-identical.
 ///
 /// The blocks may have different lane counts: missing lanes pack as zero
 /// planes and contribute nothing.
@@ -1046,13 +1300,10 @@ pub fn wide_inner_product(
     weights_signed: bool,
     activations_signed: bool,
 ) -> i64 {
-    weight_inner_product(
-        WeightPlanes::Dense(weights),
+    fixed_inner_product(
+        weights,
         activations,
-        pw,
-        pa,
-        weights_signed,
-        activations_signed,
+        BlockPlan::new(pw, pa, weights_signed, activations_signed),
     )
 }
 
@@ -1068,91 +1319,67 @@ pub fn compressed_inner_product(
     weights_signed: bool,
     activations_signed: bool,
 ) -> i64 {
-    weight_inner_product(
-        WeightPlanes::Compressed(weights),
+    fixed_inner_product(
+        weights,
         activations,
-        pw,
-        pa,
-        weights_signed,
-        activations_signed,
+        BlockPlan::new(pw, pa, weights_signed, activations_signed),
     )
 }
 
-/// Dispatches one inner product, with the weight operand in either form, to
-/// the fastest detected kernel tier.
-pub(crate) fn weight_inner_product(
-    weights: WeightPlanes<'_>,
+/// The 1 × 1 tile at a fixed plan, on the active tier.
+fn fixed_inner_product<W: WeightBlock>(
+    weights: &W,
     activations: &WideBitplaneBlock,
-    pw: Precision,
-    pa: Precision,
-    weights_signed: bool,
-    activations_signed: bool,
+    plan: BlockPlan,
 ) -> i64 {
-    let (pw, pa) = (usize::from(pw.bits()), usize::from(pa.bits()));
+    let mut out = [0];
+    // SAFETY: `active_kernel_tier` only selects tiers detected on this CPU.
+    unsafe {
+        tile_on(
+            active_kernel_tier(),
+            std::slice::from_ref(weights),
+            std::slice::from_ref(activations),
+            Schedule::Fixed(plan),
+            &mut out,
+        )
+    };
+    out[0]
+}
+
+/// Runs the tile kernel of `tier` under `schedule`. `activations` holds
+/// `out.len() ≤ TILE` members of `weights.len()` blocks each, member-major.
+///
+/// # Safety
+///
+/// `tier` must be detected on this CPU ([`KernelTier::detected`]).
+unsafe fn tile_on<W: WeightBlock>(
+    tier: KernelTier,
+    weights: &[W],
+    activations: &[WideBitplaneBlock],
+    schedule: Schedule,
+    out: &mut [i64],
+) {
+    debug_assert!(tier.detected(), "{} is not detected", tier.name());
+    debug_assert!(out.len() <= TILE && activations.len() == out.len() * weights.len());
     #[cfg(target_arch = "x86_64")]
     {
-        // SAFETY (each arm): `active_kernel_tier` only selects tiers whose
-        // features were detected on this CPU.
-        match active_kernel_tier() {
+        // SAFETY (each arm): the caller guarantees `tier` is detected, which
+        // implies the kernel's features.
+        match tier {
             KernelTier::Avx512Vpopcnt => {
-                return unsafe {
-                    wide_product_avx512_vpopcnt(
-                        weights,
-                        activations,
-                        pw,
-                        pa,
-                        weights_signed,
-                        activations_signed,
-                    )
-                };
+                return unsafe { tile_avx512_vpopcnt(weights, activations, schedule, out) };
             }
             KernelTier::Avx512 => {
-                return unsafe {
-                    wide_product_avx512(
-                        weights,
-                        activations,
-                        pw,
-                        pa,
-                        weights_signed,
-                        activations_signed,
-                    )
-                };
+                return unsafe { tile_avx512(weights, activations, schedule, out) };
             }
-            KernelTier::Avx2 => {
-                return unsafe {
-                    wide_product_avx2(
-                        weights,
-                        activations,
-                        pw,
-                        pa,
-                        weights_signed,
-                        activations_signed,
-                    )
-                };
-            }
+            KernelTier::Avx2 => return unsafe { tile_avx2(weights, activations, schedule, out) },
             KernelTier::Popcnt => {
-                return unsafe {
-                    wide_product_popcnt(
-                        weights,
-                        activations,
-                        pw,
-                        pa,
-                        weights_signed,
-                        activations_signed,
-                    )
-                };
+                return unsafe { tile_popcnt(weights, activations, schedule, out) };
             }
             KernelTier::Portable => {}
         }
     }
-    wide_product_core(
-        weights,
-        activations,
-        pw,
-        pa,
-        weights_signed,
-        activations_signed,
-    )
+    tile_scalar(weights, activations, schedule, out)
 }
 
 /// Convenience wrapper: packs both slices and takes their
@@ -1187,6 +1414,7 @@ pub fn wide_inner_product_slices(
 
 #[cfg(test)]
 mod tests {
+    use super::sealed::WeightPlanes as _;
     use super::*;
     use crate::loom::sip::{reference_inner_product, serial_inner_product};
     use loom_model::fixed::{
@@ -1266,6 +1494,106 @@ mod tests {
         block.signs == [0; WIDE_WORDS] && block.planes.iter().all(|p| *p == [0; WIDE_WORDS])
     }
 
+    /// The per-block plane-pair loop the tile kernels replaced, kept as
+    /// their oracle: four AND + popcount word operations per plane pair at
+    /// the given precisions, with the activation MSB negated as a correction
+    /// after an unsigned accumulation (subtracting the MSB term twice equals
+    /// negating it).
+    fn wide_product_core<W: WeightBlock>(
+        w: &W,
+        a: &WideBitplaneBlock,
+        pw: usize,
+        pa: usize,
+        weights_signed: bool,
+        activations_signed: bool,
+    ) -> i64 {
+        let pa_msb = pa - 1;
+        let mut or_register = 0i64;
+        for wb in 0..pw {
+            let Some(wp) = w.plane(wb) else { continue };
+            let count = |ap: &[u64; WIDE_WORDS]| {
+                i64::from(
+                    (wp[0] & ap[0]).count_ones()
+                        + (wp[1] & ap[1]).count_ones()
+                        + (wp[2] & ap[2]).count_ones()
+                        + (wp[3] & ap[3]).count_ones(),
+                )
+            };
+            let mut acc1 = 0i64;
+            for (ab, ap) in a.planes[..pa].iter().enumerate() {
+                acc1 += count(ap) << ab;
+            }
+            if activations_signed {
+                acc1 -= count(&a.planes[pa_msb]) << (pa_msb + 1);
+            }
+            if weights_signed && wb == pw - 1 {
+                acc1 = -acc1;
+            }
+            or_register += acc1 << wb;
+        }
+        or_register
+    }
+
+    /// The engine's per-block rule before tiles, kept as the oracle of the
+    /// detected schedule: each (block, member) product at the weight block's
+    /// and the member block's own detected precisions, signed when the
+    /// member block has a negative lane, zero blocks skipped.
+    fn per_block_oracle<W: WeightBlock>(row: &[W], member: &[WideBitplaneBlock]) -> i64 {
+        row.iter()
+            .zip(member)
+            .filter(|(w, a)| !w.all_zero() && !a.is_zero())
+            .map(|(w, a)| {
+                let signed = a.has_negative_lanes();
+                let pw = Precision::saturating(w.width() + 1).bits();
+                let pa = a.detected_precision(signed).bits();
+                wide_product_core(w, a, pw.into(), pa.into(), true, signed)
+            })
+            .sum()
+    }
+
+    /// The tile kernel of `tier` over the `activations.len() / row.len()`
+    /// members of `activations`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `tier` is not detected on this CPU.
+    fn tile_on_tier<W: WeightBlock>(
+        tier: KernelTier,
+        row: &[W],
+        activations: &[WideBitplaneBlock],
+        schedule: Schedule,
+    ) -> Vec<i64> {
+        assert!(tier.detected(), "{} is not detected", tier.name());
+        let mut out = vec![0; activations.len() / row.len()];
+        // SAFETY: `tier` was just checked to be detected.
+        unsafe { tile_on(tier, row, activations, schedule, &mut out) };
+        out
+    }
+
+    /// One block against one member on `tier` at fixed precisions: the 1 × 1
+    /// tile the explicit-precision entry points run.
+    fn fixed_on<W: WeightBlock>(
+        tier: KernelTier,
+        w: &W,
+        a: &WideBitplaneBlock,
+        pw: usize,
+        pa: usize,
+        weights_signed: bool,
+        activations_signed: bool,
+    ) -> i64 {
+        let plan = BlockPlan {
+            pw,
+            pa,
+            weights_signed,
+            activations_signed,
+        };
+        tile_on_tier(
+            tier,
+            std::slice::from_ref(w),
+            std::slice::from_ref(a),
+            Schedule::Fixed(plan),
+        )[0]
+    }
     #[test]
     fn pack_roundtrips_across_word_boundaries() {
         for lanes in [0, 1, 63, 64, 65, 127, 128, 200, 255, 256] {
@@ -1360,35 +1688,14 @@ mod tests {
         let activations: Vec<i32> = ragged_values(256).iter().map(|v| v / 3).collect();
         let w = WideBitplaneBlock::pack(&weights);
         let a = WideBitplaneBlock::pack(&activations);
-        let (pw, pa) = (16usize, 16usize);
-        let wd = WeightPlanes::Dense(&w);
-        let portable = wide_product_core(wd, &a, pw, pa, true, true);
-        #[cfg(target_arch = "x86_64")]
-        {
-            if std::arch::is_x86_feature_detected!("popcnt") {
-                // SAFETY: feature detected above.
-                assert_eq!(portable, unsafe {
-                    wide_product_popcnt(wd, &a, pw, pa, true, true)
-                });
-            }
-            if std::arch::is_x86_feature_detected!("avx2") {
-                // SAFETY: feature detected above.
-                assert_eq!(portable, unsafe {
-                    wide_product_avx2(wd, &a, pw, pa, true, true)
-                });
-            }
-            if KernelTier::Avx512.detected() {
-                // SAFETY: tier features detected above.
-                assert_eq!(portable, unsafe {
-                    wide_product_avx512(wd, &a, pw, pa, true, true)
-                });
-            }
-            if KernelTier::Avx512Vpopcnt.detected() {
-                // SAFETY: tier features detected above.
-                assert_eq!(portable, unsafe {
-                    wide_product_avx512_vpopcnt(wd, &a, pw, pa, true, true)
-                });
-            }
+        let portable = wide_product_core(&w, &a, 16, 16, true, true);
+        for tier in detected_tiers() {
+            assert_eq!(
+                fixed_on(tier, &w, &a, 16, 16, true, true),
+                portable,
+                "{}",
+                tier.name()
+            );
         }
         assert_eq!(portable, reference_inner_product(&weights, &activations));
     }
@@ -1398,7 +1705,10 @@ mod tests {
         // Sweeps every (pw, pa) pair so both the plane-pair remainder (odd
         // pa) and the four-plane fast path of the AVX-512 kernels are hit,
         // under all four signedness combinations.
-        #[cfg(target_arch = "x86_64")]
+        let avx512_tiers: Vec<_> = [KernelTier::Avx512, KernelTier::Avx512Vpopcnt]
+            .into_iter()
+            .filter(|tier| tier.detected())
+            .collect();
         for lanes in [1, 63, 130, 256] {
             let weights = ragged_values(lanes);
             let activations: Vec<i32> = ragged_values(lanes).iter().map(|v| v / 5).collect();
@@ -1407,23 +1717,195 @@ mod tests {
             for pw in 1..=16usize {
                 for pa in 1..=16usize {
                     for (ws, as_) in [(true, true), (true, false), (false, true), (false, false)] {
-                        let wd = WeightPlanes::Dense(&w);
-                        let portable = wide_product_core(wd, &a, pw, pa, ws, as_);
-                        if KernelTier::Avx512.detected() {
-                            // SAFETY: tier features detected above.
-                            let got = unsafe { wide_product_avx512(wd, &a, pw, pa, ws, as_) };
-                            assert_eq!(portable, got, "avx512 {lanes} lanes pw={pw} pa={pa}");
-                        }
-                        if KernelTier::Avx512Vpopcnt.detected() {
-                            // SAFETY: tier features detected above.
-                            let got =
-                                unsafe { wide_product_avx512_vpopcnt(wd, &a, pw, pa, ws, as_) };
-                            assert_eq!(portable, got, "vpopcnt {lanes} lanes pw={pw} pa={pa}");
+                        let portable = wide_product_core(&w, &a, pw, pa, ws, as_);
+                        for &tier in &avx512_tiers {
+                            assert_eq!(
+                                portable,
+                                fixed_on(tier, &w, &a, pw, pa, ws, as_),
+                                "{} {lanes} lanes pw={pw} pa={pa}",
+                                tier.name()
+                            );
                         }
                     }
                 }
             }
         }
+    }
+
+    /// Every tile shape the engine hands the kernel, on every detected tier:
+    /// tiles of 1..=TILE members; rows of 1–4 blocks with a ragged last
+    /// block; member widths that differ per block, so the shared-Pa rule
+    /// runs; a zero weight block, an all-even block (plane 0 elided when
+    /// compressed) and an all-zero member; compressed rows (with elided and
+    /// sign-extension planes) and dense ones; and signed or non-negative
+    /// weights and activations in all four combinations. Under the detected
+    /// schedule each output equals the per-block oracle sum and the
+    /// reference product; at fixed precisions (some below the operands'
+    /// widths) each equals the per-block `wide_product_core` sum under all
+    /// four signedness flags.
+    #[test]
+    fn tile_kernel_matches_per_block_products_on_every_tier() {
+        let signs = |negative: bool| {
+            if negative {
+                Signs::Mixed
+            } else {
+                Signs::NonNegative
+            }
+        };
+        for blocks in 1..=4usize {
+            let row_len = (blocks - 1) * WIDE_LANES + [256, 1, 77, 200][blocks - 1];
+            let lanes = |b: usize| WIDE_LANES.min(row_len - b * WIDE_LANES);
+            for (weights_negative, acts_negative) in
+                [(false, false), (false, true), (true, false), (true, true)]
+            {
+                let weights: Vec<i32> = (0..blocks)
+                    .flat_map(|b| {
+                        let mut values =
+                            values_of_width(lanes(b), [7, 0, 5, 12][b], signs(weights_negative));
+                        if b == 2 {
+                            values.iter_mut().for_each(|v| *v &= !1);
+                        }
+                        values
+                    })
+                    .collect();
+                let members: Vec<Vec<i32>> = (0..TILE)
+                    .map(|m| {
+                        (0..blocks)
+                            .flat_map(|b| match m {
+                                1 => vec![0; lanes(b)],
+                                _ => values_of_width(
+                                    lanes(b),
+                                    ((m * 5 + b * 3) % 16) as u8,
+                                    signs(acts_negative),
+                                ),
+                            })
+                            .collect()
+                    })
+                    .collect();
+                let dense: Vec<_> = weights
+                    .chunks(WIDE_LANES)
+                    .map(WideBitplaneBlock::pack)
+                    .collect();
+                let compressed: Vec<_> = dense.iter().map(CompressedWideBlock::compress).collect();
+                let packed: Vec<Vec<_>> = members
+                    .iter()
+                    .map(|m| m.chunks(WIDE_LANES).map(WideBitplaneBlock::pack).collect())
+                    .collect();
+                for size in 1..=TILE {
+                    let acts = packed[..size].concat();
+                    let expected: Vec<i64> = packed[..size]
+                        .iter()
+                        .map(|member| per_block_oracle(&dense, member))
+                        .collect();
+                    for (member, &dot) in members.iter().zip(&expected) {
+                        assert_eq!(dot, reference_inner_product(&weights, member));
+                    }
+                    for tier in detected_tiers() {
+                        let case = format!(
+                            "{} {blocks} blocks {size} members negative {weights_negative}/{acts_negative}",
+                            tier.name()
+                        );
+                        assert_eq!(
+                            tile_on_tier(tier, &dense, &acts, Schedule::Detected),
+                            expected,
+                            "dense {case}"
+                        );
+                        assert_eq!(
+                            tile_on_tier(tier, &compressed, &acts, Schedule::Detected),
+                            expected,
+                            "compressed {case}"
+                        );
+                        for (weights_signed, activations_signed) in
+                            [(true, true), (true, false), (false, true), (false, false)]
+                        {
+                            for (pw, pa) in [(16, 16), (3, 9)] {
+                                let plan = BlockPlan {
+                                    pw,
+                                    pa,
+                                    weights_signed,
+                                    activations_signed,
+                                };
+                                let fixed: Vec<i64> = packed[..size]
+                                    .iter()
+                                    .map(|member| {
+                                        dense
+                                            .iter()
+                                            .zip(member)
+                                            .map(|(w, a)| {
+                                                wide_product_core(
+                                                    w,
+                                                    a,
+                                                    pw,
+                                                    pa,
+                                                    weights_signed,
+                                                    activations_signed,
+                                                )
+                                            })
+                                            .sum()
+                                    })
+                                    .collect();
+                                assert_eq!(
+                                    tile_on_tier(tier, &compressed, &acts, Schedule::Fixed(plan)),
+                                    fixed,
+                                    "{plan:?} {case}"
+                                );
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// The cross-block accumulator's worst case, on every tier: VGGS fc6's
+    /// 18432-input row (72 blocks) at Pw = Pa = 16, with operands -1 (every
+    /// plane set) and -32768 (only the MSB plane set), in a full tile.
+    #[test]
+    fn cross_block_accumulator_holds_the_widest_row() {
+        const INPUTS: usize = 18432;
+        let tile = |weights: &[i32], activations: &[i32], schedule: Schedule| {
+            let row: Vec<_> = weights
+                .chunks(WIDE_LANES)
+                .map(WideBitplaneBlock::pack)
+                .collect();
+            assert_eq!(row.len(), 72);
+            let member: Vec<_> = activations
+                .chunks(WIDE_LANES)
+                .map(WideBitplaneBlock::pack)
+                .collect();
+            let acts = member.repeat(TILE);
+            let expected = vec![reference_inner_product(weights, activations); TILE];
+            for tier in detected_tiers() {
+                assert_eq!(
+                    tile_on_tier(tier, &row, &acts, schedule),
+                    expected,
+                    "{} {schedule:?}",
+                    tier.name()
+                );
+            }
+        };
+        let full = Schedule::Fixed(BlockPlan {
+            pw: 16,
+            pa: 16,
+            weights_signed: true,
+            activations_signed: true,
+        });
+        for (w, a) in [(-1, -1), (-1, -32768), (-32768, -1), (-32768, -32768)] {
+            tile(&vec![w; INPUTS], &vec![a; INPUTS], full);
+        }
+        // The detected schedule reaches Pw = Pa = 16 when every block mixes
+        // both operands.
+        let mixed: Vec<i32> = (0..INPUTS)
+            .map(|i| if i % 3 == 0 { -1 } else { -32768 })
+            .collect();
+        assert_eq!(
+            WideBitplaneBlock::pack(&mixed[..256])
+                .detected_precision(true)
+                .bits(),
+            16
+        );
+        tile(&mixed, &mixed, Schedule::Detected);
+        tile(&mixed, &vec![-32768; INPUTS], Schedule::Detected);
     }
 
     #[test]
@@ -1625,40 +2107,19 @@ mod tests {
             for pw in 1..=16usize {
                 for pa in 1..=16usize {
                     for (ws, as_) in [(true, true), (true, false), (false, true), (false, false)] {
-                        let dense = wide_product_core(WeightPlanes::Dense(&w), &a, pw, pa, ws, as_);
-                        let compressed = WeightPlanes::Compressed(&c);
+                        let dense = wide_product_core(&w, &a, pw, pa, ws, as_);
                         assert_eq!(
                             dense,
-                            wide_product_core(compressed, &a, pw, pa, ws, as_),
-                            "portable {lanes} lanes pw={pw} pa={pa}"
+                            wide_product_core(&c, &a, pw, pa, ws, as_),
+                            "oracle {lanes} lanes pw={pw} pa={pa}"
                         );
-                        #[cfg(target_arch = "x86_64")]
-                        {
-                            if std::arch::is_x86_feature_detected!("popcnt") {
-                                // SAFETY: feature detected above.
-                                let got =
-                                    unsafe { wide_product_popcnt(compressed, &a, pw, pa, ws, as_) };
-                                assert_eq!(dense, got, "popcnt {lanes} lanes pw={pw} pa={pa}");
-                            }
-                            if std::arch::is_x86_feature_detected!("avx2") {
-                                // SAFETY: feature detected above.
-                                let got =
-                                    unsafe { wide_product_avx2(compressed, &a, pw, pa, ws, as_) };
-                                assert_eq!(dense, got, "avx2 {lanes} lanes pw={pw} pa={pa}");
-                            }
-                            if KernelTier::Avx512.detected() {
-                                // SAFETY: tier features detected above.
-                                let got =
-                                    unsafe { wide_product_avx512(compressed, &a, pw, pa, ws, as_) };
-                                assert_eq!(dense, got, "avx512 {lanes} lanes pw={pw} pa={pa}");
-                            }
-                            if KernelTier::Avx512Vpopcnt.detected() {
-                                // SAFETY: tier features detected above.
-                                let got = unsafe {
-                                    wide_product_avx512_vpopcnt(compressed, &a, pw, pa, ws, as_)
-                                };
-                                assert_eq!(dense, got, "vpopcnt {lanes} lanes pw={pw} pa={pa}");
-                            }
+                        for tier in detected_tiers() {
+                            assert_eq!(
+                                dense,
+                                fixed_on(tier, &c, &a, pw, pa, ws, as_),
+                                "{} {lanes} lanes pw={pw} pa={pa}",
+                                tier.name()
+                            );
                         }
                     }
                 }
