@@ -16,6 +16,7 @@ use loom_core::loom_model::inference::InferenceOptions;
 use loom_core::loom_model::tensor::Tensor3;
 use loom_core::loom_sim::loom::network::NetworkEngine;
 use std::collections::VecDeque;
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::mpsc;
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
@@ -209,7 +210,6 @@ impl Drop for MicroBatcher {
 }
 
 fn dispatch_loop(shared: &Shared, config: BatchConfig) {
-    let engines = Engines::new(config.threads);
     loop {
         let (batch, queue_depth) = {
             let mut state = shared.state.lock().expect("batcher lock");
@@ -282,34 +282,21 @@ fn dispatch_loop(shared: &Shared, config: BatchConfig) {
             (batch, queue_depth)
         };
         // Lock released: run the batch while new submissions queue freely.
-        run_batch(&engines, batch, queue_depth);
+        run_batch(config.threads, batch, queue_depth);
     }
 }
 
-/// One engine per tier, both sharing the process-global worker pool.
-struct Engines {
-    dynamic: NetworkEngine,
-    fixed: NetworkEngine,
-}
-
-impl Engines {
-    fn new(threads: usize) -> Engines {
-        let base = NetworkEngine::new(serving_geometry()).with_threads(threads);
-        Engines {
-            dynamic: base,
-            fixed: base.without_dynamic_precision(),
-        }
-    }
-
-    fn for_tier(&self, tier: Tier) -> &NetworkEngine {
-        match tier {
-            Tier::Dynamic => &self.dynamic,
-            Tier::Static => &self.fixed,
-        }
+/// The engine a tier runs on. Every engine shares the process-global worker
+/// pool, so one is built per batch.
+fn engine(tier: Tier, threads: usize) -> NetworkEngine {
+    let engine = NetworkEngine::new(serving_geometry()).with_threads(threads);
+    match tier {
+        Tier::Dynamic => engine,
+        Tier::Static => engine.without_dynamic_precision(),
     }
 }
 
-fn run_batch(engines: &Engines, batch: Vec<Job>, queue_depth: usize) {
+fn run_batch(threads: usize, batch: Vec<Job>, queue_depth: usize) {
     let model = Arc::clone(&batch[0].model);
     let tier = batch[0].tier;
     let batch_items: usize = batch.iter().map(|j| j.inputs.len()).sum();
@@ -317,13 +304,29 @@ fn run_batch(engines: &Engines, batch: Vec<Job>, queue_depth: usize) {
         .iter()
         .flat_map(|j| j.inputs.iter().cloned())
         .collect();
-    let result = engines.for_tier(tier).run_batch_cached(
-        &model.graph,
-        &model.params,
-        &inputs,
-        InferenceOptions::default(),
-        Some(&model.cache),
-    );
+    // A panic in the engine (a bug, or params that do not fit the graph)
+    // fails this batch's jobs, not the dispatcher: left to unwind, it would
+    // end the only dispatcher thread and every later request would wait
+    // forever.
+    let result = panic::catch_unwind(AssertUnwindSafe(|| {
+        engine(tier, threads)
+            .run_batch_cached(
+                &model.graph,
+                &model.params,
+                &inputs,
+                InferenceOptions::default(),
+                Some(&model.cache),
+            )
+            .map_err(|e| format!("inference failed: {e:?}"))
+    }))
+    .unwrap_or_else(|payload| {
+        let detail = (payload.downcast_ref::<&str>().copied())
+            .or_else(|| payload.downcast_ref::<String>().map(String::as_str));
+        Err(format!(
+            "inference panicked: {}",
+            detail.unwrap_or("no message")
+        ))
+    });
     match result {
         Ok(runs) => {
             let mut runs = runs.into_iter();
@@ -342,11 +345,11 @@ fn run_batch(engines: &Engines, batch: Vec<Job>, queue_depth: usize) {
                 let _ = job.respond.send(Ok(reply));
             }
         }
-        Err(e) => {
+        Err(message) => {
             // Inputs are validated before submission, so this is unreachable
             // in practice — but a dispatcher must never die with jobs queued.
             for job in batch {
-                let _ = job.respond.send(Err(format!("inference failed: {e:?}")));
+                let _ = job.respond.send(Err(message.clone()));
             }
         }
     }
@@ -356,6 +359,7 @@ fn run_batch(engines: &Engines, batch: Vec<Job>, queue_depth: usize) {
 mod tests {
     use super::*;
     use crate::model::ModelCatalog;
+    use loom_core::loom_model::inference::NetworkParams;
 
     #[test]
     fn tier_names_round_trip() {
@@ -391,6 +395,58 @@ mod tests {
         assert_eq!(reply.outputs, vec![direct.trace.final_outputs().to_vec()]);
         assert_eq!(reply.cycles, vec![direct.cycles]);
         assert_eq!(reply.batch_items, 1);
+    }
+
+    /// A batch whose engine call panics is answered with an error, and the
+    /// dispatcher goes on serving: the next, healthy job is answered too.
+    #[test]
+    fn a_panicking_batch_fails_its_jobs_and_dispatching_goes_on() {
+        let catalog = ModelCatalog::from_names(["MiniMLP"]);
+        let healthy = catalog.find("MiniMLP").unwrap();
+        // The same model with the last layer's weights missing: the executor
+        // panics when it reaches that layer.
+        let mut layers = healthy.params.layers().to_vec();
+        layers.pop();
+        let params = NetworkParams::new(layers);
+        let broken = Arc::new(ServedModel {
+            name: healthy.name,
+            graph: healthy.graph.clone(),
+            cache: NetworkEngine::new(serving_geometry()).prepack(&healthy.graph, &params),
+            params,
+            input_len: healthy.input_len,
+            input_shape: healthy.input_shape,
+            prepack_seconds: 0.0,
+        });
+        let batcher = MicroBatcher::start(BatchConfig {
+            window: Duration::from_millis(1),
+            ..BatchConfig::default()
+        });
+        let input = healthy.synthetic_input(3);
+        let failed = batcher
+            .submit(broken, Tier::Dynamic, vec![input.clone()])
+            .unwrap();
+        let served = batcher
+            .submit(Arc::clone(&healthy), Tier::Dynamic, vec![input.clone()])
+            .unwrap();
+        let wait = Duration::from_secs(60);
+        let error = failed
+            .recv_timeout(wait)
+            .expect("the failed job is answered");
+        assert!(error.unwrap_err().contains("panicked"));
+        let reply = served
+            .recv_timeout(wait)
+            .expect("the dispatcher survives the panic")
+            .expect("the healthy job succeeds");
+        let direct = NetworkEngine::new(serving_geometry())
+            .run(
+                &healthy.graph,
+                &healthy.params,
+                &input,
+                InferenceOptions::default(),
+            )
+            .unwrap();
+        assert_eq!(reply.outputs, vec![direct.trace.final_outputs().to_vec()]);
+        assert_eq!(reply.cycles, vec![direct.cycles]);
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! The served-model catalog: each entry pairs a zoo graph with deterministic
 //! synthetic weights and a [`PackedModel`] weight cache built once at startup
 //! and shared read-only by every request ([`NetworkEngine::run_batch_cached`]
-//! skips the per-dispatch filter-plane packing, FC row transposes and
-//! precision scans).
+//! reads each layer's packed rows and precision from it instead of looking
+//! the layer up in the weight store per dispatch).
 
 use loom_core::loom_model::graph::LayerGraph;
 use loom_core::loom_model::inference::NetworkParams;

@@ -49,11 +49,11 @@ impl FunctionalDStripes {
 }
 
 impl FunctionalDatapath for FunctionalDStripes {
-    fn conv(&self, spec: &ConvSpec, input: &Tensor3, weights: &Tensor4) -> FunctionalRun {
+    fn conv(&self, _: &str, spec: &ConvSpec, input: &Tensor3, weights: &Tensor4) -> FunctionalRun {
         self.run_conv(spec, input, weights).run
     }
 
-    fn fc(&self, spec: &FcSpec, input: &[i32], weights: &[i32]) -> FunctionalRun {
+    fn fc(&self, _: &str, spec: &FcSpec, input: &[i32], weights: &[i32]) -> FunctionalRun {
         self.run_fc(spec, input, weights)
     }
 }

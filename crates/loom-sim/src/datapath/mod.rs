@@ -4,10 +4,13 @@
 //! just Loom — can execute real networks and produce real numbers. This
 //! module defines the [`FunctionalDatapath`] trait those value-computing
 //! engines implement (activation-serial Stripes, dual-detection DStripes,
-//! bit-parallel DPNN, and the bit-serial Loom engine itself), plus the
+//! bit-parallel DPNN, and the bit-serial Loom engine itself), plus the one
 //! adapter that plugs any of them into the shared golden graph executor
 //! ([`LayerGraph::run_batch_with`]) so scheduling, re-quantization, ReLU,
 //! pooling and concatenation are literally the same code on every backend.
+//! [`LoomDatapath`] is also how [`crate::loom::NetworkEngine`] and
+//! `loom-serve` run Loom networks, so serving, the benchmarks and the
+//! conformance harness all run the same Loom code.
 //!
 //! The payoff is differential testing: [`crate::validate::cross_validate`]
 //! runs every registered accelerator over the same network and asserts all of
@@ -51,11 +54,13 @@
 
 use crate::config::LoomGeometry;
 use crate::loom::functional::{FunctionalLoom, FunctionalRun};
+use crate::loom::network::PackedModel;
+use crate::loom::store::PreparedLayer;
 use crate::loom::NetworkRun;
 use loom_model::fixed::required_precision;
 use loom_model::graph::{GraphCompute, LayerGraph};
 use loom_model::inference::{InferenceError, InferenceOptions, NetworkParams};
-use loom_model::layer::{ConvSpec, FcSpec};
+use loom_model::layer::{ConvSpec, FcSpec, LayerKind};
 use loom_model::tensor::{Tensor3, Tensor4};
 
 pub mod dpnn;
@@ -72,52 +77,147 @@ pub use stripes::{serial_activation_inner_product, FunctionalStripes, StripesCon
 /// i64 reference — while accounting cycles the way the accelerator's
 /// analytic model does. Per-layer precisions are derived from the data itself
 /// ([`required_precision`] of the inputs and weights), so a run is
-/// self-contained and deterministic.
+/// self-contained and deterministic. `layer` is the graph node's name, which
+/// a datapath may use to find weights it prepared ahead of the run.
 pub trait FunctionalDatapath: Send + Sync {
     /// Computes one convolutional layer's accumulators (golden filter-major
     /// layout) plus the cycles and reduced-group count the datapath spent.
-    fn conv(&self, spec: &ConvSpec, input: &Tensor3, weights: &Tensor4) -> FunctionalRun;
+    fn conv(
+        &self,
+        layer: &str,
+        spec: &ConvSpec,
+        input: &Tensor3,
+        weights: &Tensor4,
+    ) -> FunctionalRun;
 
     /// Computes one fully-connected layer's accumulators (output order) plus
     /// cycle accounting.
-    fn fc(&self, spec: &FcSpec, input: &[i32], weights: &[i32]) -> FunctionalRun;
+    fn fc(&self, layer: &str, spec: &FcSpec, input: &[i32], weights: &[i32]) -> FunctionalRun;
+
+    /// Computes one convolutional layer for every batch item, one run per
+    /// item in item order. The default loops [`FunctionalDatapath::conv`];
+    /// a datapath that can share work across the batch overrides it, with
+    /// results identical to the loop.
+    fn conv_batch(
+        &self,
+        layer: &str,
+        spec: &ConvSpec,
+        inputs: &[Tensor3],
+        weights: &Tensor4,
+    ) -> Vec<FunctionalRun> {
+        inputs
+            .iter()
+            .map(|input| self.conv(layer, spec, input, weights))
+            .collect()
+    }
+
+    /// Computes one fully-connected layer for every batch item, as
+    /// [`FunctionalDatapath::conv_batch`] does for convolutions.
+    fn fc_batch(
+        &self,
+        layer: &str,
+        spec: &FcSpec,
+        inputs: &[Vec<i32>],
+        weights: &[i32],
+    ) -> Vec<FunctionalRun> {
+        inputs
+            .iter()
+            .map(|input| self.fc(layer, spec, input, weights))
+            .collect()
+    }
 }
 
-/// The Loom engine as a [`FunctionalDatapath`]: the existing bit-serial SIP
-/// grid ([`FunctionalLoom`]), with per-layer precisions derived from the data
-/// exactly like [`crate::loom::NetworkEngine`] derives them.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct LoomDatapath {
+/// The Loom engine as a [`FunctionalDatapath`], and the one way a Loom
+/// network runs ([`crate::loom::NetworkEngine`] is a thin front over it): the
+/// bit-serial SIP grid ([`FunctionalLoom`]), with activation precisions
+/// detected from the data. A batch runs lock-step: its (item × task) jobs
+/// share one worker pool. Each layer's packed rows and Pw are resolved once
+/// per batch:
+/// from the borrowed [`PackedModel`] when it holds the layer, else through
+/// the weight store ([`crate::loom::store`]).
+#[derive(Clone, Copy)]
+pub struct LoomDatapath<'m> {
     engine: FunctionalLoom,
+    model: Option<&'m PackedModel>,
 }
 
-impl LoomDatapath {
+impl<'m> LoomDatapath<'m> {
     /// Wraps the functional Loom engine at the given geometry, fanning each
     /// layer across `threads` workers.
     pub fn new(geometry: LoomGeometry, threads: usize) -> Self {
-        LoomDatapath {
-            engine: FunctionalLoom::new(geometry).with_threads(threads),
+        Self::with_model(FunctionalLoom::new(geometry).with_threads(threads), None)
+    }
+
+    /// `engine`, reading prepared weights from `model` for the layers it
+    /// holds.
+    pub(crate) fn with_model(engine: FunctionalLoom, model: Option<&'m PackedModel>) -> Self {
+        LoomDatapath { engine, model }
+    }
+
+    /// `layer`'s packed rows and Pw: the model's when it holds the layer,
+    /// resolved from the weights otherwise.
+    fn prepared(&self, layer: &str, kind: LayerKind, weights: &[i32]) -> PreparedLayer {
+        match self.model.and_then(|model| model.layer(layer)) {
+            Some(prepared) => prepared.clone(),
+            None => PreparedLayer::new(&kind, weights),
         }
     }
 }
 
-impl FunctionalDatapath for LoomDatapath {
-    fn conv(&self, spec: &ConvSpec, input: &Tensor3, weights: &Tensor4) -> FunctionalRun {
-        let pa = required_precision(input.as_slice());
-        let pw = required_precision(weights.as_slice());
-        self.engine.run_conv(spec, input, weights, pa, pw)
+impl FunctionalDatapath for LoomDatapath<'_> {
+    fn conv(
+        &self,
+        layer: &str,
+        spec: &ConvSpec,
+        input: &Tensor3,
+        weights: &Tensor4,
+    ) -> FunctionalRun {
+        self.conv_batch(layer, spec, std::slice::from_ref(input), weights)
+            .pop()
+            .expect("one run per input")
     }
 
-    fn fc(&self, spec: &FcSpec, input: &[i32], weights: &[i32]) -> FunctionalRun {
-        let pw = required_precision(weights);
-        self.engine.run_fc(spec, input, weights, pw)
+    fn fc(&self, layer: &str, spec: &FcSpec, input: &[i32], weights: &[i32]) -> FunctionalRun {
+        self.fc_batch(layer, spec, &[input.to_vec()], weights)
+            .pop()
+            .expect("one run per input")
+    }
+
+    fn conv_batch(
+        &self,
+        layer: &str,
+        spec: &ConvSpec,
+        inputs: &[Tensor3],
+        weights: &Tensor4,
+    ) -> Vec<FunctionalRun> {
+        let prepared = self.prepared(layer, LayerKind::Conv(*spec), weights.as_slice());
+        let filters = prepared.rows.expect("convolutions always pack");
+        let items: Vec<_> = inputs
+            .iter()
+            .map(|input| (input, required_precision(input.as_slice())))
+            .collect();
+        self.engine
+            .run_conv_batch(spec, &items, &filters, prepared.pw)
+    }
+
+    fn fc_batch(
+        &self,
+        layer: &str,
+        spec: &FcSpec,
+        inputs: &[Vec<i32>],
+        weights: &[i32],
+    ) -> Vec<FunctionalRun> {
+        let prepared = self.prepared(layer, LayerKind::FullyConnected(*spec), weights);
+        let items: Vec<&[i32]> = inputs.iter().map(Vec::as_slice).collect();
+        let rows = prepared.rows.as_deref();
+        self.engine
+            .run_fc_batch(spec, &items, weights, prepared.pw, rows)
     }
 }
 
-/// Any [`FunctionalDatapath`] as a [`GraphCompute`] backend with per-item
-/// cycle and reduced-group accounting, mirroring the Loom engine's private
-/// adapter. The batch entry points are overridden so each item's cycles land
-/// on that item, not on item zero.
+/// Any [`FunctionalDatapath`] as a [`GraphCompute`] backend, with each
+/// item's cycles and reduced groups attributed to that item. The executor
+/// hands it whole batches, which go to the datapath's batch entry points.
 struct DatapathCompute<'a> {
     backend: &'a dyn FunctionalDatapath,
     cycles: Vec<u64>,
@@ -125,73 +225,57 @@ struct DatapathCompute<'a> {
 }
 
 impl DatapathCompute<'_> {
-    fn ensure_items(&mut self, items: usize) {
-        if self.cycles.len() < items {
-            self.cycles.resize(items, 0);
-            self.reduced_groups.resize(items, 0);
-        }
-    }
-
-    fn record(&mut self, item: usize, run: FunctionalRun) -> Vec<i64> {
-        self.cycles[item] += run.cycles;
-        self.reduced_groups[item] += run.reduced_groups;
-        run.outputs
+    fn record(&mut self, runs: Vec<FunctionalRun>) -> Vec<Vec<i64>> {
+        runs.into_iter()
+            .enumerate()
+            .map(|(item, run)| {
+                self.cycles[item] += run.cycles;
+                self.reduced_groups[item] += run.reduced_groups;
+                run.outputs
+            })
+            .collect()
     }
 }
 
 impl GraphCompute for DatapathCompute<'_> {
     fn conv(
         &mut self,
-        _layer: &str,
+        layer: &str,
         spec: &ConvSpec,
         input: &Tensor3,
         weights: &Tensor4,
     ) -> Vec<i64> {
-        self.ensure_items(1);
-        let run = self.backend.conv(spec, input, weights);
-        self.record(0, run)
+        self.conv_batch(layer, spec, std::slice::from_ref(input), weights)
+            .pop()
+            .expect("one output per input")
     }
 
-    fn fc(&mut self, _layer: &str, spec: &FcSpec, input: &[i32], weights: &[i32]) -> Vec<i64> {
-        self.ensure_items(1);
-        let run = self.backend.fc(spec, input, weights);
-        self.record(0, run)
+    fn fc(&mut self, layer: &str, spec: &FcSpec, input: &[i32], weights: &[i32]) -> Vec<i64> {
+        self.fc_batch(layer, spec, &[input.to_vec()], weights)
+            .pop()
+            .expect("one output per input")
     }
 
     fn conv_batch(
         &mut self,
-        _layer: &str,
+        layer: &str,
         spec: &ConvSpec,
         inputs: &[Tensor3],
         weights: &Tensor4,
     ) -> Vec<Vec<i64>> {
-        self.ensure_items(inputs.len());
-        inputs
-            .iter()
-            .enumerate()
-            .map(|(i, input)| {
-                let run = self.backend.conv(spec, input, weights);
-                self.record(i, run)
-            })
-            .collect()
+        let runs = self.backend.conv_batch(layer, spec, inputs, weights);
+        self.record(runs)
     }
 
     fn fc_batch(
         &mut self,
-        _layer: &str,
+        layer: &str,
         spec: &FcSpec,
         inputs: &[Vec<i32>],
         weights: &[i32],
     ) -> Vec<Vec<i64>> {
-        self.ensure_items(inputs.len());
-        inputs
-            .iter()
-            .enumerate()
-            .map(|(i, input)| {
-                let run = self.backend.fc(spec, input, weights);
-                self.record(i, run)
-            })
-            .collect()
+        let runs = self.backend.fc_batch(layer, spec, inputs, weights);
+        self.record(runs)
     }
 }
 

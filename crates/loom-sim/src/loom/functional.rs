@@ -27,13 +27,14 @@
 use crate::config::LoomGeometry;
 use crate::loom::cost::{self, ConvPlan};
 use crate::loom::packed::MagnitudeOr;
+use crate::loom::store;
 use crate::loom::wide::{
     tile_inner_products, CompressedWideBlock, WeightBlock, WideBitplaneBlock, TILE, WIDE_LANES,
 };
 use crate::pool;
 use loom_model::fixed::Precision;
 use loom_model::im2col::window_patch_into;
-use loom_model::layer::{ConvSpec, FcSpec};
+use loom_model::layer::{ConvSpec, FcSpec, LayerKind};
 use loom_model::tensor::{Tensor3, Tensor4};
 
 /// Result of running a layer through the functional engine.
@@ -121,7 +122,8 @@ impl FunctionalLoom {
             spec.weight_shape(),
             "weight shape mismatch"
         );
-        let filters = crate::loom::store::conv_planes(spec, weights.as_slice());
+        let filters = store::layer_rows(&LayerKind::Conv(*spec), weights.as_slice())
+            .expect("convolutions always pack");
         self.run_conv_batch(spec, &[(input, pa)], &filters, pw)
             .pop()
             .expect("one run per input")
@@ -181,6 +183,8 @@ impl FunctionalLoom {
     /// `pw` sets the cycles and the task plan, not the products: as in
     /// [`run_conv`](Self::run_conv), every block's product runs at the
     /// block's detected precisions, so the outputs are exact for any `pw`.
+    /// The weight rows come packed from the weight store, except for layers
+    /// too big to hold there, whose rows stream through the worker arenas.
     ///
     /// # Panics
     ///
@@ -192,21 +196,16 @@ impl FunctionalLoom {
         weights: &[i32],
         pw: Precision,
     ) -> FunctionalRun {
-        let outputs = self
-            .run_fc_batch(spec, &[input], weights, pw, None)
+        let rows = store::layer_rows(&LayerKind::FullyConnected(*spec), weights);
+        self.run_fc_batch(spec, &[input], weights, pw, rows.as_deref())
             .pop()
-            .expect("one output per input");
-        FunctionalRun {
-            outputs,
-            cycles: self.fc_cycles(spec, pw),
-            reduced_groups: 0,
-        }
+            .expect("one run per input")
     }
 
-    /// Runs one fully-connected layer for every input, returning each
-    /// input's outputs. Inputs pack once per item; each weight row packs once
-    /// for the whole batch, or comes from `rows` (the layer's cached
-    /// transpose); output-row groups fan across the pool.
+    /// Runs one fully-connected layer for every input. Inputs pack once per
+    /// item; each weight row comes from `rows` (the layer's packed rows) or,
+    /// when there are none, is streamed once for the whole batch; output-row
+    /// groups fan across the pool. Every item's cycles are those of `pw`.
     ///
     /// # Panics
     ///
@@ -218,7 +217,7 @@ impl FunctionalLoom {
         weights: &[i32],
         pw: Precision,
         rows: Option<&PackedRows>,
-    ) -> Vec<Vec<i64>> {
+    ) -> Vec<FunctionalRun> {
         let job = WideFcJob::new(spec, inputs, weights, pw, self.threads, rows);
         let row_chunks = pool::ordered_map_with(
             self.threads,
@@ -226,18 +225,23 @@ impl FunctionalLoom {
             FcArena::default,
             |arena, g| job.run_rows(arena, g),
         );
-        let mut outputs: Vec<Vec<i64>> = inputs
+        let cycles = self.fc_cycles(spec, pw);
+        let mut runs: Vec<FunctionalRun> = inputs
             .iter()
-            .map(|_| Vec::with_capacity(spec.out_features))
+            .map(|_| FunctionalRun {
+                outputs: Vec::with_capacity(spec.out_features),
+                cycles,
+                reduced_groups: 0,
+            })
             .collect();
         for chunk in row_chunks {
             for row in chunk.chunks_exact(inputs.len()) {
-                for (item, &value) in row.iter().enumerate() {
-                    outputs[item].push(value);
+                for (run, &value) in runs.iter_mut().zip(row) {
+                    run.outputs.push(value);
                 }
             }
         }
-        outputs
+        runs
     }
 
     /// Cycles a fully-connected layer occupies the grid for: steady-state
@@ -1096,38 +1100,50 @@ mod tests {
 
     /// Batches of 1–9 items (a full tile and one more at 9), of differing
     /// widths and some with negative lanes, through both the streamed and
-    /// the cached row paths, equal the reference item by item.
+    /// the packed row forms, equal the reference item by item. Input lengths
+    /// cover a single lane, one lane short of a block, a full block, one lane
+    /// into a second block, and ragged multi-block rows: `run_fc` takes the
+    /// packed form for every layer under the store's cap, so this is where
+    /// the streamed form stays covered.
     #[test]
     fn fc_batches_match_reference_per_item() {
-        let spec = FcSpec::new(300, 10);
         let mut rng = StdRng::seed_from_u64(901);
         let pw = Precision::new(7).unwrap();
-        let weights = synthetic_weights(&mut rng, 300 * 10, pw, ValueDistribution::weights());
-        let inputs: Vec<Vec<i32>> = (0..9u8)
-            .map(|i| {
-                let pa = Precision::new(1 + i).unwrap();
-                let mut input =
-                    synthetic_activations(&mut rng, 300, pa, ValueDistribution::activations());
-                if i % 3 == 2 {
-                    input[usize::from(i) * 30] = -i32::from(i) - 1;
-                }
-                input
-            })
-            .collect();
-        let rows = PackedRows::pack(&weights, spec.in_features);
         let engine = FunctionalLoom::new(small_geometry()).with_threads(2);
-        for batch in 1..=inputs.len() {
-            let items: Vec<&[i32]> = inputs[..batch].iter().map(Vec::as_slice).collect();
-            for cached in [None, Some(&rows)] {
-                let outputs = engine.run_fc_batch(&spec, &items, &weights, pw, cached);
-                assert_eq!(outputs.len(), batch);
-                for (item, output) in items.iter().zip(&outputs) {
-                    assert_eq!(
-                        output,
-                        &fc_forward(&spec, item, &weights),
-                        "batch {batch}, cached {}",
-                        cached.is_some()
+        for in_features in [1, 255, 256, 257, 300, 600] {
+            let spec = FcSpec::new(in_features, 10);
+            let weights =
+                synthetic_weights(&mut rng, in_features * 10, pw, ValueDistribution::weights());
+            let inputs: Vec<Vec<i32>> = (0..9u8)
+                .map(|i| {
+                    let pa = Precision::new(1 + i).unwrap();
+                    let mut input = synthetic_activations(
+                        &mut rng,
+                        in_features,
+                        pa,
+                        ValueDistribution::activations(),
                     );
+                    if i % 3 == 2 {
+                        input[usize::from(i) * 30 % in_features] = -i32::from(i) - 1;
+                    }
+                    input
+                })
+                .collect();
+            let rows = PackedRows::pack(&weights, spec.in_features);
+            for batch in 1..=inputs.len() {
+                let items: Vec<&[i32]> = inputs[..batch].iter().map(Vec::as_slice).collect();
+                for packed in [None, Some(&rows)] {
+                    let runs = engine.run_fc_batch(&spec, &items, &weights, pw, packed);
+                    assert_eq!(runs.len(), batch);
+                    for (item, run) in items.iter().zip(&runs) {
+                        assert_eq!(
+                            run.outputs,
+                            fc_forward(&spec, item, &weights),
+                            "{in_features} inputs, batch {batch}, packed {}",
+                            packed.is_some()
+                        );
+                        assert_eq!(run.cycles, engine.fc_cycles(&spec, pw));
+                    }
                 }
             }
         }

@@ -1,22 +1,28 @@
 //! Whole-network, batched execution on the functional Loom engine.
 //!
-//! [`FunctionalLoom`] answers "does
-//! one layer compute the right numbers"; this module chains it over a whole
-//! [`LayerGraph`] — branches, concats, pooling, re-quantization and all — and
-//! batches inputs. The executor is *shared* with the golden model
-//! (`loom_model::graph`): [`NetworkEngine`] plugs the functional datapath in
-//! as a [`GraphCompute`] backend, so scheduling, re-quantization, ReLU,
-//! pooling and concatenation are literally the same code on both paths and
-//! the traces must be bit-identical if (and only if) the inner products are.
+//! [`FunctionalLoom`] answers "does one layer compute the right numbers";
+//! [`NetworkEngine`] runs it over a whole [`LayerGraph`] — branches, concats,
+//! pooling, re-quantization and all — and batches inputs. It is a thin front
+//! over the one Loom network path: [`LoomDatapath`] driven by
+//! [`run_network_batch`], the same adapter the conformance harness runs every
+//! registered backend through. The executor is *shared* with the golden model
+//! (`loom_model::graph`), so scheduling, re-quantization, ReLU, pooling and
+//! concatenation are literally the same code on both paths and the traces
+//! must be bit-identical if (and only if) the inner products are.
 //!
 //! Execution is *lock-step* across the batch
 //! ([`LayerGraph::run_batch_with`]): every node runs for all items before the
-//! schedule advances, so a convolution's weight planes are packed **once per
-//! batch** and the worker pool is fed fine-grained (item × window-group)
-//! tasks — not whole batch items — which keeps all threads busy even when
-//! the batch is smaller than the pool. Merging follows the sweep runner's
-//! ordered worker-queue pattern, so results are deterministic at any thread
-//! count.
+//! schedule advances, so a layer's weights are resolved **once per batch**
+//! and the worker pool is fed fine-grained (item × window-group) tasks — not
+//! whole batch items — which keeps all threads busy even when the batch is
+//! smaller than the pool. Merging follows the sweep runner's ordered
+//! worker-queue pattern, so results are deterministic at any thread count.
+//!
+//! A layer's weights come packed from the process-wide weight store
+//! ([`crate::loom::store`]), which every entry point resolves them through;
+//! only fully-connected layers too big to hold there stream their rows per
+//! dispatch. A [`PackedModel`] ([`NetworkEngine::prepack`]) holds a model's
+//! resolved layers by name so a served model skips even the store lookup.
 //!
 //! # Examples
 //!
@@ -64,16 +70,13 @@
 //! ```
 
 use crate::config::LoomGeometry;
+use crate::datapath::{run_network_batch, LoomDatapath};
 use crate::loom::functional::{FunctionalLoom, PackStats, PackedRows};
-use crate::loom::store;
-use loom_model::fixed::required_precision;
-use loom_model::graph::{GraphCompute, LayerGraph};
+use crate::loom::store::PreparedLayer;
+use loom_model::graph::LayerGraph;
 use loom_model::inference::{InferenceError, InferenceOptions, InferenceTrace, NetworkParams};
-use loom_model::layer::{ConvSpec, FcSpec, LayerKind};
-use loom_model::tensor::{Tensor3, Tensor4};
-use loom_model::Precision;
+use loom_model::tensor::Tensor3;
 use std::collections::HashMap;
-use std::sync::Arc;
 
 /// Result of running a whole network through the functional engine.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -87,39 +90,19 @@ pub struct NetworkRun {
     pub reduced_groups: u64,
 }
 
-/// Fully-connected layers whose weight count exceeds this stream their row
-/// transpose per dispatch instead of being held in a [`PackedModel`]: a
-/// VGG-19-class `fc6` (~100M weights) would pin hundreds of megabytes of
-/// bit-plane blocks per served model, while everything up to a few million
-/// weights — every reduced network and MLP head — caches comfortably.
-pub const FC_PREPACK_MAX_WEIGHTS: usize = 1 << 22;
-
-/// One fully-connected layer's cache entry. `rows` is `None` above
-/// [`FC_PREPACK_MAX_WEIGHTS`] (the dispatch streams the transpose as
-/// before); the weight precision is cached either way, from the packed rows
-/// when there are any.
-struct CachedFc {
-    rows: Option<Arc<PackedRows>>,
-    pw: Precision,
-}
-
-/// A model's weights pre-packed for the wide datapath, built once
-/// ([`NetworkEngine::prepack`]) and shared read-only across every request
-/// that serves the model: per-conv-layer filter planes, per-FC-layer row
-/// transposes (bounded by [`FC_PREPACK_MAX_WEIGHTS`]) and per-layer weight
-/// precisions (packed planes carry their own).
-/// [`NetworkEngine::run_batch_cached`] consults it by layer name; results
-/// are bit-identical with and without the cache — only the per-dispatch
-/// packing and precision scans disappear.
+/// A model's weights prepared for the wide datapath, built once
+/// ([`NetworkEngine::prepack`]) and shared read-only by every request that
+/// serves the model: each compute layer's packed rows and Pw, by layer name.
+/// With it, [`NetworkEngine::run_batch_cached`] skips the per-dispatch
+/// weight-store lookup (a fingerprint of every weight) and the Pw scan of FC
+/// layers too big to pack; results are bit-identical with and without it.
 ///
-/// The cache is only valid for the exact `(graph, params)` pair it was built
-/// from; [`NetworkEngine::run_batch_cached`] rejects a cache whose graph
-/// name differs, and the packing layers assert block counts against the
-/// layer specs.
+/// It is only valid for the `(graph, params)` pair it was built from: a
+/// cache for another graph name is rejected, and the packing layers assert
+/// block counts against the layer specs.
 pub struct PackedModel {
     graph_name: String,
-    conv: HashMap<String, Arc<PackedRows>>,
-    fc: HashMap<String, CachedFc>,
+    layers: HashMap<String, PreparedLayer>,
 }
 
 impl PackedModel {
@@ -128,16 +111,22 @@ impl PackedModel {
         &self.graph_name
     }
 
-    /// Number of layers with cached packed weights (precision-only FC
-    /// entries above the prepack limit do not count).
-    pub fn packed_layers(&self) -> usize {
-        self.conv.len() + self.fc.values().filter(|f| f.rows.is_some()).count()
+    /// The prepared weights of the compute layer named `layer`.
+    pub(crate) fn layer(&self, layer: &str) -> Option<&PreparedLayer> {
+        self.layers.get(layer)
     }
 
-    /// Every cached container: conv filter planes and packed FC rows.
+    /// Number of layers with packed weights (FC layers too big to pack do
+    /// not count).
+    pub fn packed_layers(&self) -> usize {
+        self.containers().count()
+    }
+
+    /// Every packed container: conv filters and FC rows.
     fn containers(&self) -> impl Iterator<Item = &PackedRows> {
-        let conv = self.conv.values().map(|planes| &**planes);
-        conv.chain(self.fc.values().filter_map(|f| f.rows.as_deref()))
+        self.layers
+            .values()
+            .filter_map(|layer| layer.rows.as_deref())
     }
 
     /// Approximate resident size of the packed (compressed) planes, for
@@ -146,23 +135,22 @@ impl PackedModel {
         self.containers().map(PackedRows::approx_bytes).sum()
     }
 
-    /// Names of fully-connected layers whose weight count exceeded
-    /// [`FC_PREPACK_MAX_WEIGHTS`] and therefore stream their row transpose
-    /// per dispatch instead of being cached (sorted for stable reporting).
-    /// Empty for every reduced zoo network and MLP head — non-empty means
-    /// the model pays the streaming path on every request.
+    /// Names of fully-connected layers too big to pack (over 2^22 weights),
+    /// which therefore stream their rows on every dispatch (sorted for
+    /// stable reporting). Empty for every reduced zoo network and MLP head —
+    /// non-empty means the model pays the streaming path on every request.
     pub fn unpacked_fc_layers(&self) -> Vec<String> {
         let mut names: Vec<String> = self
-            .fc
+            .layers
             .iter()
-            .filter(|(_, fc)| fc.rows.is_none())
+            .filter(|(_, layer)| layer.rows.is_none())
             .map(|(name, _)| name.clone())
             .collect();
         names.sort();
         names
     }
 
-    /// Aggregated pack cost and compression footprint over every cached
+    /// Aggregated pack cost and compression footprint over every packed
     /// container: original pack wall time, resident bytes before/after
     /// compression and the modeled DRAM stream bits both ways. Containers
     /// served from the weight store report the cost of their original pack.
@@ -175,11 +163,11 @@ impl PackedModel {
     }
 }
 
-/// Batched, parallel functional execution of whole layer graphs.
+/// Batched, parallel functional execution of whole layer graphs: a thin
+/// front over [`LoomDatapath`] and [`run_network_batch`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct NetworkEngine {
     engine: FunctionalLoom,
-    threads: usize,
 }
 
 impl NetworkEngine {
@@ -188,7 +176,6 @@ impl NetworkEngine {
     pub fn new(geometry: LoomGeometry) -> Self {
         NetworkEngine {
             engine: FunctionalLoom::new(geometry),
-            threads: 1,
         }
     }
 
@@ -198,7 +185,7 @@ impl NetworkEngine {
     /// this size, so the pool stays busy even when the batch is smaller than
     /// the thread count. Results are bit-identical at any thread count.
     pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads.max(1);
+        self.engine = self.engine.with_threads(threads);
         self
     }
 
@@ -210,7 +197,7 @@ impl NetworkEngine {
 
     /// The worker-thread budget.
     pub fn threads(&self) -> usize {
-        self.threads
+        self.engine.threads()
     }
 
     /// The per-layer engine this network engine drives.
@@ -222,10 +209,10 @@ impl NetworkEngine {
     /// full thread budget fanned across each layer's window / output-row
     /// groups. Exactly [`NetworkEngine::run_batch`] with a batch of one.
     ///
-    /// Per-layer precisions are taken from the data itself
-    /// ([`required_precision`] of the layer's input activations and weights;
-    /// a convolution's packed filter planes record the latter), so the run
-    /// is self-contained and deterministic.
+    /// Per-layer precisions are taken from the data itself: the activation
+    /// precision from each layer's input, the weight precision from the
+    /// layer's packed rows (or, for an FC layer too big to pack, from a scan
+    /// of its weights). The run is self-contained and deterministic.
     ///
     /// # Errors
     ///
@@ -244,9 +231,10 @@ impl NetworkEngine {
             .expect("one run per input"))
     }
 
-    /// Runs every input through the graph, lock-step: each layer's weight
-    /// planes are packed once for the whole batch, and the worker pool
-    /// processes (item × window-group) convolution tasks and (output-row
+    /// Runs every input through the graph, lock-step: each layer's weights
+    /// are resolved once for the whole batch (from the process-wide weight
+    /// store, or streamed for an FC layer too big to pack), and the worker
+    /// pool processes (item × window-group) convolution tasks and (output-row
     /// group) fully-connected tasks. Each item's result is bit-identical to
     /// [`NetworkEngine::run`] on that input — and to the golden
     /// [`LayerGraph::run_batch`] — regardless of thread count.
@@ -264,64 +252,50 @@ impl NetworkEngine {
         self.run_batch_cached(graph, params, inputs, options, None)
     }
 
-    /// Packs every compute layer's weights for the wide datapath up front:
-    /// conv filter planes, FC row transposes (layers up to
-    /// [`FC_PREPACK_MAX_WEIGHTS`] weights) and per-layer weight precisions.
-    /// Packed planes record their own precision, so only the FC layers too
-    /// big to hold are scanned for it. Build once per served model, then
-    /// pass to [`NetworkEngine::run_batch_cached`] on every request.
+    /// Prepares every compute layer's weights for the wide datapath up
+    /// front: packed rows from the weight store (every conv layer, and every
+    /// FC layer small enough to pack) and Pw. Packed rows record their own
+    /// Pw, so only the FC layers too big to pack are scanned for it. Build
+    /// once per served model, then pass to
+    /// [`NetworkEngine::run_batch_cached`] on every request.
     ///
     /// # Panics
     ///
     /// Panics if `params` does not match the graph's compute layers (wrong
-    /// count or weight lengths) — the same contract [`LayerGraph::run_batch`]
+    /// order or weight lengths) — the same contract [`LayerGraph::run_batch`]
     /// enforces at dispatch time.
     pub fn prepack(&self, graph: &LayerGraph, params: &NetworkParams) -> PackedModel {
-        let mut conv = HashMap::new();
-        let mut fc = HashMap::new();
-        for ((name, kind), weights) in graph.compute_layers().zip(params.layers()) {
-            assert_eq!(
-                name, weights.layer_name,
-                "params must list weights in compute-layer order"
-            );
-            match kind {
-                LayerKind::Conv(spec) => {
-                    conv.insert(name.to_string(), store::conv_planes(spec, &weights.values));
-                }
-                LayerKind::FullyConnected(spec) => {
-                    let rows = (weights.values.len() <= FC_PREPACK_MAX_WEIGHTS)
-                        .then(|| store::fc_rows(spec, &weights.values));
-                    let pw = rows
-                        .as_ref()
-                        .map_or_else(|| required_precision(&weights.values), |rows| rows.pw());
-                    fc.insert(name.to_string(), CachedFc { rows, pw });
-                }
-                LayerKind::MaxPool(_) => {}
-            }
-        }
+        let layers = graph
+            .compute_layers()
+            .zip(params.layers())
+            .map(|((name, kind), weights)| {
+                assert_eq!(
+                    name, weights.layer_name,
+                    "params must list weights in compute-layer order"
+                );
+                (name.to_string(), PreparedLayer::new(kind, &weights.values))
+            })
+            .collect();
         PackedModel {
             graph_name: graph.name().to_string(),
-            conv,
-            fc,
+            layers,
         }
     }
 
     /// [`NetworkEngine::run_batch`] with a per-model weight cache: layers
-    /// found in `cache` skip their per-dispatch weight packing and precision
-    /// scan. Results are bit-identical to the uncached run at any thread
-    /// count.
+    /// found in `cache` skip their per-dispatch weight-store lookup (and the
+    /// Pw scan of an FC layer too big to pack). Results are bit-identical to
+    /// the uncached run at any thread count.
     ///
     /// # Errors
     ///
-    /// As [`NetworkEngine::run_batch`], plus
-    /// [`InferenceError::ShapeMismatch`]-free sanity: a cache packed for a
-    /// different graph (by name) panics — serving must never silently mix
-    /// models.
+    /// As [`NetworkEngine::run_batch`].
     ///
     /// # Panics
     ///
-    /// Panics if `cache` was packed for a different graph, or if a cached
-    /// layer's block counts do not tile the layer spec (a stale cache).
+    /// Panics if `cache` was packed for a different graph (by name) —
+    /// serving must never silently mix models — or if a cached layer's block
+    /// counts do not tile the layer spec (a stale cache).
     pub fn run_batch_cached(
         &self,
         graph: &LayerGraph,
@@ -337,105 +311,8 @@ impl NetworkEngine {
                 "packed-weight cache belongs to a different model"
             );
         }
-        let mut backend = FunctionalCompute {
-            engine: self.engine.with_threads(self.threads),
-            cache,
-            cycles: vec![0; inputs.len()],
-            reduced_groups: vec![0; inputs.len()],
-        };
-        let traces = graph.run_batch_with(params, inputs, options, &[], &mut backend)?;
-        Ok(traces
-            .into_iter()
-            .zip(backend.cycles)
-            .zip(backend.reduced_groups)
-            .map(|((trace, cycles), reduced_groups)| NetworkRun {
-                trace,
-                cycles,
-                reduced_groups,
-            })
-            .collect())
-    }
-}
-
-/// The functional Loom engine as a [`GraphCompute`] backend: wide-datapath
-/// inner products plus per-item cycle and reduced-group accounting. The batch
-/// entry points pack each layer's weight planes once and fan fine-grained
-/// tasks across the worker pool; a single item is a batch of one.
-struct FunctionalCompute<'c> {
-    engine: FunctionalLoom,
-    cache: Option<&'c PackedModel>,
-    cycles: Vec<u64>,
-    reduced_groups: Vec<u64>,
-}
-
-impl GraphCompute for FunctionalCompute<'_> {
-    fn conv(
-        &mut self,
-        layer: &str,
-        spec: &ConvSpec,
-        input: &Tensor3,
-        weights: &Tensor4,
-    ) -> Vec<i64> {
-        self.conv_batch(layer, spec, std::slice::from_ref(input), weights)
-            .pop()
-            .expect("one output per input")
-    }
-
-    fn fc(&mut self, layer: &str, spec: &FcSpec, input: &[i32], weights: &[i32]) -> Vec<i64> {
-        self.fc_batch(layer, spec, &[input.to_vec()], weights)
-            .pop()
-            .expect("one output per input")
-    }
-
-    fn conv_batch(
-        &mut self,
-        layer: &str,
-        spec: &ConvSpec,
-        inputs: &[Tensor3],
-        weights: &Tensor4,
-    ) -> Vec<Vec<i64>> {
-        // The layer's weight planes are packed once for the whole batch, and
-        // carry their weight precision.
-        let filters = match self.cache.and_then(|cache| cache.conv.get(layer)) {
-            Some(planes) => Arc::clone(planes),
-            None => store::conv_planes(spec, weights.as_slice()),
-        };
-        let items: Vec<_> = inputs
-            .iter()
-            .map(|input| (input, required_precision(input.as_slice())))
-            .collect();
-        self.engine
-            .run_conv_batch(spec, &items, &filters, filters.pw())
-            .into_iter()
-            .enumerate()
-            .map(|(i, run)| {
-                self.cycles[i] += run.cycles;
-                self.reduced_groups[i] += run.reduced_groups;
-                run.outputs
-            })
-            .collect()
-    }
-
-    fn fc_batch(
-        &mut self,
-        layer: &str,
-        spec: &FcSpec,
-        inputs: &[Vec<i32>],
-        weights: &[i32],
-    ) -> Vec<Vec<i64>> {
-        let cached = self.cache.and_then(|cache| cache.fc.get(layer));
-        let pw = match cached {
-            Some(cached) => cached.pw,
-            None => required_precision(weights),
-        };
-        let cycles = self.engine.fc_cycles(spec, pw);
-        for item_cycles in &mut self.cycles[..inputs.len()] {
-            *item_cycles += cycles;
-        }
-        let item_slices: Vec<&[i32]> = inputs.iter().map(|v| v.as_slice()).collect();
-        let rows = cached.and_then(|cached| cached.rows.as_deref());
-        self.engine
-            .run_fc_batch(spec, &item_slices, weights, pw, rows)
+        let datapath = LoomDatapath::with_model(self.engine, cache);
+        run_network_batch(&datapath, graph, params, inputs, options)
     }
 }
 
@@ -443,11 +320,12 @@ impl GraphCompute for FunctionalCompute<'_> {
 mod tests {
     use super::*;
     use crate::loom::sip::serial_conv;
-    use loom_model::graph::{GraphBuilder, GRAPH_INPUT};
-    use loom_model::layer::PoolSpec;
+    use loom_model::fixed::required_precision;
+    use loom_model::graph::{GraphBuilder, GraphCompute, GRAPH_INPUT};
+    use loom_model::layer::{ConvSpec, FcSpec, PoolSpec};
     use loom_model::reference::fc_forward;
     use loom_model::synthetic::{synthetic_activations, ValueDistribution};
-    use loom_model::tensor::Shape3;
+    use loom_model::tensor::{Shape3, Tensor4};
     use loom_model::Precision;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -678,16 +556,15 @@ mod tests {
         // keeping only the cached precisions — results must not change.
         let stripped = PackedModel {
             graph_name: cache.graph_name.clone(),
-            conv: HashMap::new(),
-            fc: cache
-                .fc
+            layers: cache
+                .layers
                 .iter()
-                .map(|(name, fc)| {
+                .map(|(name, layer)| {
                     (
                         name.clone(),
-                        CachedFc {
+                        PreparedLayer {
                             rows: None,
-                            pw: fc.pw,
+                            pw: layer.pw,
                         },
                     )
                 })
@@ -699,7 +576,7 @@ mod tests {
         assert!(cache.unpacked_fc_layers().is_empty());
         let mut unpacked = stripped.unpacked_fc_layers();
         unpacked.sort();
-        let mut expected: Vec<String> = stripped.fc.keys().cloned().collect();
+        let mut expected: Vec<String> = stripped.layers.keys().cloned().collect();
         expected.sort();
         assert_eq!(unpacked, expected);
         assert!(!expected.is_empty());

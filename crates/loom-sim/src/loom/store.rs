@@ -1,14 +1,18 @@
 //! The process-wide pack-once weight store.
 //!
 //! Transposing and compressing a layer's weights into wide bit-plane blocks
-//! is pure in the weights and the layer dimensions, yet before this store the
-//! engine repeated it per `run_conv` call, per `NetworkEngine::prepack`, and
-//! per conformance-harness backend. The store keys each packed container by
-//! the weight matrix's dimensions plus a 128-bit [`fingerprint`] of its
-//! weights, so a network's filters are packed exactly once per process:
-//! `run_conv`, the batched network engine, the datapath conformance harness
-//! and every `loom-serve` catalog build share the same
-//! [`std::sync::Arc`]'d planes.
+//! is pure in the weights and the layer dimensions. The store keys each
+//! packed container by the weight matrix's dimensions plus a 128-bit
+//! [`fingerprint`] of its weights, so a network's layers are packed exactly
+//! once per process and shared as [`std::sync::Arc`]'d planes.
+//!
+//! Every entry point gets a layer's rows from one resolver, `layer_rows`:
+//! uncached network runs and the conformance harness (through the Loom
+//! datapath), `NetworkEngine::prepack` and every `loom-serve` catalog build,
+//! and `FunctionalLoom::run_conv` / `run_fc`. Its one rule: convolutions
+//! always pack, and fully-connected layers pack up to 2^22 weights; above
+//! that their rows stream through the worker arenas on every dispatch, and
+//! a prepared layer scans their Pw from the weights.
 //!
 //! The fingerprint reads the weights a 64-bit word at a time into four
 //! independent lanes, each step a folded 64×64→128-bit multiply, with the
@@ -26,7 +30,8 @@
 //! binaries report them and CI gates on repack avoidance.
 
 use crate::loom::functional::{PackStats, PackedRows};
-use loom_model::layer::{ConvSpec, FcSpec};
+use loom_model::fixed::{required_precision, Precision};
+use loom_model::layer::LayerKind;
 use std::collections::{HashMap, VecDeque};
 use std::sync::{Arc, Mutex, OnceLock};
 
@@ -78,20 +83,14 @@ struct Key {
     hash: (u64, u64),
 }
 
-/// Which counter pair a lookup updates.
-#[derive(Clone, Copy)]
-enum Kind {
-    Conv,
-    Fc,
-}
-
 impl WeightStoreStats {
-    fn count(&mut self, kind: Kind, hit: bool) {
-        let counter = match (kind, hit) {
-            (Kind::Conv, false) => &mut self.conv_packs,
-            (Kind::Conv, true) => &mut self.conv_hits,
-            (Kind::Fc, false) => &mut self.fc_packs,
-            (Kind::Fc, true) => &mut self.fc_hits,
+    /// Counts one lookup of a `layer`'s rows: a pack or a hit.
+    fn count(&mut self, layer: &LayerKind, hit: bool) {
+        let counter = match (layer.is_conv(), hit) {
+            (true, false) => &mut self.conv_packs,
+            (true, true) => &mut self.conv_hits,
+            (false, false) => &mut self.fc_packs,
+            (false, true) => &mut self.fc_hits,
         };
         *counter += 1;
     }
@@ -203,39 +202,63 @@ fn global() -> &'static Mutex<Store> {
     STORE.get_or_init(|| Mutex::new(Store::new(MAX_ENTRIES)))
 }
 
-/// A convolution's packed, compressed filter planes, from its weights in
-/// filter-major order.
-///
-/// # Panics
-///
-/// Panics if the weight count does not match the spec.
-pub(crate) fn conv_planes(spec: &ConvSpec, weights: &[i32]) -> Arc<PackedRows> {
-    assert_eq!(
-        weights.len(),
-        spec.weight_shape().len(),
-        "weight count mismatch"
-    );
-    packed(Kind::Conv, weights, spec.weights_per_filter())
+/// Fully-connected layers above this many weights are not packed: their rows
+/// stream through a worker arena on every dispatch. A VGG-19-class `fc6`
+/// (~100M weights) would pin hundreds of megabytes of bit-plane blocks, while
+/// everything up to a few million weights (every reduced network and MLP
+/// head, AlexNet's and VGG-S's `fc8`, GoogLeNet's `fc`) packs comfortably.
+const FC_PREPACK_MAX_WEIGHTS: usize = 1 << 22;
+
+/// One compute layer's weights as the wide datapath reads them: the packed
+/// rows and the weight precision Pw that sets the layer's cycles.
+#[derive(Clone)]
+pub(crate) struct PreparedLayer {
+    /// The packed rows: a convolution's filters or a fully-connected layer's
+    /// output rows. `None` only for a fully-connected layer above the packing
+    /// cap, whose rows stream per dispatch.
+    pub(crate) rows: Option<Arc<PackedRows>>,
+    /// Recorded by the packed rows, or scanned once from the weights when
+    /// there are none.
+    pub(crate) pw: Precision,
 }
 
-/// A fully-connected layer's packed, compressed row transpose.
+impl PreparedLayer {
+    /// Resolves `layer`'s packed rows ([`layer_rows`], whose panics it
+    /// shares) and its Pw.
+    pub(crate) fn new(layer: &LayerKind, weights: &[i32]) -> Self {
+        let rows = layer_rows(layer, weights);
+        let pw = rows
+            .as_ref()
+            .map_or_else(|| required_precision(weights), |rows| rows.pw());
+        PreparedLayer { rows, pw }
+    }
+}
+
+/// A compute layer's packed, compressed rows (a convolution's filters in
+/// filter-major order, a fully-connected layer's output rows), from the store
+/// or packed into it. This is the one place a layer's weights meet the store,
+/// for every entry point: `None` only for a fully-connected layer above the
+/// packing cap, whose rows stream instead.
 ///
 /// # Panics
 ///
-/// Panics if the weights do not match the spec.
-pub(crate) fn fc_rows(spec: &FcSpec, weights: &[i32]) -> Arc<PackedRows> {
-    assert_eq!(
-        weights.len(),
-        spec.in_features * spec.out_features,
-        "weight length mismatch"
-    );
-    packed(Kind::Fc, weights, spec.in_features)
+/// Panics if the weight count does not match the layer, or if the layer is
+/// a pooling layer (which has no weights).
+pub(crate) fn layer_rows(layer: &LayerKind, weights: &[i32]) -> Option<Arc<PackedRows>> {
+    let (row_len, count) = match layer {
+        LayerKind::Conv(spec) => (spec.weights_per_filter(), spec.total_weights()),
+        LayerKind::FullyConnected(spec) => (spec.in_features, spec.total_weights()),
+        LayerKind::MaxPool(_) => panic!("pooling layers have no weights"),
+    };
+    assert_eq!(weights.len() as u64, count, "weight count mismatch");
+    let streamed = !layer.is_conv() && weights.len() > FC_PREPACK_MAX_WEIGHTS;
+    (!streamed).then(|| packed(layer, weights, row_len))
 }
 
 /// `weights`, read as rows of `row_len`, packed — from the store when the
 /// same (dimensions, weights) pair was packed before in this process, packed
 /// and inserted otherwise.
-fn packed(kind: Kind, weights: &[i32], row_len: usize) -> Arc<PackedRows> {
+fn packed(layer: &LayerKind, weights: &[i32], row_len: usize) -> Arc<PackedRows> {
     let key = Key {
         dims: (weights.len() / row_len, row_len),
         hash: fingerprint(weights),
@@ -244,7 +267,7 @@ fn packed(kind: Kind, weights: &[i32], row_len: usize) -> Arc<PackedRows> {
         let mut store = global().lock().expect("weight store poisoned");
         if let Some(rows) = store.entries.get(&key) {
             let rows = Arc::clone(rows);
-            store.stats.count(kind, true);
+            store.stats.count(layer, true);
             return rows;
         }
     }
@@ -252,7 +275,7 @@ fn packed(kind: Kind, weights: &[i32], row_len: usize) -> Arc<PackedRows> {
     // must not serialize unrelated threads behind the store mutex.
     let rows = Arc::new(PackedRows::pack(weights, row_len));
     let mut store = global().lock().expect("weight store poisoned");
-    store.stats.count(kind, false);
+    store.stats.count(layer, false);
     store.stats.pack.add(&rows.stats());
     if let Some(existing) = store.entries.get(&key) {
         // Another thread packed the same layer concurrently; share theirs.
@@ -270,11 +293,55 @@ pub fn stats() -> WeightStoreStats {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use loom_model::fixed::required_precision;
+    use loom_model::layer::{ConvSpec, FcSpec};
 
     fn conv_weights(spec: &ConvSpec, salt: i32) -> Vec<i32> {
         let n = spec.weight_shape().len() as i32;
         (0..n).map(|i| (i * 31 + salt) % 200 - 100).collect()
+    }
+
+    fn conv_planes(spec: &ConvSpec, weights: &[i32]) -> Arc<PackedRows> {
+        layer_rows(&LayerKind::Conv(*spec), weights).expect("convolutions always pack")
+    }
+
+    fn fc_rows(spec: &FcSpec, weights: &[i32]) -> Arc<PackedRows> {
+        layer_rows(&LayerKind::FullyConnected(*spec), weights).expect("under the packing cap")
+    }
+
+    /// Convolutions pack, fully-connected layers pack up to the cap and
+    /// stream one weight beyond it, and Pw is the weights' required
+    /// precision either way.
+    #[test]
+    fn resolver_packs_up_to_the_fc_cap_and_streams_beyond() {
+        let spec = ConvSpec::simple(3, 6, 6, 4, 3);
+        let weights = conv_weights(&spec, 90051);
+        let conv = PreparedLayer::new(&LayerKind::Conv(spec), &weights);
+        assert!(conv.rows.is_some());
+        assert_eq!(conv.pw, required_precision(&weights));
+
+        let fc_weights = |count: usize| -> Vec<i32> {
+            let mut weights: Vec<i32> = (0..count as i32)
+                .map(|i| (i * 7 + 90061) % 61 - 30)
+                .collect();
+            // The widest weight is the last one, in the last row's last block.
+            weights[count - 1] = -3000;
+            weights
+        };
+        let at_cap = FcSpec::new(1024, FC_PREPACK_MAX_WEIGHTS / 1024);
+        let weights = fc_weights(FC_PREPACK_MAX_WEIGHTS);
+        let packed = PreparedLayer::new(&LayerKind::FullyConnected(at_cap), &weights);
+        assert!(packed.rows.is_some(), "a layer of exactly the cap packs");
+        assert_eq!(packed.pw, required_precision(&weights));
+        assert_eq!(packed.pw.bits(), 13);
+
+        // 2^22 + 1 = 5 × 838861.
+        let over_cap = FcSpec::new(5, (FC_PREPACK_MAX_WEIGHTS + 1) / 5);
+        let weights = fc_weights(FC_PREPACK_MAX_WEIGHTS + 1);
+        assert_eq!(weights.len(), over_cap.in_features * over_cap.out_features);
+        let streamed = PreparedLayer::new(&LayerKind::FullyConnected(over_cap), &weights);
+        assert!(streamed.rows.is_none(), "one weight more streams");
+        assert_eq!(streamed.pw, required_precision(&weights));
+        assert_eq!(streamed.pw.bits(), 13);
     }
 
     #[test]

@@ -217,7 +217,7 @@ fn functional_cycles_match_analytic_models_on_the_mini_zoo() {
                         ("Stripes", &fstripes),
                         ("DStripes", &fdstripes),
                     ] {
-                        let run = backend.fc(spec, fc_input, weights);
+                        let run = backend.fc(&node.name, spec, fc_input, weights);
                         assert_eq!(
                             run.cycles,
                             analytic,
@@ -306,9 +306,9 @@ proptest! {
         );
         let golden = conv_forward(&spec, &input, &weights);
         let geo = EquivalentConfig::BASELINE_128.dpnn();
-        let dpnn = FunctionalDpnn::new(geo).conv(&spec, &input, &weights);
-        let stripes = FunctionalStripes::new(geo).conv(&spec, &input, &weights);
-        let dstripes = FunctionalDStripes::new(geo).conv(&spec, &input, &weights);
+        let dpnn = FunctionalDpnn::new(geo).conv("conv", &spec, &input, &weights);
+        let stripes = FunctionalStripes::new(geo).conv("conv", &spec, &input, &weights);
+        let dstripes = FunctionalDStripes::new(geo).conv("conv", &spec, &input, &weights);
         prop_assert_eq!(&dpnn.outputs, &golden);
         prop_assert_eq!(&stripes.outputs, &golden);
         prop_assert_eq!(&dstripes.outputs, &golden);
@@ -352,7 +352,7 @@ proptest! {
             &FunctionalStripes::new(geo),
             &FunctionalDStripes::new(geo),
         ] {
-            let run = backend.fc(&spec, &input, &weights);
+            let run = backend.fc("fc", &spec, &input, &weights);
             prop_assert_eq!(&run.outputs, &golden);
             prop_assert_eq!(
                 run.cycles,
