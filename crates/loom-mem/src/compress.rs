@@ -201,53 +201,6 @@ impl CompressedPlanes {
     }
 }
 
-/// Aggregated compression footprint of a weight tensor, accumulated block by
-/// block by [`compression_footprint`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct WeightCompression {
-    /// Values covered.
-    pub values: u64,
-    /// 256-lane blocks covered.
-    pub blocks: u64,
-    /// Dense stream bits (16 bits per value).
-    pub dense_bits: u64,
-    /// Compressed stream bits (bitmaps + sign plane + stored planes).
-    pub compressed_bits: u64,
-}
-
-impl WeightCompression {
-    /// Compressed-over-dense stream ratio (1.0 when no bits were counted).
-    pub fn ratio(&self) -> f64 {
-        if self.dense_bits > 0 {
-            self.compressed_bits as f64 / self.dense_bits as f64
-        } else {
-            1.0
-        }
-    }
-
-    /// Accumulates another footprint into this one.
-    pub fn add(&mut self, other: &WeightCompression) {
-        self.values += other.values;
-        self.blocks += other.blocks;
-        self.dense_bits += other.dense_bits;
-        self.compressed_bits += other.compressed_bits;
-    }
-}
-
-/// Measures the compressed stream footprint of a weight slice, chunked into
-/// 256-lane blocks the way the wide datapath packs filters.
-pub fn compression_footprint(values: &[i32]) -> WeightCompression {
-    let mut total = WeightCompression::default();
-    for chunk in values.chunks(PLANE_LANES.max(1)) {
-        let block = CompressedPlanes::compress_values(chunk);
-        total.values += chunk.len() as u64;
-        total.blocks += 1;
-        total.dense_bits += block.dense_bits();
-        total.compressed_bits += block.compressed_bits();
-    }
-    total
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -322,16 +275,25 @@ mod tests {
 
     #[test]
     fn footprint_accumulates_across_blocks() {
+        // A tensor streams as consecutive 256-lane blocks, the chunking the
+        // wide datapath packs filters in: 600 values are 256 + 256 + 88.
         let values: Vec<i32> = (0..600).map(|i| (i % 13) - 6).collect();
-        let f = compression_footprint(&values);
-        assert_eq!(f.values, 600);
-        assert_eq!(f.blocks, 3);
-        assert_eq!(f.dense_bits, 600 * 16);
-        assert!(f.ratio() < 1.0);
-        let mut doubled = f;
-        doubled.add(&f);
-        assert_eq!(doubled.dense_bits, 2 * f.dense_bits);
-        assert_eq!(compression_footprint(&[]).ratio(), 1.0);
+        let blocks: Vec<CompressedPlanes> = values
+            .chunks(PLANE_LANES)
+            .map(CompressedPlanes::compress_values)
+            .collect();
+        assert_eq!(blocks.len(), 3);
+        assert_eq!(blocks.iter().map(|b| b.lanes()).sum::<usize>(), 600);
+        let dense: u64 = blocks.iter().map(|b| b.dense_bits()).sum();
+        let compressed: u64 = blocks.iter().map(|b| b.compressed_bits()).sum();
+        assert_eq!(dense, 600 * 16);
+        assert!(compressed < dense);
+        // The ragged last block streams only its populated lanes.
+        let last = &blocks[2];
+        assert_eq!(
+            last.compressed_bits(),
+            32 + 88 + last.stored_planes().len() as u64 * 88
+        );
     }
 
     #[test]

@@ -74,26 +74,17 @@ impl MemorySystem {
         }
     }
 
-    /// Evaluates one layer stored at the given precisions.
+    /// Evaluates one layer stored at the given precisions: the
+    /// [`evaluate_layer_compressed`](Self::evaluate_layer_compressed) case
+    /// whose weight stream is not compressed (ratio 1.0).
     pub fn evaluate_layer(&self, kind: &LayerKind, storage: StoragePrecision) -> LayerMemoryUse {
-        let traffic = layer_traffic(kind, storage);
-        let working_set = activation_working_set_bits(kind, storage.activation);
-        let spill = working_set.saturating_sub(self.config.am_bytes * 8);
-        // Spilled activations are written off chip and read back: 2x traffic.
-        let offchip_bits = traffic.weight_bits + 2 * spill;
-        LayerMemoryUse {
-            traffic,
-            working_set_bits: working_set,
-            offchip_bits,
-            offchip_cycles: self.dram.cycles_for_bits(offchip_bits),
-        }
+        self.evaluate_layer_compressed(kind, storage, 1.0)
     }
 
     /// Evaluates one layer whose weights stream in the compressed bitplane
-    /// format (see [`crate::compress`]): activations behave exactly as in
-    /// [`evaluate_layer`](Self::evaluate_layer), but the weight stream costs
+    /// format (see [`crate::compress`]): the weight stream costs
     /// `weight_ratio × dense` bits, where `weight_ratio` is the layer's
-    /// measured compressed-over-dense ratio.
+    /// measured compressed-over-dense ratio. Activations are unaffected.
     pub fn evaluate_layer_compressed(
         &self,
         kind: &LayerKind,
@@ -104,6 +95,7 @@ impl MemorySystem {
         traffic.weight_bits = (traffic.weight_bits as f64 * weight_ratio).ceil() as u64;
         let working_set = activation_working_set_bits(kind, storage.activation);
         let spill = working_set.saturating_sub(self.config.am_bytes * 8);
+        // Spilled activations are written off chip and read back: 2x traffic.
         let offchip_bits = traffic.weight_bits + 2 * spill;
         LayerMemoryUse {
             traffic,

@@ -11,11 +11,13 @@
 //!   weight precisions.
 //! * [`profiler`] — the Judd et al. search procedure that derives profiles,
 //!   demonstrated with an output-fidelity proxy on runnable networks.
-//! * [`dynamic`] — runtime per-group-of-256 activation precision detection
-//!   (Lascorz et al. "Dynamic Stripes"), the OR-tree + leading-one model.
+//! * [`dynamic`] — a standalone model of runtime per-group-of-256 activation
+//!   precision detection (Lascorz et al. "Dynamic Stripes"), the OR-tree +
+//!   leading-one detector; the simulators' detectors live in `loom-sim`.
 //! * [`group`] — per-group-of-16 weight precision detection (DPRed, §4.6).
 //! * [`stats`] — bit-length histograms and the expected group-maximum
-//!   precision that links value distributions to effective precisions.
+//!   precision that links value distributions to effective precisions (a
+//!   standalone model no table or figure reads).
 //! * [`trace`] — the per-layer precision specifications the cycle simulators
 //!   consume, including the calibrated statistical model used when real
 //!   activation values are unavailable.

@@ -1,12 +1,14 @@
 //! Precision traces: the per-group effective precisions the cycle simulators
 //! consume.
 //!
-//! For small networks the traces come from real values (the inference golden
-//! model plus the detectors in [`crate::dynamic`] and [`crate::group`]). For
-//! the six paper networks — whose trained weights and ImageNet inputs are not
-//! available — a calibrated statistical model supplies the same information:
-//! the average fraction of the profile precision that the runtime detectors
-//! actually observe. The calibration constants are derived from the paper's own
+//! For small networks the traces come from real values: a functional datapath
+//! in `loom-sim` reports the per-group activation precisions its detector
+//! measured as an [`Explicit`](GroupPrecisionSource::Explicit) source, and
+//! [`crate::group`] measures per-group weight precisions. For the six paper
+//! networks — whose trained weights and ImageNet inputs are not available — a
+//! calibrated statistical model supplies the same information: the average
+//! fraction of the profile precision that the runtime detectors actually
+//! observe. The calibration constants are derived from the paper's own
 //! published results (see `EXPERIMENTS.md`), which is exactly the substitution
 //! documented in `DESIGN.md` §2: the cycle model sees precision statistics
 //! pinned to the published data.

@@ -536,6 +536,10 @@ fn main() {
                     "rejected".to_string(),
                     Json::from(Counters::read(&counters.rejected) as i64),
                 ),
+                (
+                    "failed".to_string(),
+                    Json::from(Counters::read(&counters.failed) as i64),
+                ),
             ]),
         ),
     ]);

@@ -16,6 +16,8 @@ pub struct Counters {
     pub overloaded: AtomicU64,
     /// 4xx protocol rejections other than 429.
     pub rejected: AtomicU64,
+    /// 5xx responses: a failed or panicking batch, or a batcher that exited.
+    pub failed: AtomicU64,
     /// Connections dropped for exceeding the read timeout (slow-loris).
     pub timeouts: AtomicU64,
     /// Connections refused at accept time (connection cap).
@@ -23,6 +25,17 @@ pub struct Counters {
 }
 
 impl Counters {
+    /// Counts one response by its status: 200 is `ok`, 429 `overloaded`,
+    /// any other 4xx `rejected`, and 5xx `failed`.
+    pub fn record(&self, status: u16) {
+        Self::bump(match status {
+            200 => &self.ok,
+            429 => &self.overloaded,
+            500..=599 => &self.failed,
+            _ => &self.rejected,
+        });
+    }
+
     /// Increment one counter cell.
     pub fn bump(cell: &AtomicU64) {
         cell.fetch_add(1, Ordering::Relaxed);
@@ -79,6 +92,19 @@ pub fn percentile(sorted: &[u64], p: f64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn responses_are_counted_by_status_class() {
+        let counters = Counters::default();
+        for status in [200, 429, 400, 404, 405, 413, 500] {
+            counters.record(status);
+        }
+        assert_eq!(Counters::read(&counters.ok), 1);
+        assert_eq!(Counters::read(&counters.overloaded), 1);
+        assert_eq!(Counters::read(&counters.rejected), 4);
+        assert_eq!(Counters::read(&counters.failed), 1);
+        assert_eq!(Counters::read(&counters.requests), 0);
+    }
 
     #[test]
     fn percentiles_use_nearest_rank() {

@@ -200,7 +200,7 @@ fn handle_connection(stream: TcpStream, inner: &Inner) {
                 return;
             }
             Err(ReadError::BodyTooLarge { limit }) => {
-                Counters::bump(&inner.counters.rejected);
+                inner.counters.record(413);
                 let body = error_body(&format!("request body exceeds {limit} bytes"));
                 let _ = write_response(
                     &mut stream,
@@ -213,7 +213,7 @@ fn handle_connection(stream: TcpStream, inner: &Inner) {
                 return;
             }
             Err(ReadError::HeadersTooLarge) | Err(ReadError::Malformed(_)) => {
-                Counters::bump(&inner.counters.rejected);
+                inner.counters.record(400);
                 let _ = write_response(
                     &mut stream,
                     400,
@@ -229,11 +229,7 @@ fn handle_connection(stream: TcpStream, inner: &Inner) {
         Counters::bump(&inner.counters.requests);
         let keep_alive = request.keep_alive();
         let (status, reason, body) = route(&request, inner);
-        match &status {
-            200 => Counters::bump(&inner.counters.ok),
-            429 => Counters::bump(&inner.counters.overloaded),
-            _ => Counters::bump(&inner.counters.rejected),
-        }
+        inner.counters.record(status);
         if write_response(
             &mut stream,
             status,
@@ -523,6 +519,10 @@ fn stats_body(inner: &Inner) -> String {
         (
             "rejected".to_string(),
             Json::from(Counters::read(&c.rejected) as i64),
+        ),
+        (
+            "failed".to_string(),
+            Json::from(Counters::read(&c.failed) as i64),
         ),
         (
             "timeouts".to_string(),

@@ -1,7 +1,8 @@
 //! The first-class accelerator abstraction: every evaluated datapath (DPNN,
-//! Stripes, Dynamic Stripes, the Loom variants) is an implementation of the
-//! [`Accelerator`] trait, and the [`Registry`] replaces the per-datapath
-//! `match` dispatch that used to live inside the simulation engine.
+//! Stripes with or without dynamic detection, the Loom variants) is an
+//! implementation of the [`Accelerator`] trait, and the [`Registry`]
+//! replaces the per-datapath `match` dispatch that used to live inside the
+//! simulation engine.
 //!
 //! Adding a new backend means writing one impl of [`Accelerator`] and
 //! registering it; the engine, the experiment plumbing, the tables and the
@@ -14,9 +15,7 @@
 
 use crate::config::{DpnnGeometry, EquivalentConfig, LoomGeometry, LoomVariant};
 use crate::counts::{LayerClass, LayerSim, NetworkSim};
-use crate::datapath::{
-    FunctionalDStripes, FunctionalDatapath, FunctionalDpnn, FunctionalStripes, LoomDatapath,
-};
+use crate::datapath::{FunctionalDatapath, FunctionalDpnn, FunctionalStripes, LoomDatapath};
 use crate::engine::{AcceleratorKind, PrecisionAssignment};
 use crate::loom::schedule::{conv_schedule, fc_schedule};
 use crate::{dpnn, stripes};
@@ -24,7 +23,7 @@ use loom_mem::traffic::{layer_traffic, StoragePrecision};
 use loom_model::layer::{ConvSpec, FcSpec, LayerKind};
 use loom_model::network::Network;
 use loom_model::Precision;
-use loom_precision::trace::LayerPrecisionSpec;
+use loom_precision::trace::{GroupPrecisionSource, LayerPrecisionSpec};
 use std::fmt;
 
 /// Everything an accelerator needs to simulate one layer.
@@ -198,25 +197,42 @@ impl Accelerator for Dpnn {
     }
 }
 
-/// Stripes: bit-serial activations with static per-layer precisions,
-/// convolutional layers only (FCLs fall back to the bit-parallel schedule).
+/// Stripes: bit-serial activations, convolutional layers only (FCLs fall
+/// back to the bit-parallel schedule). Built by [`Stripes::dynamic`] it is
+/// Dynamic Stripes: the same tile, plus runtime per-group activation
+/// precision detection.
 #[derive(Debug, Clone, Copy)]
 pub struct Stripes {
     geometry: DpnnGeometry,
+    dynamic: bool,
 }
 
 impl Stripes {
-    /// Creates the Stripes comparator at the given design point.
+    /// Creates the Stripes comparator (static per-layer precisions) at the
+    /// given design point.
     pub fn new(config: EquivalentConfig) -> Self {
         Stripes {
             geometry: config.dpnn(),
+            dynamic: false,
+        }
+    }
+
+    /// Creates the Dynamic Stripes comparator at the given design point.
+    pub fn dynamic(config: EquivalentConfig) -> Self {
+        Stripes {
+            dynamic: true,
+            ..Stripes::new(config)
         }
     }
 }
 
 impl Accelerator for Stripes {
     fn kind(&self) -> AcceleratorKind {
-        AcceleratorKind::Stripes
+        if self.dynamic {
+            AcceleratorKind::DStripes
+        } else {
+            AcceleratorKind::Stripes
+        }
     }
 
     fn geometry(&self) -> GeometrySummary {
@@ -227,13 +243,24 @@ impl Accelerator for Stripes {
         }
     }
 
+    /// A bit-serial memory interface for conv-layer activations only;
+    /// weights and FCL data stay at the full 16 bits.
     fn storage_precision(&self, ctx: &LayerContext<'_>) -> StoragePrecision {
-        stripes_storage(ctx)
+        if ctx.layer.is_conv() {
+            StoragePrecision::packed(ctx.precision.activation, Precision::FULL)
+        } else {
+            StoragePrecision::baseline()
+        }
     }
 
     fn conv_cycles(&self, spec: &ConvSpec, precision: &LayerPrecisionSpec) -> (u64, f64) {
+        let groups = if self.dynamic {
+            &precision.dynamic_activation
+        } else {
+            &GroupPrecisionSource::Nominal
+        };
         (
-            stripes::conv_cycles_static(&self.geometry, spec, precision.activation),
+            stripes::conv_cycles_dynamic(&self.geometry, spec, precision.activation, groups),
             dpnn::conv_utilization(&self.geometry, spec),
         )
     }
@@ -246,73 +273,11 @@ impl Accelerator for Stripes {
     }
 
     fn functional_datapath(&self, _threads: usize) -> Option<Box<dyn FunctionalDatapath>> {
-        Some(Box::new(FunctionalStripes::new(self.geometry)))
-    }
-}
-
-/// Dynamic Stripes: Stripes plus runtime per-group activation precisions.
-#[derive(Debug, Clone, Copy)]
-pub struct DStripes {
-    geometry: DpnnGeometry,
-}
-
-impl DStripes {
-    /// Creates the Dynamic Stripes comparator at the given design point.
-    pub fn new(config: EquivalentConfig) -> Self {
-        DStripes {
-            geometry: config.dpnn(),
-        }
-    }
-}
-
-impl Accelerator for DStripes {
-    fn kind(&self) -> AcceleratorKind {
-        AcceleratorKind::DStripes
-    }
-
-    fn geometry(&self) -> GeometrySummary {
-        GeometrySummary {
-            rows: self.geometry.filters,
-            columns: self.geometry.lanes,
-            equivalent_macs_per_cycle: self.geometry.macs_per_cycle(),
-        }
-    }
-
-    fn storage_precision(&self, ctx: &LayerContext<'_>) -> StoragePrecision {
-        stripes_storage(ctx)
-    }
-
-    fn conv_cycles(&self, spec: &ConvSpec, precision: &LayerPrecisionSpec) -> (u64, f64) {
-        (
-            stripes::conv_cycles_dynamic(
-                &self.geometry,
-                spec,
-                precision.activation,
-                &precision.dynamic_activation,
-            ),
-            dpnn::conv_utilization(&self.geometry, spec),
-        )
-    }
-
-    fn fc_cycles(&self, spec: &FcSpec, _precision: &LayerPrecisionSpec) -> (u64, f64) {
-        (
-            dpnn::fc_cycles(&self.geometry, spec),
-            dpnn::fc_utilization(&self.geometry, spec),
-        )
-    }
-
-    fn functional_datapath(&self, _threads: usize) -> Option<Box<dyn FunctionalDatapath>> {
-        Some(Box::new(FunctionalDStripes::new(self.geometry)))
-    }
-}
-
-/// Both Stripes variants keep a bit-serial memory interface for conv-layer
-/// activations only; weights and FCL data stay at the full 16 bits.
-fn stripes_storage(ctx: &LayerContext<'_>) -> StoragePrecision {
-    if ctx.layer.is_conv() {
-        StoragePrecision::packed(ctx.precision.activation, Precision::FULL)
-    } else {
-        StoragePrecision::baseline()
+        Some(Box::new(if self.dynamic {
+            FunctionalStripes::dynamic(self.geometry)
+        } else {
+            FunctionalStripes::new(self.geometry)
+        }))
     }
 }
 
@@ -383,7 +348,7 @@ pub fn build(kind: AcceleratorKind, config: EquivalentConfig) -> Box<dyn Acceler
     match kind {
         AcceleratorKind::Dpnn => Box::new(Dpnn::new(config)),
         AcceleratorKind::Stripes => Box::new(Stripes::new(config)),
-        AcceleratorKind::DStripes => Box::new(DStripes::new(config)),
+        AcceleratorKind::DStripes => Box::new(Stripes::dynamic(config)),
         AcceleratorKind::Loom(variant) => Box::new(Loom::new(config, variant)),
     }
 }

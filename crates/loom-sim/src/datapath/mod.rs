@@ -3,9 +3,10 @@
 //! Every accelerator in the [`Registry`](crate::accelerator::Registry) — not
 //! just Loom — can execute real networks and produce real numbers. This
 //! module defines the [`FunctionalDatapath`] trait those value-computing
-//! engines implement (activation-serial Stripes, dual-detection DStripes,
-//! bit-parallel DPNN, and the bit-serial Loom engine itself), plus the one
-//! adapter that plugs any of them into the shared golden graph executor
+//! engines implement (activation-serial Stripes, which is DStripes with its
+//! runtime precision detection switched on, bit-parallel DPNN, and the
+//! bit-serial Loom engine itself), plus the one adapter that plugs any of
+//! them into the shared golden graph executor
 //! ([`LayerGraph::run_batch_with`]) so scheduling, re-quantization, ReLU,
 //! pooling and concatenation are literally the same code on every backend.
 //! [`LoomDatapath`] is also how [`crate::loom::NetworkEngine`] and
@@ -64,11 +65,9 @@ use loom_model::layer::{ConvSpec, FcSpec, LayerKind};
 use loom_model::tensor::{Tensor3, Tensor4};
 
 pub mod dpnn;
-pub mod dstripes;
 pub mod stripes;
 
 pub use dpnn::FunctionalDpnn;
-pub use dstripes::FunctionalDStripes;
 pub use stripes::{serial_activation_inner_product, FunctionalStripes, StripesConvRun};
 
 /// A functional (value-computing) image of an accelerator's datapath.
@@ -385,7 +384,7 @@ mod tests {
         let backends: Vec<(&str, Box<dyn FunctionalDatapath>)> = vec![
             ("dpnn", Box::new(FunctionalDpnn::new(geo.dpnn()))),
             ("stripes", Box::new(FunctionalStripes::new(geo.dpnn()))),
-            ("dstripes", Box::new(FunctionalDStripes::new(geo.dpnn()))),
+            ("dstripes", Box::new(FunctionalStripes::dynamic(geo.dpnn()))),
             (
                 "loom",
                 Box::new(LoomDatapath::new(

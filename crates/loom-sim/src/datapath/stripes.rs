@@ -12,6 +12,13 @@
 //! the error shows up as a wrong *value* in the differential conformance
 //! harness, not just a wrong cycle count.
 //!
+//! Dynamic Stripes (DStripes) is the same datapath with detection switched on
+//! ([`FunctionalStripes::dynamic`]): before each (window group × weight
+//! chunk) step, an OR tree over the 16 windows × 16 lanes activation block
+//! measures how many bits the block actually needs, and the serial feed stops
+//! there. The measured per-group precisions are reported so tests can replay
+//! them through the analytic model and demand exact cycle agreement.
+//!
 //! Cycle accounting walks (window group × weight chunk) steps in exactly the
 //! order of the analytic model ([`crate::stripes::conv_cycles_dynamic`]), so
 //! the functional count reproduces the analytic one by construction — a
@@ -29,24 +36,42 @@ use loom_model::tensor::{Tensor3, Tensor4};
 use loom_model::Precision;
 use loom_precision::trace::GroupPrecisionSource;
 
-/// The functional Stripes datapath: activation-serial convolutions at the
-/// layer's *static* activation precision, bit-parallel (DPNN-identical)
-/// fully-connected layers.
+/// The functional Stripes datapath: activation-serial convolutions,
+/// bit-parallel (DPNN-identical) fully-connected layers. Built by
+/// [`new`](Self::new) it feeds every step at the layer's *static* activation
+/// precision (Stripes); built by [`dynamic`](Self::dynamic) it detects each
+/// step's precision at runtime (DStripes).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FunctionalStripes {
     geometry: DpnnGeometry,
+    dynamic: bool,
 }
 
 impl FunctionalStripes {
     /// Creates a Stripes datapath over the bit-parallel tile geometry.
     pub fn new(geometry: DpnnGeometry) -> Self {
-        FunctionalStripes { geometry }
+        FunctionalStripes {
+            geometry,
+            dynamic: false,
+        }
     }
 
-    /// Runs a convolutional layer with the static per-layer activation
-    /// precision derived from the input data itself.
+    /// Creates a Dynamic Stripes datapath: Stripes plus runtime per-group
+    /// activation precision detection.
+    pub fn dynamic(geometry: DpnnGeometry) -> Self {
+        FunctionalStripes {
+            geometry,
+            dynamic: true,
+        }
+    }
+
+    /// Runs a convolutional layer at the static per-layer activation
+    /// precision derived from the input data itself, or, for a dynamic
+    /// datapath, at each step's detected precision. The returned
+    /// [`StripesConvRun::group_precisions`] are the widths each step fed, in
+    /// the analytic model's group order.
     pub fn run_conv(&self, spec: &ConvSpec, input: &Tensor3, weights: &Tensor4) -> StripesConvRun {
-        conv_serial_activations(&self.geometry, spec, input, weights, false)
+        conv_serial_activations(&self.geometry, spec, input, weights, self.dynamic)
     }
 
     /// Runs a fully-connected layer. Without weight reuse there is no time to
@@ -90,16 +115,16 @@ impl StripesConvRun {
     }
 }
 
-/// The shared Stripes/DStripes convolution engine. `dynamic` enables runtime
-/// per-group activation precision detection (DStripes); without it every step
-/// runs at the layer's nominal precision (Stripes).
+/// The Stripes convolution engine. `dynamic` enables runtime per-group
+/// activation precision detection (DStripes); without it every step runs at
+/// the layer's nominal precision (Stripes).
 ///
 /// Steps iterate window groups (outer) then weight chunks (inner) — the same
 /// group order as [`crate::stripes::conv_cycles_dynamic`] — and each step
 /// costs its effective precision times the number of filter groups. Detection
 /// shares one step across every conv group's lanes, so (like the Loom engine)
 /// grouped convolutions conservatively fall back to the layer precision.
-pub(crate) fn conv_serial_activations(
+fn conv_serial_activations(
     geometry: &DpnnGeometry,
     spec: &ConvSpec,
     input: &Tensor3,
@@ -282,6 +307,44 @@ mod tests {
         );
         assert_eq!(run.run.reduced_groups, 0);
         assert!(run.group_precisions.iter().all(|&p| p == pa));
+    }
+
+    #[test]
+    fn dynamic_detection_cuts_cycles_and_replays_analytically() {
+        // A 1×1 conv whose activations are tiny everywhere except one planted
+        // 8-magnitude-bit value: the layer precision is 9 bits but nearly
+        // every 16-window × 16-lane group detects far fewer.
+        let spec = ConvSpec::simple(16, 12, 12, 8, 1);
+        let mut rng = StdRng::seed_from_u64(42);
+        let mut values: Vec<i32> = (0..spec.input_shape().len() as i32)
+            .map(|i| i % 4)
+            .collect();
+        values[0] = 255;
+        let input = Tensor3::from_vec(spec.input_shape(), values).unwrap();
+        let weights = Tensor4::from_vec(
+            spec.weight_shape(),
+            synthetic_weights(
+                &mut rng,
+                spec.weight_shape().len(),
+                Precision::new(8).unwrap(),
+                ValueDistribution::weights(),
+            ),
+        )
+        .unwrap();
+
+        let run = FunctionalStripes::dynamic(geo()).run_conv(&spec, &input, &weights);
+        // Bit-exact despite truncating to detected widths.
+        assert_eq!(run.run.outputs, conv_forward(&spec, &input, &weights));
+        // Synthetic sparse data must trigger reduction below static Stripes.
+        let pa = required_precision(input.as_slice());
+        let static_cycles = stripes::conv_cycles_static(&geo(), &spec, pa);
+        assert!(run.run.cycles < static_cycles);
+        assert!(run.run.reduced_groups > 0);
+        // The measured group precisions replayed through the analytic model
+        // reproduce the functional cycle count exactly.
+        let replayed = stripes::conv_cycles_dynamic(&geo(), &spec, pa, &run.explicit_source());
+        assert_eq!(run.run.cycles, replayed);
+        assert_eq!(run.nominal_activation, pa);
     }
 
     #[test]

@@ -5,17 +5,18 @@
 //! * [`config`] — design points (equivalent peak compute bandwidth) and the
 //!   DPNN / Loom geometries derived from them.
 //! * [`dpnn`] — the bit-parallel DaDianNao-style baseline (§3.1).
-//! * [`stripes`] — the Stripes and Dynamic-Stripes comparators.
+//! * [`stripes`] — the Stripes comparator; Dynamic Stripes is the same model
+//!   with runtime per-group activation precision detection switched on.
 //! * [`loom`] — the Loom engine: the bit-exact SIP functional model, a
 //!   functional layer engine validated against the golden model, and the
 //!   analytic convolutional / fully-connected schedules with dynamic
 //!   activation precisions, per-group weight precisions, SIP cascading and
 //!   the LM1b/LM2b/LM4b variants.
 //! * [`datapath`] — functional (value-computing) images of every comparator
-//!   datapath: bit-parallel DPNN, activation-serial Stripes, detecting
-//!   DStripes, and the Loom engine behind one [`datapath::FunctionalDatapath`]
-//!   seam, so any registered accelerator can run whole networks bit-exact
-//!   against the golden model.
+//!   datapath: bit-parallel DPNN, activation-serial Stripes (DStripes when
+//!   built with detection), and the Loom engine behind one
+//!   [`datapath::FunctionalDatapath`] seam, so any registered accelerator can
+//!   run whole networks bit-exact against the golden model.
 //! * [`accelerator`] — the [`accelerator::Accelerator`] trait every datapath
 //!   implements, plus the [`accelerator::Registry`] the engine dispatches
 //!   through (add a backend by implementing the trait and registering it;

@@ -1,21 +1,26 @@
-//! Stripes and Dynamic-Stripes comparators (§4, \[7\] and \[5\] in the paper).
+//! The Stripes comparator (§4, \[7\] and \[5\] in the paper) and its dynamic
+//! variant.
 //!
 //! Stripes processes *activations* bit-serially while keeping weights
 //! bit-parallel, so its convolutional-layer execution time scales with the
 //! per-layer activation precision (`16 / Pa` ideal speedup) but it gains
-//! nothing on fully-connected layers. Dynamic Stripes (DStripes) additionally
-//! trims activation precisions at runtime per group, exactly like Loom does.
+//! nothing on fully-connected layers. Dynamic Stripes (DStripes) is the same
+//! tile with runtime per-group activation precision detection switched on,
+//! exactly like Loom's: [`conv_cycles_dynamic`] prices it with the layer's
+//! detected group precisions, and static Stripes is the
+//! [`GroupPrecisionSource::Nominal`] case of the same formula. The registry's
+//! [`crate::accelerator::Stripes`] picks the source by its detection switch.
 //!
 //! The tile matches DPNN's peak compute bandwidth: it processes 16 windows
 //! concurrently (compensating for bit-serial activations with window
 //! parallelism), `k` filters and 16-long weight chunks per step, each step
 //! taking `Pa` cycles.
 //!
-//! These are the *analytic* cycle models; the value-computing counterparts
-//! ([`crate::datapath::FunctionalStripes`] and
-//! [`crate::datapath::FunctionalDStripes`]) execute the same schedule on real
-//! tensors, bit-exact against the golden reference, and report cycle counts
-//! that equal these formulas by construction.
+//! These are the *analytic* cycle models; the value-computing counterpart
+//! ([`crate::datapath::FunctionalStripes`], built by `new` or `dynamic`)
+//! executes the same schedule on real tensors, bit-exact against the golden
+//! reference, and reports cycle counts that equal these formulas by
+//! construction.
 
 use crate::config::DpnnGeometry;
 use loom_model::layer::{ConvSpec, FcSpec};

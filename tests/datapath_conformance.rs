@@ -31,9 +31,7 @@ use loom_core::loom_model::zoo::graphs;
 use loom_core::loom_model::Precision;
 use loom_core::loom_precision::trace::LayerPrecisionSpec;
 use loom_core::loom_sim::config::EquivalentConfig;
-use loom_core::loom_sim::datapath::{
-    FunctionalDStripes, FunctionalDatapath, FunctionalDpnn, FunctionalStripes,
-};
+use loom_core::loom_sim::datapath::{FunctionalDatapath, FunctionalDpnn, FunctionalStripes};
 use loom_core::loom_sim::engine::AcceleratorKind;
 use loom_core::loom_sim::validate::cross_validate;
 use loom_core::loom_sim::Registry;
@@ -101,6 +99,25 @@ fn every_registered_backend_matches_golden_on_the_reduced_zoo() {
                 b.accelerator
             );
         }
+        // The registered DStripes is Stripes with detection switched on:
+        // it must detect, and detecting must save cycles over Stripes.
+        let backend = |kind: AcceleratorKind| {
+            v.backends
+                .iter()
+                .find(|b| b.accelerator == kind.to_string())
+                .expect("every default kind runs")
+        };
+        let stripes = backend(AcceleratorKind::Stripes);
+        let dstripes = backend(AcceleratorKind::DStripes);
+        assert_eq!(stripes.reduced_groups, 0, "{}: Stripes", graph.name());
+        assert!(dstripes.reduced_groups > 0, "{}: DStripes", graph.name());
+        assert!(
+            dstripes.cycles < stripes.cycles,
+            "{}: DStripes {} vs Stripes {} cycles",
+            graph.name(),
+            dstripes.cycles,
+            stripes.cycles
+        );
     }
 }
 
@@ -145,7 +162,7 @@ fn functional_cycles_match_analytic_models_on_the_mini_zoo() {
     let dstripes_acc = registry.get(AcceleratorKind::DStripes).unwrap();
     let fdpnn = FunctionalDpnn::new(geo);
     let fstripes = FunctionalStripes::new(geo);
-    let fdstripes = FunctionalDStripes::new(geo);
+    let fdstripes = FunctionalStripes::dynamic(geo);
 
     let mut convs_checked = 0usize;
     let mut fcs_checked = 0usize;
@@ -308,7 +325,7 @@ proptest! {
         let geo = EquivalentConfig::BASELINE_128.dpnn();
         let dpnn = FunctionalDpnn::new(geo).conv("conv", &spec, &input, &weights);
         let stripes = FunctionalStripes::new(geo).conv("conv", &spec, &input, &weights);
-        let dstripes = FunctionalDStripes::new(geo).conv("conv", &spec, &input, &weights);
+        let dstripes = FunctionalStripes::dynamic(geo).conv("conv", &spec, &input, &weights);
         prop_assert_eq!(&dpnn.outputs, &golden);
         prop_assert_eq!(&stripes.outputs, &golden);
         prop_assert_eq!(&dstripes.outputs, &golden);
@@ -350,7 +367,7 @@ proptest! {
         for backend in [
             &FunctionalDpnn::new(geo) as &dyn FunctionalDatapath,
             &FunctionalStripes::new(geo),
-            &FunctionalDStripes::new(geo),
+            &FunctionalStripes::dynamic(geo),
         ] {
             let run = backend.fc("fc", &spec, &input, &weights);
             prop_assert_eq!(&run.outputs, &golden);

@@ -7,8 +7,8 @@ use loom_core::loom_energy::EnergyModel;
 use loom_core::loom_mem::hierarchy::{
     network_weight_bytes, required_am_bytes, MemoryConfig, MemorySystem,
 };
-use loom_core::loom_mem::packing::{baseline_footprint_bits, packed_footprint_bits};
-use loom_core::loom_mem::traffic::StoragePrecision;
+use loom_core::loom_mem::traffic::{layer_traffic, StoragePrecision};
+use loom_core::loom_model::layer::{FcSpec, LayerKind};
 use loom_core::loom_model::zoo;
 use loom_core::loom_model::Precision;
 use loom_core::loom_precision::{table1, AccuracyTarget};
@@ -18,10 +18,11 @@ use loom_core::loom_sim::{EquivalentConfig, LoomVariant};
 #[test]
 fn packed_footprints_match_the_paper_formula() {
     // The paper: Loom reduces weight and activation bits read by (16-P)/16.
+    let layer = LayerKind::FullyConnected(FcSpec::new(100, 100));
+    let baseline = layer_traffic(&layer, StoragePrecision::baseline()).total_bits() as f64;
     for bits in 1u8..=16 {
         let p = Precision::new(bits).unwrap();
-        let packed = packed_footprint_bits(10_000, p) as f64;
-        let baseline = baseline_footprint_bits(10_000) as f64;
+        let packed = layer_traffic(&layer, StoragePrecision::packed(p, p)).total_bits() as f64;
         let saving = (baseline - packed) / baseline;
         assert!((saving - f64::from(16 - bits) / 16.0).abs() < 1e-12);
     }

@@ -257,6 +257,7 @@ fn health_models_and_stats_endpoints_respond() {
     let parsed = Json::parse(&stats.body).unwrap();
     assert!(parsed.get("requests").and_then(Json::as_i64).unwrap() >= 2);
     assert_eq!(parsed.get("overloaded").and_then(Json::as_i64), Some(0));
+    assert_eq!(parsed.get("failed").and_then(Json::as_i64), Some(0));
 }
 
 /// The `/metrics` endpoint reports the process-wide weight store and every
