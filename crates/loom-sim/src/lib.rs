@@ -23,9 +23,10 @@
 //!   overriding `functional_datapath` buys conformance coverage for free).
 //! * [`engine`] — the unified [`engine::Simulator`] front end.
 //! * [`counts`] — per-layer / per-network cycle and traffic records.
-//! * [`pool`] — the persistent work-stealing worker pool every parallel path
-//!   (layer fan-out, batched inference, sweeps) shares, with cost-model task
-//!   granularity chosen per layer by [`loom::cost`](crate::loom).
+//! * [`pool`] — the persistent worker pool every parallel path (layer
+//!   fan-out, batched inference, sweeps) shares: participants take jobs from
+//!   one shared cursor per batch, with cost-model task granularity chosen per
+//!   layer by [`loom::cost`](crate::loom).
 //!
 //! # Example
 //!

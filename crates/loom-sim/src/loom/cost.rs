@@ -3,14 +3,14 @@
 //! A layer's parallel work is estimated as **MACs × effective precision**
 //! (`Pa` bits × `Pw` bits — the same product the analytic cycle models scale
 //! with), and the estimate chooses how many tasks the layer fans across the
-//! [work-stealing pool](crate::pool):
+//! [shared worker pool](crate::pool):
 //!
 //! * **Small layers** (below [`TASK_GRAIN`]) run as a single task — inline on
 //!   the submitting thread for batch-of-1, or one task per batch item — so
 //!   pool dispatch overhead never exceeds the work it parallelises.
 //! * **Large layers** split into enough tasks to fill the thread budget
-//!   (and a few times over, so stealing can balance skew), capped so no task
-//!   drops far below the grain.
+//!   (and a few times over, so idle workers can take up skewed tasks),
+//!   capped so no task drops far below the grain.
 //!
 //! Convolutions split along two axes: consecutive **window-group ranges**
 //! first (disjoint output windows, zero redundancy), then **filter tiles**
@@ -36,9 +36,9 @@ use loom_model::layer::{ConvSpec, FcSpec};
 /// this is roughly 130 µs of one thread's work.
 pub const TASK_GRAIN: u64 = 1 << 25;
 
-/// Over-decomposition factor: at most this many tasks per thread, so the
-/// stealing deques can balance skewed task costs without shredding the work
-/// into dispatch overhead.
+/// Over-decomposition factor: at most this many tasks per thread, so workers
+/// that finish early can take up the rest of a skewed layer without the work
+/// being shredded into dispatch overhead.
 pub const TASKS_PER_THREAD: usize = 4;
 
 /// Modeled parallel work of a convolution: MACs × `Pa` bits × `Pw` bits.

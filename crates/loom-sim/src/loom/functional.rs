@@ -55,7 +55,7 @@ pub struct FunctionalRun {
 pub struct FunctionalLoom {
     geometry: LoomGeometry,
     /// Whether per-group activation precisions are detected at runtime.
-    pub dynamic_precision: bool,
+    pub(crate) dynamic_precision: bool,
     /// Worker threads layer jobs are fanned across.
     threads: usize,
 }

@@ -1,27 +1,17 @@
-//! The persistent work-stealing worker pool every parallel path in the
-//! workspace shares.
-//!
-//! The previous substrate (`loom::parallel`) spawned scoped threads per layer
-//! and parked results in per-job `Mutex<Option<R>>` slots; at thousands of
-//! layer dispatches per network that pays thread spawn/join, allocator and
-//! lock traffic on every layer. This module replaces it with:
+//! The persistent worker pool every parallel path in the workspace shares.
 //!
 //! * **Persistent workers** — spawned once (lazily, growing up to the largest
 //!   thread budget ever requested) and parked on a condvar between batches.
-//!   The submitting thread always participates as worker 0, so a
-//!   budget of 1 never touches another thread and the serial path is the
-//!   parallel path.
-//! * **Chase-Lev-style deques** — each participant owns a deque prefilled
-//!   with its contiguous share of job indices; it pops from the bottom
-//!   (ascending, cache-friendly) while idle participants steal from the top.
-//!   The deques are fixed-capacity (every index is known up front), which
-//!   removes the growth path of the full Chase-Lev algorithm; the pop/steal
-//!   protocol is the classic one on `AtomicIsize` top/bottom with a `SeqCst`
-//!   fence.
-//! * **Write-once result slots** — results land in `UnsafeCell<Option>`
-//!   slots indexed by job, with a single atomic countdown publishing
-//!   completion. No per-job mutex, and a panicked batch drops the results
-//!   its surviving jobs produced instead of leaking them.
+//!   The submitting thread always participates, so a budget of 1 never
+//!   touches another thread and the serial path is the parallel path.
+//! * **One job cursor per batch** — the submitter and every admitted helper
+//!   claim the next job index from one shared atomic counter until it passes
+//!   the job count, so whichever participant is free takes the next job. A
+//!   batch with a budget of `threads` admits at most `threads - 1` helpers.
+//! * **One result slot per job** — each result lands in its own
+//!   `Mutex<Option<R>>`, locked once by the job that fills it. A panicked
+//!   batch drops the results its surviving jobs produced instead of leaking
+//!   them.
 //! * **Persistent scratch arenas** — every worker (and the caller thread)
 //!   owns a `TypeId`-keyed scratch store. [`ordered_map_with`]'s `init` runs
 //!   at most once per worker per state type *for the life of the worker*, so
@@ -35,21 +25,21 @@
 //! of their index); which worker runs which job is the only thing scheduling
 //! changes. Every caller's outputs are therefore bit-identical at any thread
 //! count, which the proptest suite in `tests/pool_invariance.rs` pins with
-//! skewed task costs that force stealing.
+//! skewed task costs that leave some participants idle while others work.
 
 use std::any::{Any, TypeId};
-use std::cell::{RefCell, UnsafeCell};
+use std::cell::RefCell;
 use std::collections::HashMap;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{fence, AtomicIsize, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Condvar, Mutex};
 
 /// Per-worker scratch storage, keyed by state type. One entry per
 /// [`ordered_map_with`] state type, created on first use and kept for the
 /// life of the worker — the arena path that lets pack buffers survive across
 /// layers.
 #[derive(Default)]
-pub struct ScratchStore {
+struct ScratchStore {
     entries: HashMap<TypeId, Box<dyn Any + Send>>,
 }
 
@@ -66,8 +56,8 @@ impl ScratchStore {
 
 thread_local! {
     /// The submitting thread's scratch store: used by the inline path and by
-    /// the caller's stint as worker 0, so both paths share one set of arenas
-    /// with identical `init` semantics.
+    /// the caller's stint in its own batch, so both paths share one set of
+    /// arenas with identical `init` semantics.
     static CALLER_SCRATCH: RefCell<ScratchStore> = RefCell::new(ScratchStore::default());
 }
 
@@ -90,72 +80,6 @@ fn with_caller_scratch<T>(f: impl FnOnce(&mut ScratchStore) -> T) -> T {
     f(guard.0.as_mut().expect("store held until drop"))
 }
 
-/// A fixed-capacity work-stealing deque of job indices. The buffer is filled
-/// before the owning batch is published and never written again, so only
-/// `top`/`bottom` need atomicity; the pop/steal protocol is Chase-Lev's.
-struct Deque {
-    top: AtomicIsize,
-    bottom: AtomicIsize,
-    /// Job indices, owner end last: the owner pops ascending job order from
-    /// the back while thieves steal descending from the front.
-    buf: Vec<usize>,
-}
-
-impl Deque {
-    fn prefilled(jobs: std::ops::Range<usize>) -> Self {
-        Deque {
-            top: AtomicIsize::new(0),
-            bottom: AtomicIsize::new(jobs.len() as isize),
-            buf: jobs.rev().collect(),
-        }
-    }
-
-    /// Owner-only: take a job from the bottom.
-    fn pop(&self) -> Option<usize> {
-        let b = self.bottom.load(Ordering::Relaxed) - 1;
-        self.bottom.store(b, Ordering::Relaxed);
-        fence(Ordering::SeqCst);
-        let t = self.top.load(Ordering::Relaxed);
-        if t <= b {
-            let job = self.buf[b as usize];
-            if t == b {
-                // Last element: race the thieves for it.
-                let won = self
-                    .top
-                    .compare_exchange(t, t + 1, Ordering::SeqCst, Ordering::Relaxed)
-                    .is_ok();
-                self.bottom.store(b + 1, Ordering::Relaxed);
-                return won.then_some(job);
-            }
-            Some(job)
-        } else {
-            self.bottom.store(b + 1, Ordering::Relaxed);
-            None
-        }
-    }
-
-    /// Thief: take a job from the top. Returns `None` only when the deque
-    /// was observed empty (CAS races retry internally).
-    fn steal(&self) -> Option<usize> {
-        loop {
-            let t = self.top.load(Ordering::Acquire);
-            fence(Ordering::SeqCst);
-            let b = self.bottom.load(Ordering::Acquire);
-            if t >= b {
-                return None;
-            }
-            let job = self.buf[t as usize];
-            if self
-                .top
-                .compare_exchange_weak(t, t + 1, Ordering::SeqCst, Ordering::Relaxed)
-                .is_ok()
-            {
-                return Some(job);
-            }
-        }
-    }
-}
-
 /// The type-erased job body: `(job index, worker scratch)`.
 type Task<'a> = dyn Fn(usize, &mut ScratchStore) + Sync + 'a;
 
@@ -168,11 +92,16 @@ struct Batch {
     /// has not yet been counted into `remaining`'s countdown, which the
     /// submitter waits out before returning.
     task: *const Task<'static>,
-    /// One deque per participant slot (slot 0 is the submitter).
-    deques: Vec<Deque>,
+    /// Number of jobs in the batch.
+    jobs: usize,
+    /// The next unclaimed job index. Participants take jobs by bumping it;
+    /// a value at or past `jobs` means every job has been handed out.
+    next: AtomicUsize,
     /// Jobs not yet finished; the submitter returns when this hits zero.
     remaining: AtomicUsize,
-    /// Helper slots handed out. Helpers beyond `deques.len() - 1` bounce.
+    /// Helpers admitted on top of the submitter: the thread budget less one.
+    max_helpers: usize,
+    /// Helper admissions handed out. Helpers beyond `max_helpers` bounce.
     joiners: AtomicUsize,
     /// First panic payload raised by a job, re-raised on the submitter.
     panic: Mutex<Option<Box<dyn Any + Send + 'static>>>,
@@ -180,56 +109,44 @@ struct Batch {
     done_cv: Condvar,
 }
 
-// SAFETY: `task` is only dereferenced under the liveness protocol documented
-// on the field; everything else is Sync by construction.
+// SAFETY: `task` points at a `Sync` closure and is only dereferenced under the
+// liveness protocol documented on the field; every other field is a `usize`,
+// an atomic, a `Mutex` or a `Condvar`, all of which are `Send` and `Sync`.
 unsafe impl Send for Batch {}
 unsafe impl Sync for Batch {}
 
 impl Batch {
-    /// Claims a helper slot, or `None` when the batch already has its full
-    /// complement of participants.
-    fn claim_helper_slot(&self) -> Option<usize> {
-        let slot = self.joiners.fetch_add(1, Ordering::AcqRel) + 1;
-        (slot < self.deques.len()).then_some(slot)
+    /// Admits one more helper, or `false` when the batch already has its
+    /// full complement of participants.
+    fn admit_helper(&self) -> bool {
+        self.joiners.fetch_add(1, Ordering::AcqRel) < self.max_helpers
     }
 
-    /// Runs jobs as participant `slot` until every deque is (observed) empty:
-    /// drain the own deque bottom-up, then steal from the others.
-    fn participate(&self, slot: usize, scratch: &mut ScratchStore) {
-        let own = &self.deques[slot];
+    /// Claims and runs jobs until every job has been handed out. Jobs still
+    /// in flight on other participants are covered by `remaining`.
+    fn participate(&self, scratch: &mut ScratchStore) {
         loop {
-            while let Some(job) = own.pop() {
-                self.execute(job, scratch);
-            }
-            let n = self.deques.len();
-            let mut stole = false;
-            for k in 1..n {
-                if let Some(job) = self.deques[(slot + k) % n].steal() {
-                    self.execute(job, scratch);
-                    stole = true;
-                    break;
-                }
-            }
-            if !stole {
-                // Every deque observed empty; in-flight jobs belong to other
-                // participants and are covered by `remaining`.
+            // Relaxed suffices: the cursor publishes no data, and every
+            // fetch_add still returns a distinct index. The batch's fields
+            // reach each participant through the pool lock or the `Arc`, and
+            // results reach the submitter through the slot mutexes and
+            // `remaining`.
+            let job = self.next.fetch_add(1, Ordering::Relaxed);
+            if job >= self.jobs {
                 return;
             }
-        }
-    }
-
-    fn execute(&self, job: usize, scratch: &mut ScratchStore) {
-        // SAFETY: this job has not yet decremented `remaining`, so the
-        // submitter is still blocked in `run_erased` and the closure (and
-        // everything it borrows) is alive.
-        let task = unsafe { &*self.task };
-        if let Err(payload) = catch_unwind(AssertUnwindSafe(|| task(job, scratch))) {
-            let mut first = self.panic.lock().expect("panic slot poisoned");
-            first.get_or_insert(payload);
-        }
-        if self.remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
-            *self.done.lock().expect("done flag poisoned") = true;
-            self.done_cv.notify_all();
+            // SAFETY: `job` was just claimed and has not yet decremented
+            // `remaining`, so the submitter is still blocked in `run_erased`
+            // and the closure (and everything it borrows) is alive.
+            let task = unsafe { &*self.task };
+            if let Err(payload) = catch_unwind(AssertUnwindSafe(|| task(job, scratch))) {
+                let mut first = self.panic.lock().expect("panic slot poisoned");
+                first.get_or_insert(payload);
+            }
+            if self.remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
+                *self.done.lock().expect("done flag poisoned") = true;
+                self.done_cv.notify_all();
+            }
         }
     }
 }
@@ -246,111 +163,40 @@ struct PoolState {
     helpers: usize,
 }
 
-struct PoolShared {
+/// The persistent pool. One process-wide instance, `POOL`, serves every
+/// caller (see [`ordered_map`] / [`ordered_map_with`]); helper threads are
+/// spawned lazily up to the largest budget ever requested and parked between
+/// batches.
+struct WorkerPool {
     state: Mutex<PoolState>,
     work_cv: Condvar,
 }
 
-/// The persistent work-stealing pool. One process-wide instance serves every
-/// caller (see [`ordered_map`] / [`ordered_map_with`]); helper threads are
-/// spawned lazily up to the largest budget ever requested and parked between
-/// batches.
-pub struct WorkerPool {
-    shared: Arc<PoolShared>,
-}
-
-impl Default for WorkerPool {
-    fn default() -> Self {
-        WorkerPool::new()
-    }
-}
+static POOL: WorkerPool = WorkerPool {
+    state: Mutex::new(PoolState {
+        epoch: 0,
+        open: Vec::new(),
+        helpers: 0,
+    }),
+    work_cv: Condvar::new(),
+};
 
 impl WorkerPool {
-    /// An empty pool; helpers are spawned on demand by the first parallel
-    /// submission.
-    pub fn new() -> Self {
-        WorkerPool {
-            shared: Arc::new(PoolShared {
-                state: Mutex::new(PoolState {
-                    epoch: 0,
-                    open: Vec::new(),
-                    helpers: 0,
-                }),
-                work_cv: Condvar::new(),
-            }),
-        }
-    }
-
-    /// The process-wide shared pool.
-    pub fn global() -> &'static WorkerPool {
-        static POOL: OnceLock<WorkerPool> = OnceLock::new();
-        POOL.get_or_init(WorkerPool::new)
-    }
-
-    /// As [`ordered_map_with`], on this pool.
-    pub fn ordered_map_with<S, R, I, F>(&self, threads: usize, jobs: usize, init: I, f: F) -> Vec<R>
-    where
-        S: Send + 'static,
-        R: Send,
-        I: Fn() -> S + Sync,
-        F: Fn(&mut S, usize) -> R + Sync,
-    {
-        if threads <= 1 || jobs <= 1 {
-            // Inline path: same thread-persistent scratch store as a pooled
-            // worker, so `init` runs at most once per state type here too.
-            return with_caller_scratch(|scratch| {
-                (0..jobs)
-                    .map(|i| f(scratch.get_or_insert(&init), i))
-                    .collect()
-            });
-        }
-
-        // `Option` rather than `MaybeUninit`: when a job panics, `run_erased`
-        // re-raises only after every job has finished, so unwinding drops
-        // this vector — and with it every already-written result — instead
-        // of leaking them.
-        let slots: Vec<UnsafeCell<Option<R>>> = (0..jobs).map(|_| UnsafeCell::new(None)).collect();
-        struct Slots<'a, R>(&'a [UnsafeCell<Option<R>>]);
-        // SAFETY: each slot is written by exactly one job (jobs are handed
-        // out uniquely by the deques) and only read after all jobs finish.
-        unsafe impl<R: Send> Sync for Slots<'_, R> {}
-        impl<R> Slots<'_, R> {
-            fn write(&self, job: usize, value: R) {
-                // SAFETY: unique writer for this job index; see the impl above.
-                unsafe { *self.0[job].get() = Some(value) };
-            }
-        }
-        let slot_ref = Slots(&slots);
-
-        let body = |job: usize, scratch: &mut ScratchStore| {
-            let state = scratch.get_or_insert(&init);
-            slot_ref.write(job, f(state, job));
-        };
-        self.run_erased(threads, jobs, &body);
-
-        // All jobs completed without panic: every slot is populated.
-        slots
-            .into_iter()
-            .map(|slot| slot.into_inner().expect("every job writes its slot"))
-            .collect()
-    }
-
-    /// Submits `jobs` indices to `threads` participants (the caller plus
-    /// helpers), blocks until all complete, and re-raises the first job
+    /// Submits `jobs` indices to at most `threads` participants (the caller
+    /// plus helpers), blocks until all complete, and re-raises the first job
     /// panic. `threads >= 2` and `jobs >= 2` (the callers handle inline).
-    fn run_erased(&self, threads: usize, jobs: usize, task: &Task<'_>) {
-        let participants = threads.min(jobs);
-        let deques = (0..participants)
-            .map(|p| Deque::prefilled(jobs * p / participants..jobs * (p + 1) / participants))
-            .collect();
+    fn run_erased(&'static self, threads: usize, jobs: usize, task: &Task<'_>) {
+        let max_helpers = threads.min(jobs) - 1;
         let batch = Arc::new(Batch {
             // SAFETY: lifetime-erased borrow; see the field's invariant.
             task: unsafe {
                 std::mem::transmute::<&Task<'_>, &'static Task<'static>>(task)
                     as *const Task<'static>
             },
-            deques,
+            jobs,
+            next: AtomicUsize::new(0),
             remaining: AtomicUsize::new(jobs),
+            max_helpers,
             joiners: AtomicUsize::new(0),
             panic: Mutex::new(None),
             done: Mutex::new(false),
@@ -358,16 +204,13 @@ impl WorkerPool {
         });
 
         {
-            let mut state = self.shared.state.lock().expect("pool state poisoned");
+            let mut state = self.state.lock().expect("pool state poisoned");
             state.epoch += 1;
             state.open.push(batch.clone());
-            let want = participants - 1;
-            while state.helpers < want {
-                let id = state.helpers;
-                let shared = self.shared.clone();
+            while state.helpers < max_helpers {
                 let spawned = std::thread::Builder::new()
-                    .name(format!("loom-pool-{id}"))
-                    .spawn(move || helper_loop(shared))
+                    .name(format!("loom-pool-{}", state.helpers))
+                    .spawn(move || self.helper_loop())
                     .is_ok();
                 if !spawned {
                     // Thread exhaustion: the caller still completes the batch
@@ -376,11 +219,11 @@ impl WorkerPool {
                 }
                 state.helpers += 1;
             }
-            self.shared.work_cv.notify_all();
+            self.work_cv.notify_all();
         }
 
-        // Participate as worker 0, then wait out any in-flight steals.
-        with_caller_scratch(|scratch| batch.participate(0, scratch));
+        // Take jobs alongside the helpers, then wait out the ones in flight.
+        with_caller_scratch(|scratch| batch.participate(scratch));
         {
             let mut done = batch.done.lock().expect("done flag poisoned");
             while !*done {
@@ -389,7 +232,7 @@ impl WorkerPool {
         }
 
         {
-            let mut state = self.shared.state.lock().expect("pool state poisoned");
+            let mut state = self.state.lock().expect("pool state poisoned");
             state.open.retain(|open| !Arc::ptr_eq(open, &batch));
         }
 
@@ -398,28 +241,28 @@ impl WorkerPool {
             resume_unwind(payload);
         }
     }
-}
 
-/// A persistent helper: park on the condvar, join whatever open batches have
-/// a free participant slot, repeat.
-fn helper_loop(shared: Arc<PoolShared>) {
-    let mut scratch = ScratchStore::default();
-    let mut seen_epoch = 0u64;
-    loop {
-        let batches: Vec<Arc<Batch>> = {
-            let mut state = shared.state.lock().expect("pool state poisoned");
-            loop {
-                if state.epoch != seen_epoch && !state.open.is_empty() {
+    /// A persistent helper: park on the condvar, join whatever open batches
+    /// still admit a helper, repeat.
+    fn helper_loop(&self) {
+        let mut scratch = ScratchStore::default();
+        let mut seen_epoch = 0u64;
+        loop {
+            let batches: Vec<Arc<Batch>> = {
+                let mut state = self.state.lock().expect("pool state poisoned");
+                loop {
+                    if state.epoch != seen_epoch && !state.open.is_empty() {
+                        seen_epoch = state.epoch;
+                        break state.open.clone();
+                    }
                     seen_epoch = state.epoch;
-                    break state.open.clone();
+                    state = self.work_cv.wait(state).expect("pool state poisoned");
                 }
-                seen_epoch = state.epoch;
-                state = shared.work_cv.wait(state).expect("pool state poisoned");
-            }
-        };
-        for batch in batches {
-            if let Some(slot) = batch.claim_helper_slot() {
-                batch.participate(slot, &mut scratch);
+            };
+            for batch in batches {
+                if batch.admit_helper() {
+                    batch.participate(&mut scratch);
+                }
             }
         }
     }
@@ -456,7 +299,35 @@ where
     I: Fn() -> S + Sync,
     F: Fn(&mut S, usize) -> R + Sync,
 {
-    WorkerPool::global().ordered_map_with(threads, jobs, init, f)
+    if threads <= 1 || jobs <= 1 {
+        // Inline path: same thread-persistent scratch store as a pooled
+        // worker, so `init` runs at most once per state type here too.
+        return with_caller_scratch(|scratch| {
+            (0..jobs)
+                .map(|i| f(scratch.get_or_insert(&init), i))
+                .collect()
+        });
+    }
+
+    // When a job panics, `run_erased` re-raises only after every job has
+    // finished, so unwinding drops `slots` — and with it every result already
+    // written — instead of leaking them.
+    let slots: Vec<Mutex<Option<R>>> = (0..jobs).map(|_| Mutex::new(None)).collect();
+    let body = |job: usize, scratch: &mut ScratchStore| {
+        let result = f(scratch.get_or_insert(&init), job);
+        *slots[job].lock().expect("result slot poisoned") = Some(result);
+    };
+    POOL.run_erased(threads, jobs, &body);
+
+    // All jobs completed without panic: every slot is populated.
+    slots
+        .into_iter()
+        .map(|slot| {
+            slot.into_inner()
+                .expect("result slot poisoned")
+                .expect("every job writes its slot")
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -498,8 +369,8 @@ mod tests {
 
     #[test]
     fn skewed_job_costs_still_merge_in_order() {
-        // Front-loaded cost forces thieves to steal the tail; the output
-        // order must not care.
+        // Front-loaded cost keeps whoever took the first jobs busy while the
+        // other participants run the tail; the output order must not care.
         let work = |i: usize| {
             let spin = if i < 4 { 200_000 } else { 10 };
             let mut acc = i as u64;
@@ -624,6 +495,50 @@ mod tests {
             0,
             "panicked batch leaked results"
         );
+    }
+
+    #[test]
+    fn a_batch_never_runs_on_more_threads_than_its_budget() {
+        // Grow the pool well past the budget below, so idle helpers are
+        // parked and ready to over-join a batch if admission let them.
+        ordered_map(8, 64, |i| i);
+        for _ in 0..20 {
+            let ids = ordered_map(2, 64, |_| {
+                let start = std::time::Instant::now();
+                while start.elapsed() < std::time::Duration::from_micros(100) {
+                    std::hint::spin_loop();
+                }
+                std::thread::current().id()
+            });
+            let distinct: std::collections::HashSet<_> = ids.into_iter().collect();
+            assert!(
+                distinct.len() <= 2,
+                "{} threads ran a 2-thread batch",
+                distinct.len()
+            );
+        }
+    }
+
+    #[test]
+    fn concurrent_submitters_each_get_their_own_results() {
+        // Four submitters keep batches open at the same time, so helpers move
+        // between them; every batch must still return its own results in job
+        // order.
+        let work = |submitter: usize, i: usize| submitter * 1_000 + i * i;
+        let start = std::sync::Barrier::new(4);
+        std::thread::scope(|scope| {
+            for submitter in 0..4 {
+                let start = &start;
+                scope.spawn(move || {
+                    let serial = ordered_map(1, 32, |i| work(submitter, i));
+                    start.wait();
+                    for round in 0..50 {
+                        let pooled = ordered_map(2, 32, |i| work(submitter, i));
+                        assert_eq!(pooled, serial, "submitter {submitter}, round {round}");
+                    }
+                });
+            }
+        });
     }
 
     #[test]

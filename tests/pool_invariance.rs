@@ -1,13 +1,14 @@
-//! Thread-count invariance of the work-stealing pool and the cost-model
+//! Thread-count invariance of the shared worker pool and the cost-model
 //! layer decomposition: any thread budget, any task plan, bit-identical
 //! results.
 //!
 //! The pool's determinism argument is structural — tasks cover disjoint
 //! output ranges and merge in task order — so these suites hammer the
-//! schedule-dependent paths: skewed job costs that force stealing, layers
-//! whose cost model picks different plans at different budgets (window
-//! chunks, filter tiles, FC row groups), and whole-network batch-of-1 runs
-//! where *intra-layer* tasks are the only parallelism available.
+//! schedule-dependent paths: skewed job costs that leave some participants
+//! idle while others work, layers whose cost model picks different plans at
+//! different budgets (window chunks, filter tiles, FC row groups), and
+//! whole-network batch-of-1 runs where *intra-layer* tasks are the only
+//! parallelism available.
 
 use loom_core::loom_model::graph::LayerGraph;
 use loom_core::loom_model::inference::{InferenceOptions, NetworkParams};
@@ -27,7 +28,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 /// Thread budgets every suite sweeps: inline, even splits, and more workers
-/// than most job counts (so some deques start empty and must steal).
+/// than most job counts (so some helpers find every job already taken).
 const THREAD_CURVE: [usize; 4] = [1, 2, 4, 8];
 
 /// Deterministic spin: repeated multiply-add so job cost scales with `rounds`
@@ -48,7 +49,8 @@ proptest! {
     /// `ordered_map` returns bit-identical, order-preserving results at every
     /// thread count for random job counts and heavily skewed per-job costs.
     /// The costs are front-loaded (early jobs up to ~100x heavier), which
-    /// overloads worker 0's deque and forces the other participants to steal.
+    /// keeps whoever took the first jobs busy while the other participants
+    /// run the rest.
     #[test]
     fn ordered_map_is_thread_invariant_under_skew(
         jobs in 1usize..180,
