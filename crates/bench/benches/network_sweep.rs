@@ -5,7 +5,8 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use loom_core::experiment::{build_assignment, evaluate_network, ExperimentSettings};
 use loom_core::loom_model::zoo;
-use loom_core::loom_sim::engine::{AcceleratorKind, Simulator};
+use loom_core::loom_sim::accelerator::build;
+use loom_core::loom_sim::engine::AcceleratorKind;
 use loom_core::loom_sim::LoomVariant;
 use std::hint::black_box;
 
@@ -15,28 +16,17 @@ fn bench_networks(c: &mut Criterion) {
     let googlenet = zoo::googlenet();
     let assignment_a = build_assignment(&alexnet, &settings);
     let assignment_g = build_assignment(&googlenet, &settings);
-    let sim = Simulator::baseline_128();
+    let dpnn = build(AcceleratorKind::Dpnn, settings.config);
+    let lm1b = build(AcceleratorKind::Loom(LoomVariant::Lm1b), settings.config);
 
     c.bench_function("simulate_alexnet_dpnn", |b| {
-        b.iter(|| sim.simulate(AcceleratorKind::Dpnn, black_box(&alexnet), &assignment_a))
+        b.iter(|| dpnn.simulate_network(black_box(&alexnet), &assignment_a))
     });
     c.bench_function("simulate_alexnet_loom1b", |b| {
-        b.iter(|| {
-            sim.simulate(
-                AcceleratorKind::Loom(LoomVariant::Lm1b),
-                black_box(&alexnet),
-                &assignment_a,
-            )
-        })
+        b.iter(|| lm1b.simulate_network(black_box(&alexnet), &assignment_a))
     });
     c.bench_function("simulate_googlenet_loom1b", |b| {
-        b.iter(|| {
-            sim.simulate(
-                AcceleratorKind::Loom(LoomVariant::Lm1b),
-                black_box(&googlenet),
-                &assignment_g,
-            )
-        })
+        b.iter(|| lm1b.simulate_network(black_box(&googlenet), &assignment_g))
     });
     c.bench_function("evaluate_alexnet_all_accelerators", |b| {
         b.iter(|| evaluate_network(black_box(&alexnet), &settings))

@@ -15,16 +15,15 @@
 
 use loom_core::experiment::{build_assignment, ExperimentSettings};
 use loom_core::loom_model::zoo;
-use loom_core::loom_sim::accelerator::{Accelerator, Loom};
+use loom_core::loom_sim::accelerator::{self, Accelerator, Loom};
 use loom_core::loom_sim::config::{LoomGeometry, LoomVariant};
 use loom_core::loom_sim::counts::geomean;
 use loom_core::loom_sim::engine::AcceleratorKind;
-use loom_core::loom_sim::Simulator;
 use loom_core::report::TextTable;
 
 fn main() {
     let settings = ExperimentSettings::default();
-    let simulator = Simulator::baseline_128();
+    let dpnn_model = accelerator::build(AcceleratorKind::Dpnn, settings.config);
     let arrangements = [(512usize, 4usize), (256, 8), (128, 16), (64, 32), (32, 64)];
 
     println!(
@@ -49,7 +48,7 @@ fn main() {
         let mut all = Vec::new();
         for net in zoo::all() {
             let assignment = build_assignment(&net, &settings);
-            let dpnn = simulator.simulate(AcceleratorKind::Dpnn, &net, &assignment);
+            let dpnn = dpnn_model.simulate_network(&net, &assignment);
             let lm = custom.simulate_network(&net, &assignment);
             conv.push(lm.conv_speedup_vs(&dpnn));
             if dpnn.fc_cycles() > 0 {

@@ -13,9 +13,9 @@
 //!    branching GoogLeNet) through the batched functional engine and compares
 //!    every trace bit-for-bit against the golden graph executor.
 //! 3. **Datapaths** — runs one network through the functional datapath of
-//!    every backend in the default accelerator [`Registry`] (DPNN, Stripes,
-//!    DStripes, the Loom variants), recording wall-clock, executed cycles and
-//!    the measured speedup over DPNN, bit-exact against the golden executor.
+//!    every accelerator in `AcceleratorKind::all()` (DPNN, Stripes, DStripes,
+//!    the Loom variants), recording wall-clock, executed cycles and the
+//!    measured speedup over DPNN, bit-exact against the golden executor.
 //! 4. **Batch** — runs one network as a batch of 4 across a thread scaling
 //!    curve (1/2/4, capped at `--threads`), verifying bit-identical results
 //!    at every point.
@@ -52,7 +52,7 @@ use loom_core::loom_model::synthetic::{
 use loom_core::loom_model::tensor::{Tensor3, Tensor4};
 use loom_core::loom_model::zoo::graphs;
 use loom_core::loom_model::{layer::ConvSpec, Precision};
-use loom_core::loom_sim::accelerator::Registry;
+use loom_core::loom_sim::accelerator::{self, Accelerator};
 use loom_core::loom_sim::config::LoomGeometry;
 use loom_core::loom_sim::datapath;
 use loom_core::loom_sim::loom::store::fingerprint;
@@ -60,8 +60,9 @@ use loom_core::loom_sim::loom::{
     serial_inner_product, tile_inner_products, weight_store_stats, wide_inner_product,
     CompressedWideBlock, FunctionalLoom, NetworkEngine, WideBitplaneBlock, KERNEL_TIERS, TILE,
 };
-use loom_core::loom_sim::EquivalentConfig;
+use loom_core::loom_sim::{AcceleratorKind, EquivalentConfig};
 use loom_core::sweep::SweepOptions;
+use loom_core::threads::flag;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::hint::black_box;
@@ -244,29 +245,6 @@ fn bench_zoo_network(
     }
 }
 
-/// Parses a `--<name> <x>` (or `--<name>=<x>`) float flag. `None` when the
-/// flag is absent; a flag present with a missing or unparsable value exits
-/// non-zero — silently guarding at a default would let a mistyped CI floor
-/// pass unnoticed.
-fn float_flag(name: &str) -> Option<f64> {
-    let reject = |value: &str| -> ! {
-        eprintln!("ERROR: --{name} needs a numeric value, got {value:?}");
-        std::process::exit(2);
-    };
-    let flag = format!("--{name}");
-    let prefix = format!("--{name}=");
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        if arg == flag {
-            let value = args.next().unwrap_or_default();
-            return Some(value.parse().unwrap_or_else(|_| reject(&value)));
-        } else if let Some(value) = arg.strip_prefix(&prefix) {
-            return Some(value.parse().unwrap_or_else(|_| reject(value)));
-        }
-    }
-    None
-}
-
 /// Measures one network across a thread scaling curve at the given batch
 /// size, asserting bit-identical runs at every width.
 fn scaling_bench(
@@ -331,9 +309,9 @@ fn print_scaling(label: &str, bench: &BatchBench) {
 fn main() {
     let mut options = SweepOptions::from_env();
     let reduced = std::env::args().any(|a| a == "--reduced");
-    let speedup_floor = float_flag("min-conv-speedup").unwrap_or(DEFAULT_MIN_CONV_SPEEDUP);
-    let batch_floor = float_flag("min-batch-speedup");
-    let latency_floor = float_flag("min-latency-speedup");
+    let speedup_floor = flag("min-conv-speedup").unwrap_or(DEFAULT_MIN_CONV_SPEEDUP);
+    let batch_floor: Option<f64> = flag("min-batch-speedup");
+    let latency_floor: Option<f64> = flag("min-latency-speedup");
 
     // Oversubscription policy: a scaling curve measured with more workers
     // than the machine has cores reads like a perf regression, so asking for
@@ -498,9 +476,9 @@ fn main() {
         })
         .collect();
 
-    // Per-accelerator functional throughput: every registered backend that
-    // exposes a functional datapath runs one network end to end, bit-exact
-    // against the golden executor, with cycles and wall-clock per backend.
+    // Per-accelerator functional throughput: every backend that exposes a
+    // functional datapath runs one network end to end, bit-exact against the
+    // golden executor, with cycles and wall-clock per backend.
     // The measured speedup-vs-DPNN series backs Table 2 / Figure 4 with
     // executed (not just modelled) cycle counts.
     let datapaths = if options.filter.is_none() {
@@ -514,15 +492,18 @@ fn main() {
             .run_batch(&params, &inputs, run_options)
             .expect("zoo graphs chain by construction");
 
-        let registry = Registry::with_defaults(EquivalentConfig::BASELINE_128);
+        let accelerators: Vec<Box<dyn Accelerator>> = AcceleratorKind::all()
+            .into_iter()
+            .map(|kind| accelerator::build(kind, EquivalentConfig::BASELINE_128))
+            .collect();
         println!(
-            "Datapath throughput: {} registered backends on {} x{}:",
-            registry.len(),
+            "Datapath throughput: {} backends on {} x{}:",
+            accelerators.len(),
             graph.name(),
             inputs.len()
         );
         let mut rows: Vec<DatapathThroughputRow> = Vec::new();
-        for acc in registry.iter() {
+        for acc in &accelerators {
             let Some(backend) = acc.functional_datapath(options.threads) else {
                 continue;
             };

@@ -9,8 +9,9 @@ use loom_precision::table1;
 use loom_precision::table3;
 use loom_precision::trace::dynamic_activation_fraction;
 use loom_precision::AccuracyTarget;
+use loom_sim::accelerator;
 use loom_sim::counts::NetworkSim;
-use loom_sim::engine::{assignment_from_profile, AcceleratorKind, PrecisionAssignment, Simulator};
+use loom_sim::engine::{assignment_from_profile, AcceleratorKind, PrecisionAssignment};
 use loom_sim::{EquivalentConfig, LoomVariant};
 
 /// Which weight-precision granularity an experiment uses.
@@ -172,11 +173,12 @@ pub fn assemble_evaluation<'a>(
 /// Runs `network` under `settings` on the baseline and all comparators.
 pub fn evaluate_network(network: &Network, settings: &ExperimentSettings) -> NetworkEvaluation {
     let assignment = build_assignment(network, settings);
-    let simulator = Simulator::new(settings.config);
-    let dpnn = simulator.simulate(AcceleratorKind::Dpnn, network, &assignment);
+    let simulate =
+        |kind| accelerator::build(kind, settings.config).simulate_network(network, &assignment);
+    let dpnn = simulate(AcceleratorKind::Dpnn);
     let comparator_sims: Vec<(AcceleratorKind, NetworkSim)> = comparator_kinds()
         .iter()
-        .map(|&kind| (kind, simulator.simulate(kind, network, &assignment)))
+        .map(|&kind| (kind, simulate(kind)))
         .collect();
     assemble_evaluation(
         network,

@@ -266,7 +266,7 @@ pub struct ZooFunctionalRow {
 /// accounting, consistent with its analytic `Accelerator` model.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DatapathThroughputRow {
-    /// Accelerator display name, in registry (Figure 4 plot) order.
+    /// Accelerator display name, in Figure 4 plot order.
     pub accelerator: String,
     /// Network the backend ran.
     pub network: String,
@@ -402,8 +402,8 @@ pub struct FunctionalBenchReport {
     pub active_kernel_tier: String,
     /// Whole-network zoo runs, in suite order.
     pub zoo: Vec<ZooFunctionalRow>,
-    /// Per-accelerator functional throughput rows (every registered backend
-    /// over the conformance network), in registry order.
+    /// Per-accelerator functional throughput rows (every backend over the
+    /// conformance network), in `AcceleratorKind::all()` order.
     pub datapaths: Vec<DatapathThroughputRow>,
     /// Batched-throughput measurement, if the benchmark ran one.
     pub batch: Option<BatchBench>,
@@ -434,8 +434,8 @@ impl FunctionalBenchReport {
         self.conv_matches_reference
             && self.zoo.iter().all(|z| z.matches_reference)
             && self.datapaths.iter().all(|d| d.matches_reference)
-            && self.batch.as_ref().map_or(true, |b| b.identical)
-            && self.latency.as_ref().map_or(true, |l| l.identical)
+            && self.batch.as_ref().is_none_or(|b| b.identical)
+            && self.latency.as_ref().is_none_or(|l| l.identical)
     }
 }
 

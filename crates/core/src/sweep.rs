@@ -21,12 +21,6 @@ use loom_sim::engine::{AcceleratorKind, PrecisionAssignment};
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
-/// How many worker threads a sweep uses by default: the machine's available
-/// parallelism (1 if it cannot be determined).
-pub fn default_threads() -> usize {
-    crate::threads::available()
-}
-
 /// Command-line options shared by the sweep-driving binaries: `--threads N`
 /// (or the `LOOM_THREADS` environment variable) and
 /// `--filter <network|accelerator>`.
@@ -41,7 +35,7 @@ pub struct SweepOptions {
 impl Default for SweepOptions {
     fn default() -> Self {
         SweepOptions {
-            threads: default_threads(),
+            threads: crate::threads::available(),
             filter: None,
         }
     }
@@ -52,7 +46,7 @@ impl SweepOptions {
     /// the program name). Unrecognised arguments are ignored so binaries can
     /// layer their own flags on top. Precedence for the thread count (the
     /// shared [`crate::threads::resolve`] policy): `--threads` beats
-    /// `LOOM_THREADS` beats [`default_threads`].
+    /// `LOOM_THREADS` beats [`crate::threads::available`].
     pub fn parse<I, S>(args: I) -> Self
     where
         I: IntoIterator<Item = S>,
@@ -257,7 +251,7 @@ impl SweepRunner {
     /// Simulates one sweep point, memoized. Concurrent calls for the same key
     /// may both compute (the cache lock is not held while simulating), but
     /// both produce identical results and one wins the insert. Only the
-    /// accelerator needed for the job is instantiated — no full registry.
+    /// accelerator needed for the job is built.
     pub fn simulate(
         &self,
         network: &Network,

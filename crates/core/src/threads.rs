@@ -5,6 +5,13 @@
 //! and [`physical_cores`] reports the physical core count for bench
 //! provenance (SMT siblings share execution ports, so scaling floors are
 //! judged against physical cores, not logical CPUs).
+//!
+//! Beside it sits [`flag`], the one parser the serving and bench binaries
+//! read their valued options through (`--port`, `--out`, the CI floors);
+//! [`crate::sweep::SweepOptions::parse`] keeps its own, lenient policy for
+//! `--threads` and `--filter`.
+
+use std::str::FromStr;
 
 /// Logical CPUs available to this process (1 if undeterminable).
 pub fn available() -> usize {
@@ -31,6 +38,45 @@ pub fn resolve(flag: Option<usize>) -> usize {
     flag.filter(|&n| n > 0)
         .or_else(env_override)
         .unwrap_or_else(available)
+}
+
+/// The value of `--name v` or `--name=v` among this process's arguments,
+/// parsed as `T`, or `None` when the flag is absent. A present flag whose
+/// value is missing or does not parse is a usage error: the process says why
+/// on stderr and exits 2, so a mistyped CI floor fails rather than falling
+/// back to a default.
+pub fn flag<T: FromStr>(name: &str) -> Option<T> {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    parse_flag(&args, name).unwrap_or_else(|message| {
+        eprintln!("ERROR: {message}");
+        std::process::exit(2)
+    })
+}
+
+/// The parsing half of [`flag`], over an explicit argument list (program
+/// name excluded): `Ok(None)` when `--name` is absent, `Err` with the usage
+/// message when its value is missing or does not parse as `T`. The first
+/// occurrence wins.
+fn parse_flag<T: FromStr, S: AsRef<str>>(args: &[S], name: &str) -> Result<Option<T>, String> {
+    let bare = format!("--{name}");
+    let prefix = format!("--{name}=");
+    let mut args = args.iter().map(AsRef::as_ref);
+    while let Some(arg) = args.next() {
+        let value = if arg == bare {
+            args.next().ok_or_else(|| format!("{bare} needs a value"))?
+        } else if let Some(value) = arg.strip_prefix(&prefix) {
+            value
+        } else {
+            continue;
+        };
+        return value.parse().map(Some).map_err(|_| {
+            format!(
+                "{bare}: cannot parse {value:?} as {}",
+                std::any::type_name::<T>()
+            )
+        });
+    }
+    Ok(None)
 }
 
 /// Physical core count: unique `(physical id, core id)` pairs from
@@ -77,6 +123,40 @@ mod tests {
         assert_eq!(resolve(Some(3)), 3);
         assert!(resolve(Some(0)) >= 1);
         assert!(resolve(None) >= 1);
+    }
+
+    #[test]
+    fn flags_parse_both_syntaxes_and_reject_missing_or_bad_values() {
+        let args = [
+            "--reduced",
+            "--threads",
+            "4",
+            "--floor=1.5",
+            "--out",
+            "x.json",
+        ];
+        assert_eq!(parse_flag::<usize, _>(&args, "threads"), Ok(Some(4)));
+        assert_eq!(parse_flag::<f64, _>(&args, "floor"), Ok(Some(1.5)));
+        assert_eq!(
+            parse_flag::<String, _>(&args, "out"),
+            Ok(Some("x.json".to_string()))
+        );
+        // Absent, including a flag that only shares a prefix.
+        assert_eq!(parse_flag::<usize, _>(&args, "port"), Ok(None));
+        assert_eq!(parse_flag::<usize, _>(&args, "thread"), Ok(None));
+        // Present without a value.
+        assert_eq!(
+            parse_flag::<String, _>(&["--models"], "models"),
+            Err("--models needs a value".to_string())
+        );
+        // Present with a value that does not parse as the asked type.
+        assert_eq!(
+            parse_flag::<usize, _>(&["--threads", "four"], "threads"),
+            Err("--threads: cannot parse \"four\" as usize".to_string())
+        );
+        assert!(parse_flag::<usize, _>(&["--threads=-1"], "threads").is_err());
+        assert!(parse_flag::<usize, _>(&["--threads="], "threads").is_err());
+        assert!(parse_flag::<f64, _>(&["--floor", "fast"], "floor").is_err());
     }
 
     #[test]

@@ -75,15 +75,15 @@ mod tests {
 
     #[test]
     fn offchip_energy_dominates_onchip_by_orders_of_magnitude() {
-        assert!(DRAM_ENERGY_PJ_PER_BIT / SRAM_ENERGY_PJ_PER_BIT > 100.0);
-        assert!(DRAM_ENERGY_PJ_PER_BIT / EDRAM_ENERGY_PJ_PER_BIT > 10.0);
+        const { assert!(DRAM_ENERGY_PJ_PER_BIT / SRAM_ENERGY_PJ_PER_BIT > 100.0) };
+        const { assert!(DRAM_ENERGY_PJ_PER_BIT / EDRAM_ENERGY_PJ_PER_BIT > 10.0) };
     }
 
     #[test]
     fn variant_factors_are_monotone() {
-        assert!(SIP_VARIANT_AREA_FACTOR[0] < SIP_VARIANT_AREA_FACTOR[1]);
-        assert!(SIP_VARIANT_AREA_FACTOR[1] < SIP_VARIANT_AREA_FACTOR[2]);
-        assert!(LOOM_COMPUTE_POWER_FACTOR[0] > LOOM_COMPUTE_POWER_FACTOR[1]);
-        assert!(LOOM_COMPUTE_POWER_FACTOR[1] > LOOM_COMPUTE_POWER_FACTOR[2]);
+        const { assert!(SIP_VARIANT_AREA_FACTOR[0] < SIP_VARIANT_AREA_FACTOR[1]) };
+        const { assert!(SIP_VARIANT_AREA_FACTOR[1] < SIP_VARIANT_AREA_FACTOR[2]) };
+        const { assert!(LOOM_COMPUTE_POWER_FACTOR[0] > LOOM_COMPUTE_POWER_FACTOR[1]) };
+        const { assert!(LOOM_COMPUTE_POWER_FACTOR[1] > LOOM_COMPUTE_POWER_FACTOR[2]) };
     }
 }

@@ -127,7 +127,8 @@ mod tests {
     use super::*;
     use loom_model::zoo;
     use loom_precision::{table1, AccuracyTarget};
-    use loom_sim::engine::{assignment_from_profile, Simulator};
+    use loom_sim::accelerator::build;
+    use loom_sim::engine::assignment_from_profile;
     use loom_sim::LoomVariant;
 
     fn simulate(kind: AcceleratorKind) -> NetworkSim {
@@ -135,7 +136,7 @@ mod tests {
         let profile = table1::profile("AlexNet", AccuracyTarget::Lossless).unwrap();
         let fraction = loom_precision::trace::dynamic_activation_fraction("AlexNet");
         let assignment = assignment_from_profile(&net, &profile, Some(fraction), None);
-        Simulator::baseline_128().simulate(kind, &net, &assignment)
+        build(kind, EquivalentConfig::BASELINE_128).simulate_network(&net, &assignment)
     }
 
     #[test]

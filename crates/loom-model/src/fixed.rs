@@ -418,7 +418,7 @@ mod proptests {
             let p = Precision::new(bits).unwrap();
             let rounded = p.round_up_to_multiple(step);
             prop_assert!(rounded >= p);
-            prop_assert!(rounded.bits() % step == 0 || rounded.bits() == 16);
+            prop_assert!(rounded.bits().is_multiple_of(step) || rounded.bits() == 16);
         }
 
         /// The OR-fold detectors equal the per-value maximum they replaced,

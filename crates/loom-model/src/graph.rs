@@ -233,6 +233,9 @@ impl GraphCompute for ReferenceCompute {
     }
 }
 
+/// One node's output for every batch item: values and shape, in item order.
+type ItemOutputs = Vec<(Vec<i32>, Shape3)>;
+
 /// A validated, schedulable layer DAG.
 ///
 /// Construct with [`GraphBuilder`] or lift a linear [`Network`] with
@@ -439,8 +442,9 @@ impl LayerGraph {
     /// Runs a forward pass with a caller-supplied [`GraphCompute`] backend.
     /// This is the single executor every path shares: topological order,
     /// per-edge buffers freed at the last consumer, per-layer re-quantization
-    /// (`choose_requant_shift` on the backend's accumulators), optional ReLU,
-    /// pooling and concatenation.
+    /// (`choose_requant_shift` on the backend's accumulators), ReLU after
+    /// every compute layer (the evaluated networks all use it), pooling and
+    /// concatenation.
     ///
     /// Weights are taken positionally from `params` in compute-node execution
     /// order (the order [`LayerGraph::compute_layers`] yields).
@@ -523,7 +527,7 @@ impl LayerGraph {
 
         // One buffer per (node, item); freed for all items at once when the
         // node's last consumer has run.
-        let mut buffers: Vec<Option<Vec<(Vec<i32>, Shape3)>>> = vec![None; self.nodes.len()];
+        let mut buffers: Vec<Option<ItemOutputs>> = vec![None; self.nodes.len()];
         let mut traces: Vec<Vec<LayerTrace>> = (0..items)
             .map(|_| Vec::with_capacity(self.nodes.len()))
             .collect();
@@ -533,7 +537,7 @@ impl LayerGraph {
         // the call sites that need ownership (clamping, traces) copy once.
         fn bind<'a>(
             inputs: &'a [Tensor3],
-            buffers: &'a [Option<Vec<(Vec<i32>, Shape3)>>],
+            buffers: &'a [Option<ItemOutputs>],
             source: &Source,
             item: usize,
         ) -> (&'a [i32], Shape3) {
@@ -593,9 +597,7 @@ impl LayerGraph {
                     for (item, acc) in accs.into_iter().enumerate() {
                         let shift = choose_requant_shift(&acc, options.activation_precision);
                         let mut out = requantize(&acc, shift, options.activation_precision);
-                        if options.relu {
-                            relu_in_place(&mut out);
-                        }
+                        relu_in_place(&mut out);
                         traces[item].push(LayerTrace {
                             layer_name: node.name.clone(),
                             inputs: std::mem::take(&mut item_values[item]),
@@ -633,9 +635,7 @@ impl LayerGraph {
                     for (item, acc) in accs.into_iter().enumerate() {
                         let shift = choose_requant_shift(&acc, options.activation_precision);
                         let mut out = requantize(&acc, shift, options.activation_precision);
-                        if options.relu {
-                            relu_in_place(&mut out);
-                        }
+                        relu_in_place(&mut out);
                         traces[item].push(LayerTrace {
                             layer_name: node.name.clone(),
                             inputs: std::mem::take(&mut item_values[item]),
@@ -650,7 +650,7 @@ impl LayerGraph {
                 NodeOp::Layer(LayerKind::MaxPool(spec)) => {
                     let expected = spec.input_shape().len();
                     let mut outs = Vec::with_capacity(items);
-                    for item in 0..items {
+                    for (item, trace) in traces.iter_mut().enumerate() {
                         let (bound, _) = bind(inputs, &buffers, &node.sources[0], item);
                         let values = bound.to_vec();
                         if values.len() != expected {
@@ -663,7 +663,7 @@ impl LayerGraph {
                         let in_tensor = Tensor3::from_vec(spec.input_shape(), values.clone())
                             .expect("length checked above");
                         let out = max_pool_forward(spec, &in_tensor).into_vec();
-                        traces[item].push(LayerTrace {
+                        trace.push(LayerTrace {
                             layer_name: node.name.clone(),
                             inputs: values,
                             accumulators: Vec::new(),
@@ -676,7 +676,7 @@ impl LayerGraph {
                 }
                 NodeOp::Concat => {
                     let mut outs = Vec::with_capacity(items);
-                    for item in 0..items {
+                    for (item, trace) in traces.iter_mut().enumerate() {
                         let bound: Vec<(&[i32], Shape3)> = node
                             .sources
                             .iter()
@@ -697,7 +697,7 @@ impl LayerGraph {
                         // trace records the merged tensor as outputs and
                         // leaves inputs empty rather than duplicating every
                         // branch.
-                        traces[item].push(LayerTrace {
+                        trace.push(LayerTrace {
                             layer_name: node.name.clone(),
                             inputs: Vec::new(),
                             accumulators: Vec::new(),

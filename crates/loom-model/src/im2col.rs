@@ -227,7 +227,7 @@ mod tests {
         .unwrap();
         let weights = Tensor4::from_vec(
             Shape4::new(6, 2, 3, 3),
-            (0..6 * 2 * 9).map(|i| (i as i32 % 9) - 4).collect(),
+            (0..6 * 2 * 9).map(|i| (i % 9) - 4).collect(),
         )
         .unwrap();
         assert_eq!(

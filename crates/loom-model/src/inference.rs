@@ -227,21 +227,18 @@ impl InferenceTrace {
     }
 }
 
-/// Options controlling the forward pass.
+/// Options controlling the forward pass. ReLU follows every compute layer
+/// unconditionally: the evaluated networks all use it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct InferenceOptions {
     /// Precision the re-quantized activations are clamped to between layers.
     pub activation_precision: Precision,
-    /// Whether ReLU is applied after every compute layer (the evaluated
-    /// networks all use ReLU).
-    pub relu: bool,
 }
 
 impl Default for InferenceOptions {
     fn default() -> Self {
         InferenceOptions {
             activation_precision: Precision::FULL,
-            relu: true,
         }
     }
 }
@@ -387,7 +384,6 @@ mod tests {
         let params = NetworkParams::synthetic(&net, &[Precision::new(8).unwrap()], 1);
         let opts = InferenceOptions {
             activation_precision: Precision::new(6).unwrap(),
-            relu: true,
         };
         let trace = run_chain(&net, &params, &small_input(2), opts).unwrap();
         for layer in &trace.layers {

@@ -99,7 +99,9 @@ impl ConvSpec {
         if self.groups == 0 {
             return Err(LayerError::new("groups must be non-zero"));
         }
-        if self.in_channels % self.groups != 0 || self.filters % self.groups != 0 {
+        if !self.in_channels.is_multiple_of(self.groups)
+            || !self.filters.is_multiple_of(self.groups)
+        {
             return Err(LayerError::new(
                 "groups must divide both input channels and filters",
             ));

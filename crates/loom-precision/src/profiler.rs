@@ -128,7 +128,6 @@ pub fn profile_network(
     assert!(!inputs.is_empty(), "profiling requires at least one input");
     let options = InferenceOptions {
         activation_precision: config.inference_activation_precision,
-        relu: true,
     };
     let references: Vec<InferenceTrace> = inputs
         .iter()
@@ -214,7 +213,6 @@ fn search_weight_precision(
 ) -> Precision {
     let options = InferenceOptions {
         activation_precision: config.inference_activation_precision,
-        relu: true,
     };
     // Weights never need more bits than the widest value present.
     let needed = params

@@ -14,6 +14,8 @@ pub fn effective_conv_weight_bits(network: &str) -> Option<Vec<f64>> {
             8.85, 10.29, 10.21, 7.65, 9.13, 9.04, 7.63, 8.65, 8.62, 7.79, 7.96, 8.18,
         ],
         "alexnet" => &[8.36, 7.62, 7.62, 7.44, 7.55],
+        // 6.28 is GoogLeNet's fourth conv layer in Table 3, not 2π.
+        #[allow(clippy::approx_constant)]
         "googlenet" | "google" => &[
             6.19, 5.75, 6.80, 6.28, 5.34, 6.70, 6.31, 5.02, 5.49, 7.89, 4.83,
         ],

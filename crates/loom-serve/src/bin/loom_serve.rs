@@ -12,53 +12,21 @@
 //! reduced networks plus the MLP heads). The wire protocol is documented in
 //! `docs/SERVING.md`.
 
+use loom_core::threads::flag;
 use loom_serve::batch::BatchConfig;
 use loom_serve::model::ModelCatalog;
 use loom_serve::server::{Server, ServerConfig};
 use std::time::Duration;
 
-fn usize_flag(name: &str) -> Option<usize> {
-    let reject = |value: &str| -> ! {
-        eprintln!("ERROR: --{name} needs a positive integer, got {value:?}");
-        std::process::exit(2);
-    };
-    let flag = format!("--{name}");
-    let prefix = format!("--{name}=");
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        if arg == flag {
-            let value = args.next().unwrap_or_default();
-            return Some(value.parse().unwrap_or_else(|_| reject(&value)));
-        } else if let Some(value) = arg.strip_prefix(&prefix) {
-            return Some(value.parse().unwrap_or_else(|_| reject(value)));
-        }
-    }
-    None
-}
-
-fn string_flag(name: &str) -> Option<String> {
-    let flag = format!("--{name}");
-    let prefix = format!("--{name}=");
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        if arg == flag {
-            return args.next();
-        } else if let Some(value) = arg.strip_prefix(&prefix) {
-            return Some(value.to_string());
-        }
-    }
-    None
-}
-
 fn main() {
-    let threads = loom_core::threads::resolve(usize_flag("threads"));
-    let port = usize_flag("port").unwrap_or(7070) as u16;
-    let window = Duration::from_millis(usize_flag("batch-window-ms").unwrap_or(2) as u64);
-    let max_batch = usize_flag("max-batch").unwrap_or(8);
-    let max_queue = usize_flag("max-queue").unwrap_or(64);
-    let max_connections = usize_flag("max-connections").unwrap_or(64);
+    let threads = loom_core::threads::resolve(flag("threads"));
+    let port: u16 = flag("port").unwrap_or(7070);
+    let window = Duration::from_millis(flag("batch-window-ms").unwrap_or(2));
+    let max_batch = flag("max-batch").unwrap_or(8);
+    let max_queue = flag("max-queue").unwrap_or(64);
+    let max_connections = flag("max-connections").unwrap_or(64);
 
-    let catalog = match string_flag("models") {
+    let catalog = match flag::<String>("models") {
         None => ModelCatalog::reduced(),
         Some(list) => {
             let registered = loom_core::loom_model::zoo::graphs::registered_names();

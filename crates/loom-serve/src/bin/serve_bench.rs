@@ -23,6 +23,7 @@
 
 use loom_core::loom_model::inference::InferenceOptions;
 use loom_core::loom_sim::loom::network::NetworkEngine;
+use loom_core::threads::flag;
 use loom_serve::batch::{BatchConfig, Tier};
 use loom_serve::client::Client;
 use loom_serve::json::Json;
@@ -91,58 +92,6 @@ const CATALOG_ORDER: [&str; 6] = [
     "MLP",
 ];
 
-fn usize_flag(name: &str) -> Option<usize> {
-    let reject = |value: &str| -> ! {
-        eprintln!("ERROR: --{name} needs a positive integer, got {value:?}");
-        std::process::exit(2);
-    };
-    let flag = format!("--{name}");
-    let prefix = format!("--{name}=");
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        if arg == flag {
-            let value = args.next().unwrap_or_default();
-            return Some(value.parse().unwrap_or_else(|_| reject(&value)));
-        } else if let Some(value) = arg.strip_prefix(&prefix) {
-            return Some(value.parse().unwrap_or_else(|_| reject(value)));
-        }
-    }
-    None
-}
-
-fn float_flag(name: &str) -> Option<f64> {
-    let reject = |value: &str| -> ! {
-        eprintln!("ERROR: --{name} needs a numeric value, got {value:?}");
-        std::process::exit(2);
-    };
-    let flag = format!("--{name}");
-    let prefix = format!("--{name}=");
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        if arg == flag {
-            let value = args.next().unwrap_or_default();
-            return Some(value.parse().unwrap_or_else(|_| reject(&value)));
-        } else if let Some(value) = arg.strip_prefix(&prefix) {
-            return Some(value.parse().unwrap_or_else(|_| reject(value)));
-        }
-    }
-    None
-}
-
-fn string_flag(name: &str) -> Option<String> {
-    let flag = format!("--{name}");
-    let prefix = format!("--{name}=");
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        if arg == flag {
-            return args.next();
-        } else if let Some(value) = arg.strip_prefix(&prefix) {
-            return Some(value.to_string());
-        }
-    }
-    None
-}
-
 /// The reference answer for one `(model, variant, tier)`.
 struct Expected {
     outputs: Vec<i32>,
@@ -150,18 +99,18 @@ struct Expected {
 }
 
 fn main() {
-    let requests = usize_flag("requests").unwrap_or(2000);
-    let threads = loom_core::threads::resolve(usize_flag("threads"));
-    let clients = usize_flag("clients").unwrap_or(8).max(1);
-    let window = Duration::from_millis(usize_flag("batch-window-ms").unwrap_or(2) as u64);
-    let max_batch = usize_flag("max-batch").unwrap_or(8);
-    let max_queue = usize_flag("max-queue").unwrap_or(256);
-    let serial_requests = usize_flag("serial-requests")
+    let requests: usize = flag("requests").unwrap_or(2000);
+    let threads = loom_core::threads::resolve(flag("threads"));
+    let clients = flag("clients").unwrap_or(8usize).max(1);
+    let window = Duration::from_millis(flag("batch-window-ms").unwrap_or(2));
+    let max_batch = flag("max-batch").unwrap_or(8);
+    let max_queue = flag("max-queue").unwrap_or(256);
+    let serial_requests = flag("serial-requests")
         .unwrap_or_else(|| (requests / 10).max(2 * MIX.len()))
         .min(requests.max(1));
-    let floor = float_flag("min-batch-speedup");
+    let floor: Option<f64> = flag("min-batch-speedup");
     let require_repack_avoidance = std::env::args().any(|a| a == "--require-repack-avoidance");
-    let out_path = string_flag("out").unwrap_or_else(|| "BENCH_serving.json".to_string());
+    let out_path = flag("out").unwrap_or_else(|| "BENCH_serving.json".to_string());
 
     println!(
         "serve_bench: {requests} requests, {clients} clients, {threads} worker threads \

@@ -1,15 +1,15 @@
 //! The first-class accelerator abstraction: every evaluated datapath (DPNN,
 //! Stripes with or without dynamic detection, the Loom variants) is an
-//! implementation of the [`Accelerator`] trait, and the [`Registry`]
-//! replaces the per-datapath `match` dispatch that used to live inside the
-//! simulation engine.
+//! implementation of the [`Accelerator`] trait, and [`build`] is the one
+//! place an [`AcceleratorKind`] becomes its model. Callers walk the six
+//! kinds through [`AcceleratorKind::all`] and build each one.
 //!
-//! Adding a new backend means writing one impl of [`Accelerator`] and
-//! registering it; the engine, the experiment plumbing, the tables and the
-//! CSV export all consume the trait and need no changes (see
+//! Adding a new backend means one `AcceleratorKind` variant, one [`build`]
+//! arm and one impl of [`Accelerator`]; the experiment plumbing, the tables
+//! and the CSV export all consume the trait and need no changes (see
 //! `docs/ARCHITECTURE.md`, "Accelerator trait & sweep runner"). Backends
 //! that additionally override [`Accelerator::functional_datapath`] get pulled
-//! into the differential conformance harness automatically: every registered
+//! into the differential conformance harness automatically: every built
 //! functional datapath is run over the zoo and checked bit-exact against the
 //! golden model and every other backend.
 
@@ -24,7 +24,6 @@ use loom_model::layer::{ConvSpec, FcSpec, LayerKind};
 use loom_model::network::Network;
 use loom_model::Precision;
 use loom_precision::trace::{GroupPrecisionSource, LayerPrecisionSpec};
-use std::fmt;
 
 /// Everything an accelerator needs to simulate one layer.
 #[derive(Debug, Clone, Copy)]
@@ -82,7 +81,7 @@ pub trait Accelerator: Send + Sync {
     /// one: an engine that executes real layers bit-exactly and accounts
     /// cycles consistently with the analytic model above. Backends that
     /// return one are cross-validated against the golden model and every
-    /// other registered backend by [`crate::validate::cross_validate`] — so
+    /// other backend by [`crate::validate::cross_validate`] — so
     /// overriding this default is all it takes to opt a new accelerator into
     /// the differential conformance harness. `threads` is the worker budget
     /// for engines that fan layer jobs across a pool.
@@ -353,87 +352,6 @@ pub fn build(kind: AcceleratorKind, config: EquivalentConfig) -> Box<dyn Acceler
     }
 }
 
-/// The set of accelerators a [`crate::engine::Simulator`] dispatches over,
-/// keyed by [`AcceleratorKind`]. Registering an accelerator whose `kind()`
-/// is already present replaces the previous entry, so experiments can swap a
-/// custom implementation in behind an existing key.
-pub struct Registry {
-    config: EquivalentConfig,
-    entries: Vec<Box<dyn Accelerator>>,
-}
-
-impl Registry {
-    /// An empty registry at the given design point.
-    pub fn empty(config: EquivalentConfig) -> Self {
-        Registry {
-            config,
-            entries: Vec::new(),
-        }
-    }
-
-    /// A registry holding all six paper accelerators, in Figure 4 plot order.
-    pub fn with_defaults(config: EquivalentConfig) -> Self {
-        let mut registry = Registry::empty(config);
-        for kind in AcceleratorKind::all() {
-            registry.register(build(kind, config));
-        }
-        registry
-    }
-
-    /// The design point this registry's accelerators were built for.
-    pub fn config(&self) -> EquivalentConfig {
-        self.config
-    }
-
-    /// Registers an accelerator, replacing any previous entry with the same
-    /// kind.
-    pub fn register(&mut self, accelerator: Box<dyn Accelerator>) {
-        let kind = accelerator.kind();
-        if let Some(existing) = self.entries.iter_mut().find(|a| a.kind() == kind) {
-            *existing = accelerator;
-        } else {
-            self.entries.push(accelerator);
-        }
-    }
-
-    /// Looks up the accelerator registered for `kind`.
-    pub fn get(&self, kind: AcceleratorKind) -> Option<&dyn Accelerator> {
-        self.entries
-            .iter()
-            .find(|a| a.kind() == kind)
-            .map(|a| a.as_ref())
-    }
-
-    /// Iterates the registered accelerators in registration order.
-    pub fn iter(&self) -> impl Iterator<Item = &dyn Accelerator> {
-        self.entries.iter().map(|a| a.as_ref())
-    }
-
-    /// The kinds currently registered, in registration order.
-    pub fn kinds(&self) -> Vec<AcceleratorKind> {
-        self.entries.iter().map(|a| a.kind()).collect()
-    }
-
-    /// Number of registered accelerators.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether the registry holds no accelerators.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-}
-
-impl fmt::Debug for Registry {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("Registry")
-            .field("config", &self.config)
-            .field("kinds", &self.kinds())
-            .finish()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -443,33 +361,25 @@ mod tests {
 
     #[test]
     fn registry_holds_all_six_defaults_in_figure4_order() {
-        let registry = Registry::with_defaults(EquivalentConfig::BASELINE_128);
-        assert_eq!(registry.len(), 6);
-        assert!(!registry.is_empty());
-        assert_eq!(registry.kinds(), AcceleratorKind::all());
-        for kind in AcceleratorKind::all() {
-            let acc = registry.get(kind).expect("default registered");
+        let built: Vec<Box<dyn Accelerator>> = AcceleratorKind::all()
+            .into_iter()
+            .map(|kind| build(kind, EquivalentConfig::BASELINE_128))
+            .collect();
+        assert_eq!(built.len(), 6);
+        assert!(!built.is_empty());
+        let kinds: Vec<AcceleratorKind> = built.iter().map(|a| a.kind()).collect();
+        assert_eq!(kinds, AcceleratorKind::all());
+        for (acc, kind) in built.iter().zip(AcceleratorKind::all()) {
             assert_eq!(acc.kind(), kind);
             assert_eq!(acc.name(), kind.to_string());
         }
-        assert!(format!("{registry:?}").contains("Registry"));
-    }
-
-    #[test]
-    fn register_replaces_same_kind_entry() {
-        let cfg = EquivalentConfig::BASELINE_128;
-        let mut registry = Registry::empty(cfg);
-        assert!(registry.get(AcceleratorKind::Dpnn).is_none());
-        registry.register(Box::new(Dpnn::new(cfg)));
-        registry.register(Box::new(Dpnn::new(cfg)));
-        assert_eq!(registry.len(), 1);
-        assert_eq!(registry.config(), cfg);
     }
 
     #[test]
     fn geometries_are_bandwidth_normalised() {
         let cfg = EquivalentConfig::BASELINE_128;
-        for acc in Registry::with_defaults(cfg).iter() {
+        for kind in AcceleratorKind::all() {
+            let acc = build(kind, cfg);
             let g = acc.geometry();
             assert_eq!(
                 g.equivalent_macs_per_cycle,
@@ -483,8 +393,8 @@ mod tests {
 
     #[test]
     fn every_default_accelerator_exposes_a_functional_datapath() {
-        let registry = Registry::with_defaults(EquivalentConfig::BASELINE_128);
-        for acc in registry.iter() {
+        for kind in AcceleratorKind::all() {
+            let acc = build(kind, EquivalentConfig::BASELINE_128);
             assert!(
                 acc.functional_datapath(1).is_some(),
                 "{} has no functional datapath",
@@ -506,19 +416,11 @@ mod tests {
         let net = zoo::alexnet();
         let profile = table1::profile("AlexNet", AccuracyTarget::Lossless).unwrap();
         let assignment = assignment_from_profile(&net, &profile, Some(0.8), None);
-        let registry = Registry::with_defaults(EquivalentConfig::BASELINE_128);
-        let dpnn = registry
-            .get(AcceleratorKind::Dpnn)
-            .unwrap()
-            .simulate_network(&net, &assignment);
-        let ds = registry
-            .get(AcceleratorKind::DStripes)
-            .unwrap()
-            .simulate_network(&net, &assignment);
-        let lm = registry
-            .get(AcceleratorKind::Loom(LoomVariant::Lm1b))
-            .unwrap()
-            .simulate_network(&net, &assignment);
+        let simulate =
+            |kind| build(kind, EquivalentConfig::BASELINE_128).simulate_network(&net, &assignment);
+        let dpnn = simulate(AcceleratorKind::Dpnn);
+        let ds = simulate(AcceleratorKind::DStripes);
+        let lm = simulate(AcceleratorKind::Loom(LoomVariant::Lm1b));
         assert!(lm.conv_speedup_vs(&dpnn) > ds.conv_speedup_vs(&dpnn));
         assert_eq!(dpnn.layers.len(), net.layers().len());
     }

@@ -86,7 +86,7 @@ impl EquivalentConfig {
     /// Returns an error unless `macs_per_cycle` is a multiple of 16 and at
     /// least 16 (DPNN needs whole 16-lane inner-product units).
     pub fn new(macs_per_cycle: usize) -> Result<Self, ConfigError> {
-        if macs_per_cycle < 16 || macs_per_cycle % 16 != 0 {
+        if macs_per_cycle < 16 || !macs_per_cycle.is_multiple_of(16) {
             return Err(ConfigError {
                 detail: format!(
                     "equivalent MACs/cycle must be a positive multiple of 16, got {macs_per_cycle}"

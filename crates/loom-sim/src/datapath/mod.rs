@@ -1,9 +1,9 @@
 //! Functional comparator datapaths behind one seam.
 //!
-//! Every accelerator in the [`Registry`](crate::accelerator::Registry) — not
-//! just Loom — can execute real networks and produce real numbers. This
-//! module defines the [`FunctionalDatapath`] trait those value-computing
-//! engines implement (activation-serial Stripes, which is DStripes with its
+//! Every accelerator [`build`](crate::accelerator::build) makes — not just
+//! Loom — can execute real networks and produce real numbers. This module
+//! defines the [`FunctionalDatapath`] trait those value-computing engines
+//! implement (activation-serial Stripes, which becomes DStripes with its
 //! runtime precision detection switched on, bit-parallel DPNN, and the
 //! bit-serial Loom engine itself), plus the one adapter that plugs any of
 //! them into the shared golden graph executor
@@ -14,10 +14,10 @@
 //! conformance harness all run the same Loom code.
 //!
 //! The payoff is differential testing: [`crate::validate::cross_validate`]
-//! runs every registered accelerator over the same network and asserts all of
-//! them land bit-exactly on the golden model — and therefore on each other.
-//! Adding a backend stays one `Accelerator` impl plus one registry entry;
-//! overriding [`Accelerator::functional_datapath`](crate::accelerator::Accelerator::functional_datapath)
+//! runs every accelerator it is given over the same network and asserts all
+//! of them land bit-exactly on the golden model — and therefore on each
+//! other. Adding a backend stays one `AcceleratorKind` variant, one `build`
+//! arm and one `Accelerator` impl; overriding [`Accelerator::functional_datapath`](crate::accelerator::Accelerator::functional_datapath)
 //! buys it conformance coverage for free.
 //!
 //! # Examples

@@ -1,15 +1,15 @@
-//! The unified simulation front end: one entry point that runs any evaluated
-//! accelerator over any network given a per-layer precision assignment.
+//! The vocabulary every simulation shares: [`AcceleratorKind`], the compact
+//! serializable key for the six datapaths the paper evaluates (the tables,
+//! CSV export and energy model key off it), and the per-layer
+//! [`PrecisionAssignment`] a network runs under.
 //!
-//! The engine itself contains no per-datapath logic: every datapath is an
-//! implementation of [`crate::accelerator::Accelerator`], and the
-//! [`Simulator`] dispatches through a [`Registry`] keyed by
-//! [`AcceleratorKind`] (which stays the compact, serializable key the tables,
-//! CSV export and energy model use).
+//! The engine holds no per-datapath logic. [`crate::accelerator::build`]
+//! turns a kind into its [`Accelerator`](crate::accelerator::Accelerator)
+//! model, and
+//! [`Accelerator::simulate_network`](crate::accelerator::Accelerator::simulate_network)
+//! runs that model over a network.
 
-use crate::accelerator::{Accelerator, Registry};
-use crate::config::{EquivalentConfig, LoomVariant};
-use crate::counts::NetworkSim;
+use crate::config::LoomVariant;
 use loom_model::network::Network;
 use loom_precision::trace::{GroupPrecisionSource, LayerPrecisionSpec};
 use std::fmt;
@@ -97,76 +97,6 @@ impl PrecisionAssignment {
     }
 }
 
-/// The cycle-level simulator for one design point: a [`Registry`] of
-/// accelerators plus the shared configuration.
-#[derive(Debug)]
-pub struct Simulator {
-    config: EquivalentConfig,
-    registry: Registry,
-}
-
-impl Simulator {
-    /// Creates a simulator at the given equivalent compute bandwidth with the
-    /// six built-in accelerators registered.
-    pub fn new(config: EquivalentConfig) -> Self {
-        Simulator {
-            config,
-            registry: Registry::with_defaults(config),
-        }
-    }
-
-    /// Creates a simulator around a custom registry (e.g. with an
-    /// experimental backend swapped in behind an existing kind).
-    pub fn with_registry(registry: Registry) -> Self {
-        Simulator {
-            config: registry.config(),
-            registry,
-        }
-    }
-
-    /// The paper's headline 128 MAC-equivalent configuration.
-    pub fn baseline_128() -> Self {
-        Simulator::new(EquivalentConfig::BASELINE_128)
-    }
-
-    /// The design point this simulator models.
-    pub fn config(&self) -> EquivalentConfig {
-        self.config
-    }
-
-    /// The accelerator registry this simulator dispatches through.
-    pub fn registry(&self) -> &Registry {
-        &self.registry
-    }
-
-    /// Mutable access to the registry, for registering custom backends.
-    pub fn registry_mut(&mut self) -> &mut Registry {
-        &mut self.registry
-    }
-
-    /// The registered accelerator for `kind`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if no accelerator is registered for `kind`.
-    pub fn accelerator(&self, kind: AcceleratorKind) -> &dyn Accelerator {
-        self.registry
-            .get(kind)
-            .unwrap_or_else(|| panic!("no accelerator registered for {kind}"))
-    }
-
-    /// Simulates `network` on `kind` under `assignment` and returns the
-    /// per-layer cycle and traffic breakdown.
-    pub fn simulate(
-        &self,
-        kind: AcceleratorKind,
-        network: &Network,
-        assignment: &PrecisionAssignment,
-    ) -> NetworkSim {
-        self.accelerator(kind).simulate_network(network, assignment)
-    }
-}
-
 /// Builds the precision assignment the paper's headline experiments use for
 /// `network`: per-layer profile precisions plus a `Scaled` dynamic activation
 /// source with the given fraction, and optionally per-group effective weight
@@ -227,9 +157,14 @@ pub fn assignment_from_profile(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::accelerator::build;
+    use crate::config::EquivalentConfig;
     use loom_model::zoo;
     use loom_precision::table1;
     use loom_precision::AccuracyTarget;
+
+    const CONFIG: EquivalentConfig = EquivalentConfig::BASELINE_128;
+    const LM1B: AcceleratorKind = AcceleratorKind::Loom(LoomVariant::Lm1b);
 
     fn alexnet_assignment(dynamic: Option<f64>) -> (loom_model::Network, PrecisionAssignment) {
         let net = zoo::alexnet();
@@ -241,13 +176,9 @@ mod tests {
     #[test]
     fn dpnn_cycles_are_independent_of_precisions() {
         let (net, assignment) = alexnet_assignment(Some(0.8));
-        let sim = Simulator::baseline_128();
-        let with_profile = sim.simulate(AcceleratorKind::Dpnn, &net, &assignment);
-        let full = sim.simulate(
-            AcceleratorKind::Dpnn,
-            &net,
-            &PrecisionAssignment::full_precision(&net),
-        );
+        let dpnn = build(AcceleratorKind::Dpnn, CONFIG);
+        let with_profile = dpnn.simulate_network(&net, &assignment);
+        let full = dpnn.simulate_network(&net, &PrecisionAssignment::full_precision(&net));
         assert_eq!(with_profile.total_cycles(), full.total_cycles());
     }
 
@@ -257,9 +188,8 @@ mod tests {
         // ideal predicts ~3.4x for CVLs and ~1.66x for FCLs (see DESIGN.md);
         // the simulated tiling should land close to that.
         let (net, assignment) = alexnet_assignment(None);
-        let sim = Simulator::baseline_128();
-        let dpnn = sim.simulate(AcceleratorKind::Dpnn, &net, &assignment);
-        let lm = sim.simulate(AcceleratorKind::Loom(LoomVariant::Lm1b), &net, &assignment);
+        let dpnn = build(AcceleratorKind::Dpnn, CONFIG).simulate_network(&net, &assignment);
+        let lm = build(LM1B, CONFIG).simulate_network(&net, &assignment);
         let conv = lm.conv_speedup_vs(&dpnn);
         let fc = lm.fc_speedup_vs(&dpnn);
         assert!((3.0..=3.8).contains(&conv), "conv speedup {conv}");
@@ -270,17 +200,9 @@ mod tests {
     fn dynamic_detection_only_helps_loom_convolutions() {
         let (net, static_assignment) = alexnet_assignment(None);
         let (_, dynamic_assignment) = alexnet_assignment(Some(0.8));
-        let sim = Simulator::baseline_128();
-        let lm_static = sim.simulate(
-            AcceleratorKind::Loom(LoomVariant::Lm1b),
-            &net,
-            &static_assignment,
-        );
-        let lm_dynamic = sim.simulate(
-            AcceleratorKind::Loom(LoomVariant::Lm1b),
-            &net,
-            &dynamic_assignment,
-        );
+        let lm = build(LM1B, CONFIG);
+        let lm_static = lm.simulate_network(&net, &static_assignment);
+        let lm_dynamic = lm.simulate_network(&net, &dynamic_assignment);
         assert!(lm_dynamic.conv_cycles() < lm_static.conv_cycles());
         assert_eq!(lm_dynamic.fc_cycles(), lm_static.fc_cycles());
     }
@@ -288,11 +210,11 @@ mod tests {
     #[test]
     fn stripes_beats_dpnn_but_loses_to_loom_on_convs() {
         let (net, assignment) = alexnet_assignment(Some(0.8));
-        let sim = Simulator::baseline_128();
-        let dpnn = sim.simulate(AcceleratorKind::Dpnn, &net, &assignment);
-        let stripes = sim.simulate(AcceleratorKind::Stripes, &net, &assignment);
-        let dstripes = sim.simulate(AcceleratorKind::DStripes, &net, &assignment);
-        let lm = sim.simulate(AcceleratorKind::Loom(LoomVariant::Lm1b), &net, &assignment);
+        let simulate = |kind| build(kind, CONFIG).simulate_network(&net, &assignment);
+        let dpnn = simulate(AcceleratorKind::Dpnn);
+        let stripes = simulate(AcceleratorKind::Stripes);
+        let dstripes = simulate(AcceleratorKind::DStripes);
+        let lm = simulate(LM1B);
         let s = stripes.conv_speedup_vs(&dpnn);
         let ds = dstripes.conv_speedup_vs(&dpnn);
         let l = lm.conv_speedup_vs(&dpnn);
@@ -306,9 +228,8 @@ mod tests {
     #[test]
     fn loom_storage_is_packed_and_moves_fewer_bits() {
         let (net, assignment) = alexnet_assignment(Some(0.8));
-        let sim = Simulator::baseline_128();
-        let dpnn = sim.simulate(AcceleratorKind::Dpnn, &net, &assignment);
-        let lm = sim.simulate(AcceleratorKind::Loom(LoomVariant::Lm1b), &net, &assignment);
+        let dpnn = build(AcceleratorKind::Dpnn, CONFIG).simulate_network(&net, &assignment);
+        let lm = build(LM1B, CONFIG).simulate_network(&net, &assignment);
         assert!(lm.total_traffic().total_bits() < dpnn.total_traffic().total_bits());
     }
 
@@ -332,21 +253,5 @@ mod tests {
         let a = assignment.for_layer(999) as *const LayerPrecisionSpec;
         let b = assignment.for_layer(999) as *const LayerPrecisionSpec;
         assert_eq!(a, b, "fallback spec is a shared static, not a fresh clone");
-    }
-
-    #[test]
-    fn simulator_exposes_its_registry() {
-        let sim = Simulator::baseline_128();
-        assert_eq!(sim.registry().len(), 6);
-        assert_eq!(sim.accelerator(AcceleratorKind::Dpnn).name(), "DPNN");
-        let mut custom = Simulator::with_registry(crate::accelerator::Registry::with_defaults(
-            EquivalentConfig::BASELINE_128,
-        ));
-        custom.registry_mut().register(crate::accelerator::build(
-            AcceleratorKind::Dpnn,
-            EquivalentConfig::BASELINE_128,
-        ));
-        assert_eq!(custom.registry().len(), 6);
-        assert_eq!(custom.config(), EquivalentConfig::BASELINE_128);
     }
 }

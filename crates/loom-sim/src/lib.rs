@@ -15,13 +15,15 @@
 //! * [`datapath`] — functional (value-computing) images of every comparator
 //!   datapath: bit-parallel DPNN, activation-serial Stripes (DStripes when
 //!   built with detection), and the Loom engine behind one
-//!   [`datapath::FunctionalDatapath`] seam, so any registered accelerator can
-//!   run whole networks bit-exact against the golden model.
+//!   [`datapath::FunctionalDatapath`] seam, so every accelerator can run
+//!   whole networks bit-exact against the golden model.
 //! * [`accelerator`] — the [`accelerator::Accelerator`] trait every datapath
-//!   implements, plus the [`accelerator::Registry`] the engine dispatches
-//!   through (add a backend by implementing the trait and registering it;
-//!   overriding `functional_datapath` buys conformance coverage for free).
-//! * [`engine`] — the unified [`engine::Simulator`] front end.
+//!   implements, and [`accelerator::build`], the one place an
+//!   [`AcceleratorKind`] becomes its model (add a backend with one kind, one
+//!   `build` arm and one impl; overriding `functional_datapath` buys
+//!   conformance coverage for free).
+//! * [`engine`] — the [`AcceleratorKind`] key and the per-layer
+//!   [`PrecisionAssignment`] every simulation runs under.
 //! * [`counts`] — per-layer / per-network cycle and traffic records.
 //! * [`pool`] — the persistent worker pool every parallel path (layer
 //!   fan-out, batched inference, sweeps) shares: participants take jobs from
@@ -31,17 +33,19 @@
 //! # Example
 //!
 //! ```
-//! use loom_sim::engine::{AcceleratorKind, PrecisionAssignment, Simulator, assignment_from_profile};
-//! use loom_sim::config::LoomVariant;
+//! use loom_sim::accelerator::build;
+//! use loom_sim::engine::{AcceleratorKind, assignment_from_profile};
+//! use loom_sim::config::{EquivalentConfig, LoomVariant};
 //! use loom_precision::{table1, AccuracyTarget};
 //! use loom_model::zoo;
 //!
 //! let net = zoo::alexnet();
 //! let profile = table1::profile("AlexNet", AccuracyTarget::Lossless).unwrap();
 //! let assignment = assignment_from_profile(&net, &profile, None, None);
-//! let sim = Simulator::baseline_128();
-//! let dpnn = sim.simulate(AcceleratorKind::Dpnn, &net, &assignment);
-//! let lm = sim.simulate(AcceleratorKind::Loom(LoomVariant::Lm1b), &net, &assignment);
+//! let config = EquivalentConfig::BASELINE_128;
+//! let dpnn = build(AcceleratorKind::Dpnn, config).simulate_network(&net, &assignment);
+//! let lm1b = build(AcceleratorKind::Loom(LoomVariant::Lm1b), config);
+//! let lm = lm1b.simulate_network(&net, &assignment);
 //! assert!(lm.speedup_vs(&dpnn) > 1.0);
 //! ```
 
@@ -59,7 +63,7 @@ pub mod pool;
 pub mod stripes;
 pub mod validate;
 
-pub use accelerator::{Accelerator, GeometrySummary, LayerContext, Registry};
+pub use accelerator::{Accelerator, GeometrySummary, LayerContext};
 pub use config::{EquivalentConfig, LoomVariant};
 pub use counts::{LayerClass, LayerSim, NetworkSim};
-pub use engine::{AcceleratorKind, PrecisionAssignment, Simulator};
+pub use engine::{AcceleratorKind, PrecisionAssignment};

@@ -177,7 +177,7 @@ mod tests {
     fn fc_rows_scale_with_cost() {
         // A big FC layer on 4 threads: several tasks, each >= 4 rows.
         let rows = fc_rows_per_task(4, 4096, TASK_GRAIN * 128);
-        assert!(rows >= 4 && rows < 4096, "{rows}");
+        assert!((4..4096).contains(&rows), "{rows}");
         // Tiny layer: one task.
         assert_eq!(fc_rows_per_task(4, 128, TASK_GRAIN / 4), 128);
     }

@@ -5,7 +5,7 @@
 //! pooling, re-quantization and all — and batches inputs. It is a thin front
 //! over the one Loom network path: [`LoomDatapath`] driven by
 //! [`run_network_batch`], the same adapter the conformance harness runs every
-//! registered backend through. The executor is *shared* with the golden model
+//! backend through. The executor is *shared* with the golden model
 //! (`loom_model::graph`), so scheduling, re-quantization, ReLU, pooling and
 //! concatenation are literally the same code on both paths and the traces
 //! must be bit-identical if (and only if) the inner products are.

@@ -1668,8 +1668,8 @@ mod tests {
     #[test]
     fn wide_product_matches_serial_and_reference_on_ragged_lanes() {
         for lanes in [1, 16, 63, 64, 65, 130, 256] {
-            let weights: Vec<i32> = (0..lanes).map(|i| (i as i32 % 255) - 127).collect();
-            let activations: Vec<i32> = (0..lanes).map(|i| (i as i32 * 7) % 256).collect();
+            let weights: Vec<i32> = (0..lanes).map(|i| (i % 255) - 127).collect();
+            let activations: Vec<i32> = (0..lanes).map(|i| (i * 7) % 256).collect();
             let pw = required_precision(&weights);
             let pa = required_unsigned_precision(&activations);
             let wide = wide_inner_product_slices(&weights, &activations, pw, pa, true, false);

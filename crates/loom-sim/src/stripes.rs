@@ -8,8 +8,9 @@
 //! tile with runtime per-group activation precision detection switched on,
 //! exactly like Loom's: [`conv_cycles_dynamic`] prices it with the layer's
 //! detected group precisions, and static Stripes is the
-//! [`GroupPrecisionSource::Nominal`] case of the same formula. The registry's
-//! [`crate::accelerator::Stripes`] picks the source by its detection switch.
+//! [`GroupPrecisionSource::Nominal`] case of the same formula. The
+//! [`crate::accelerator::Stripes`] model picks the source by its detection
+//! switch.
 //!
 //! The tile matches DPNN's peak compute bandwidth: it processes 16 windows
 //! concurrently (compensating for bit-serial activations with window

@@ -11,12 +11,12 @@
 //! that the fast models used for every table and figure are trustworthy.
 //!
 //! [`cross_validate`] closes the loop at the network level: every accelerator
-//! in a [`Registry`] that exposes a
+//! it is given that exposes a
 //! [`functional_datapath`](crate::accelerator::Accelerator::functional_datapath)
 //! runs the same inputs through the shared graph executor, and all of them
 //! must land bit-exactly on the golden model — and therefore on each other.
 
-use crate::accelerator::Registry;
+use crate::accelerator::Accelerator;
 use crate::config::LoomGeometry;
 use crate::datapath::run_network_batch;
 use crate::loom::functional::FunctionalLoom;
@@ -118,7 +118,7 @@ pub fn validate_fc(
 /// functional Loom engine: the functional outputs must match the golden
 /// reference and the trait impl's cycle count must match the functional run.
 ///
-/// This is the check to run when registering a new Loom-like backend — it
+/// This is the check to run when adding a new Loom-like backend — it
 /// grounds the backend's fast cycle model in a datapath that demonstrably
 /// computes the right answers.
 ///
@@ -128,7 +128,7 @@ pub fn validate_fc(
 /// shape — comparing a functional run of one datapath against the analytic
 /// cycles of another would validate nothing.
 pub fn validate_accelerator_conv(
-    accelerator: &dyn crate::accelerator::Accelerator,
+    accelerator: &dyn Accelerator,
     geometry: LoomGeometry,
     spec: &ConvSpec,
     input: &Tensor3,
@@ -198,7 +198,7 @@ pub fn validate_network(
     })
 }
 
-/// One registered backend's conformance result in a [`CrossValidation`].
+/// One backend's conformance result in a [`CrossValidation`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BackendConformance {
     /// The accelerator's display name.
@@ -212,13 +212,13 @@ pub struct BackendConformance {
     pub reduced_groups: u64,
 }
 
-/// Outcome of running every registered functional datapath over one network:
+/// Outcome of running every given functional datapath over one network:
 /// the differential conformance record the harness and CI key off.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CrossValidation {
     /// The network the backends ran.
     pub network: String,
-    /// Per-backend results, in registry order.
+    /// Per-backend results, in the order the accelerators were given.
     pub backends: Vec<BackendConformance>,
 }
 
@@ -232,7 +232,7 @@ impl CrossValidation {
 }
 
 /// Runs `inputs` through the golden graph executor once, then through every
-/// accelerator in `registry` that exposes a functional datapath (with
+/// accelerator in `accelerators` that exposes a functional datapath (with
 /// `threads` workers each), and records which backends reproduce the golden
 /// traces bit-exactly. Backends without a functional datapath are skipped —
 /// they simply don't appear in the result.
@@ -242,7 +242,7 @@ impl CrossValidation {
 /// Propagates executor errors (shape mismatches, malformed concats) from the
 /// golden run or any backend run.
 pub fn cross_validate(
-    registry: &Registry,
+    accelerators: &[Box<dyn Accelerator>],
     graph: &loom_model::graph::LayerGraph,
     params: &loom_model::inference::NetworkParams,
     inputs: &[loom_model::tensor::Tensor3],
@@ -251,7 +251,7 @@ pub fn cross_validate(
 ) -> Result<CrossValidation, loom_model::inference::InferenceError> {
     let golden = graph.run_batch(params, inputs, options)?;
     let mut backends = Vec::new();
-    for acc in registry.iter() {
+    for acc in accelerators {
         let Some(datapath) = acc.functional_datapath(threads) else {
             continue;
         };
@@ -341,7 +341,7 @@ mod tests {
         );
 
         // The trait-based check must agree with the direct schedule check
-        // when the registered backend wraps the same analytic schedule.
+        // when the backend wraps the same analytic schedule.
         let acc =
             crate::accelerator::Loom::with_geometry(crate::config::LoomVariant::Lm1b, geometry());
         let rt = validate_accelerator_conv(&acc, geometry(), &spec, &input, &weights, pa, pw);
@@ -415,6 +415,7 @@ mod tests {
     #[test]
     fn cross_validation_covers_every_registered_backend() {
         use crate::config::EquivalentConfig;
+        use crate::engine::AcceleratorKind;
         use loom_model::graph::LayerGraph;
         use loom_model::inference::{InferenceOptions, NetworkParams};
         use loom_model::network::NetworkBuilder;
@@ -439,9 +440,12 @@ mod tests {
             ),
         )
         .unwrap()];
-        let registry = Registry::with_defaults(EquivalentConfig::BASELINE_128);
+        let accelerators: Vec<Box<dyn Accelerator>> = AcceleratorKind::all()
+            .into_iter()
+            .map(|kind| crate::accelerator::build(kind, EquivalentConfig::BASELINE_128))
+            .collect();
         let v = cross_validate(
-            &registry,
+            &accelerators,
             &graph,
             &params,
             &inputs,
@@ -451,7 +455,7 @@ mod tests {
         .unwrap();
         assert_eq!(v.network, "tiny");
         // All six defaults expose functional datapaths, so all six appear.
-        assert_eq!(v.backends.len(), registry.len());
+        assert_eq!(v.backends.len(), accelerators.len());
         assert!(v.all_match(), "{v:?}");
         for b in &v.backends {
             assert!(b.cycles > 0, "{}", b.accelerator);

@@ -10,7 +10,8 @@ use loom_core::experiment::{build_assignment, ExperimentSettings};
 use loom_core::loom_mem::hierarchy::{MemoryConfig, MemorySystem};
 use loom_core::loom_mem::traffic::StoragePrecision;
 use loom_core::loom_model::zoo;
-use loom_core::loom_sim::engine::{AcceleratorKind, Simulator};
+use loom_core::loom_sim::accelerator::build;
+use loom_core::loom_sim::engine::AcceleratorKind;
 use loom_core::loom_sim::LoomVariant;
 use loom_core::report::TextTable;
 
@@ -18,7 +19,6 @@ fn main() {
     let network = zoo::vgg_m();
     let settings = ExperimentSettings::default();
     let assignment = build_assignment(&network, &settings);
-    let sim = Simulator::baseline_128();
 
     let dpnn_mem = MemorySystem::with_lpddr4(MemoryConfig::dpnn_default());
     let loom_mem = MemorySystem::with_lpddr4(MemoryConfig::loom_default());
@@ -34,7 +34,7 @@ fn main() {
         (AcceleratorKind::Dpnn, &dpnn_mem),
         (AcceleratorKind::Loom(LoomVariant::Lm1b), &loom_mem),
     ] {
-        let run = sim.simulate(kind, &network, &assignment);
+        let run = build(kind, settings.config).simulate_network(&network, &assignment);
         let mut offchip_bits = 0u64;
         let mut frame_cycles = 0u64;
         for (layer_sim, layer) in run.layers.iter().zip(network.layers().iter()) {

@@ -13,8 +13,9 @@ use loom_core::loom_model::tensor::{Shape3, Tensor3};
 use loom_core::loom_model::Precision;
 use loom_core::loom_precision::profiler::{profile_network, ProfilerConfig};
 use loom_core::loom_precision::trace::{GroupPrecisionSource, LayerPrecisionSpec};
-use loom_core::loom_sim::engine::{AcceleratorKind, PrecisionAssignment, Simulator};
-use loom_core::loom_sim::LoomVariant;
+use loom_core::loom_sim::accelerator::build;
+use loom_core::loom_sim::engine::{AcceleratorKind, PrecisionAssignment};
+use loom_core::loom_sim::{EquivalentConfig, LoomVariant};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -48,12 +49,10 @@ fn main() {
         })
         .collect();
 
-    let sim = Simulator::baseline_128();
-    let dpnn = sim.simulate(
-        AcceleratorKind::Dpnn,
-        &net,
-        &PrecisionAssignment::full_precision(&net),
-    );
+    let config = EquivalentConfig::BASELINE_128;
+    let dpnn = build(AcceleratorKind::Dpnn, config)
+        .simulate_network(&net, &PrecisionAssignment::full_precision(&net));
+    let lm1b = build(AcceleratorKind::Loom(LoomVariant::Lm1b), config);
     println!(
         "{net}\nDPNN baseline: {} cycles/frame\n",
         dpnn.total_cycles()
@@ -80,7 +79,7 @@ fn main() {
             })
             .collect();
         let assignment = PrecisionAssignment::new(specs);
-        let lm = sim.simulate(AcceleratorKind::Loom(LoomVariant::Lm1b), &net, &assignment);
+        let lm = lm1b.simulate_network(&net, &assignment);
         println!(
             "{label}: activations {} bits, weights {} bits -> Loom-1b speedup {:.2}x (fidelity {:.4})",
             acts.join("-"),

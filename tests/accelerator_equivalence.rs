@@ -9,9 +9,10 @@
 //! per-kind storage precisions). If a trait impl ever drifts from the
 //! datapath semantics, these tests pinpoint the layer and kind.
 //!
-//! The suite iterates the simulator's [`Registry`] rather than a hard-coded
-//! kind list, so a newly registered backend is exercised automatically (the
-//! oracle itself still keys off the built-in kinds it reconstructs).
+//! The suite builds every kind in `AcceleratorKind::all()` with
+//! `accelerator::build` rather than naming impls, so a new kind is exercised
+//! automatically (the oracle itself still keys off the built-in kinds it
+//! reconstructs).
 
 use loom_core::experiment::{build_assignment, ExperimentSettings};
 use loom_core::loom_mem::traffic::{layer_traffic, StoragePrecision};
@@ -21,8 +22,9 @@ use loom_core::loom_model::zoo;
 use loom_core::loom_model::Precision;
 use loom_core::loom_precision::trace::LayerPrecisionSpec;
 use loom_core::loom_precision::AccuracyTarget;
+use loom_core::loom_sim::accelerator::build;
 use loom_core::loom_sim::counts::{LayerClass, LayerSim, NetworkSim};
-use loom_core::loom_sim::engine::{AcceleratorKind, PrecisionAssignment, Simulator};
+use loom_core::loom_sim::engine::{AcceleratorKind, PrecisionAssignment};
 use loom_core::loom_sim::loom::{conv_schedule, fc_schedule};
 use loom_core::loom_sim::{dpnn, stripes, EquivalentConfig};
 
@@ -148,7 +150,6 @@ fn legacy_network_sim(
 #[test]
 fn trait_impls_match_legacy_dispatch_bit_for_bit() {
     let config = EquivalentConfig::BASELINE_128;
-    let simulator = Simulator::new(config);
     for target in [AccuracyTarget::Lossless, AccuracyTarget::Relative99] {
         let settings = ExperimentSettings {
             target,
@@ -156,9 +157,8 @@ fn trait_impls_match_legacy_dispatch_bit_for_bit() {
         };
         for network in zoo::all() {
             let assignment = build_assignment(&network, &settings);
-            for acc in simulator.registry().iter() {
-                let kind = acc.kind();
-                let trait_sim = acc.simulate_network(&network, &assignment);
+            for kind in AcceleratorKind::all() {
+                let trait_sim = build(kind, config).simulate_network(&network, &assignment);
                 let legacy_sim = legacy_network_sim(kind, config, &network, &assignment);
                 assert_eq!(
                     trait_sim,
@@ -177,13 +177,11 @@ fn trait_impls_match_legacy_dispatch_with_per_group_weights() {
     // Table 4's per-group weight precisions exercise the AverageBits group
     // source; the trait path must agree there too.
     let config = EquivalentConfig::BASELINE_128;
-    let simulator = Simulator::new(config);
     let settings = ExperimentSettings::per_group_weights();
     for network in zoo::all() {
         let assignment = build_assignment(&network, &settings);
-        for acc in simulator.registry().iter() {
-            let kind = acc.kind();
-            let trait_sim = acc.simulate_network(&network, &assignment);
+        for kind in AcceleratorKind::all() {
+            let trait_sim = build(kind, config).simulate_network(&network, &assignment);
             let legacy_sim = legacy_network_sim(kind, config, &network, &assignment);
             assert_eq!(trait_sim, legacy_sim, "{} on {}", kind, network.name());
         }
@@ -199,10 +197,8 @@ fn trait_impls_match_legacy_dispatch_across_design_points() {
     let assignment = build_assignment(&network, &settings);
     for macs in [32usize, 512] {
         let config = EquivalentConfig::new(macs).unwrap();
-        let simulator = Simulator::new(config);
-        for acc in simulator.registry().iter() {
-            let kind = acc.kind();
-            let trait_sim = acc.simulate_network(&network, &assignment);
+        for kind in AcceleratorKind::all() {
+            let trait_sim = build(kind, config).simulate_network(&network, &assignment);
             let legacy_sim = legacy_network_sim(kind, config, &network, &assignment);
             assert_eq!(trait_sim, legacy_sim, "{kind} at config {macs}");
         }

@@ -1,13 +1,14 @@
-//! The differential conformance harness: every accelerator registered in the
-//! default [`Registry`] — bit-parallel DPNN, activation-serial Stripes,
-//! detecting DStripes, and the three Loom variants — executes the reduced zoo
-//! through the shared graph executor, and all of them must land bit-exactly
-//! on the golden i64 reference (and therefore on each other).
+//! The differential conformance harness: every accelerator in
+//! `AcceleratorKind::all()`, built by `accelerator::build` — bit-parallel
+//! DPNN, activation-serial Stripes, detecting DStripes, and the three Loom
+//! variants — executes the reduced zoo through the shared graph executor,
+//! and all of them must land bit-exactly on the golden i64 reference (and
+//! therefore on each other).
 //!
 //! Three layers of checks:
 //!
 //! 1. **Zoo cross-validation** (`validate::cross_validate`): whole reduced
-//!    networks, batched, every registered backend against the golden trace.
+//!    networks, batched, every backend against the golden trace.
 //! 2. **Kernel properties**: randomized layers (ragged lane counts, mixed
 //!    signedness, zero blocks) where `stripes == dstripes == dpnn == golden`,
 //!    mirroring the packed==serial SIP suite.
@@ -30,11 +31,11 @@ use loom_core::loom_model::tensor::{Tensor3, Tensor4};
 use loom_core::loom_model::zoo::graphs;
 use loom_core::loom_model::Precision;
 use loom_core::loom_precision::trace::LayerPrecisionSpec;
+use loom_core::loom_sim::accelerator::{build, Accelerator};
 use loom_core::loom_sim::config::EquivalentConfig;
 use loom_core::loom_sim::datapath::{FunctionalDatapath, FunctionalDpnn, FunctionalStripes};
 use loom_core::loom_sim::engine::AcceleratorKind;
 use loom_core::loom_sim::validate::cross_validate;
-use loom_core::loom_sim::Registry;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -54,17 +55,20 @@ fn zoo_input(graph: &LayerGraph, seed: u64) -> Tensor3 {
     .unwrap()
 }
 
-/// Every default-registry backend runs every reduced-zoo network bit-exact
-/// against the golden model — the acceptance gate CI's `datapath-conformance`
-/// step enforces.
+/// Every backend, built in Figure 4 order, runs every reduced-zoo network
+/// bit-exact against the golden model — the acceptance gate CI's
+/// `datapath-conformance` step enforces.
 #[test]
 fn every_registered_backend_matches_golden_on_the_reduced_zoo() {
-    let registry = Registry::with_defaults(EquivalentConfig::BASELINE_128);
+    let accelerators: Vec<Box<dyn Accelerator>> = AcceleratorKind::all()
+        .into_iter()
+        .map(|kind| build(kind, EquivalentConfig::BASELINE_128))
+        .collect();
     for graph in graphs::reduced_all() {
         let params = NetworkParams::synthetic_for_graph(&graph, &[Precision::new(8).unwrap()], 77);
         let inputs = [zoo_input(&graph, 1), zoo_input(&graph, 2)];
         let v = cross_validate(
-            &registry,
+            &accelerators,
             &graph,
             &params,
             &inputs,
@@ -76,8 +80,8 @@ fn every_registered_backend_matches_golden_on_the_reduced_zoo() {
         // means a backend silently dropped out of coverage.
         assert_eq!(
             v.backends.len(),
-            registry.len(),
-            "{}: every registered backend must run",
+            accelerators.len(),
+            "{}: every backend must run",
             graph.name()
         );
         let divergent: Vec<&str> = v
@@ -99,7 +103,7 @@ fn every_registered_backend_matches_golden_on_the_reduced_zoo() {
                 b.accelerator
             );
         }
-        // The registered DStripes is Stripes with detection switched on:
+        // The built DStripes is Stripes with detection switched on:
         // it must detect, and detecting must save cycles over Stripes.
         let backend = |kind: AcceleratorKind| {
             v.backends
@@ -121,21 +125,17 @@ fn every_registered_backend_matches_golden_on_the_reduced_zoo() {
     }
 }
 
-/// A seventh (custom) backend registered behind an existing key is picked up
-/// by the same harness with no test changes — the "impl + registry entry =
-/// conformance coverage" contract.
+/// The harness runs exactly the accelerators it is handed, whatever subset
+/// that is, with no test changes — the "impl + `build` arm = conformance
+/// coverage" contract.
 #[test]
 fn conformance_follows_registry_contents_not_a_hardcoded_list() {
-    let mut registry = Registry::empty(EquivalentConfig::BASELINE_128);
-    registry.register(loom_core::loom_sim::accelerator::build(
-        AcceleratorKind::Dpnn,
-        EquivalentConfig::BASELINE_128,
-    ));
+    let accelerators = [build(AcceleratorKind::Dpnn, EquivalentConfig::BASELINE_128)];
     let graph = graphs::reduced_by_name("MiniNiN").unwrap();
     let params = NetworkParams::synthetic_for_graph(&graph, &[Precision::new(8).unwrap()], 5);
     let inputs = [zoo_input(&graph, 4)];
     let v = cross_validate(
-        &registry,
+        &accelerators,
         &graph,
         &params,
         &inputs,
@@ -143,7 +143,7 @@ fn conformance_follows_registry_contents_not_a_hardcoded_list() {
         1,
     )
     .unwrap();
-    assert_eq!(v.backends.len(), 1, "exactly the registered backends run");
+    assert_eq!(v.backends.len(), 1, "exactly the given backends run");
     assert_eq!(v.backends[0].accelerator, "DPNN");
     assert!(v.all_match());
 }
@@ -156,10 +156,9 @@ fn conformance_follows_registry_contents_not_a_hardcoded_list() {
 fn functional_cycles_match_analytic_models_on_the_mini_zoo() {
     let config = EquivalentConfig::BASELINE_128;
     let geo = config.dpnn();
-    let registry = Registry::with_defaults(config);
-    let dpnn_acc = registry.get(AcceleratorKind::Dpnn).unwrap();
-    let stripes_acc = registry.get(AcceleratorKind::Stripes).unwrap();
-    let dstripes_acc = registry.get(AcceleratorKind::DStripes).unwrap();
+    let dpnn_acc = build(AcceleratorKind::Dpnn, config);
+    let stripes_acc = build(AcceleratorKind::Stripes, config);
+    let dstripes_acc = build(AcceleratorKind::DStripes, config);
     let fdpnn = FunctionalDpnn::new(geo);
     let fstripes = FunctionalStripes::new(geo);
     let fdstripes = FunctionalStripes::dynamic(geo);
@@ -226,9 +225,9 @@ fn functional_cycles_match_analytic_models_on_the_mini_zoo() {
                     // FCLs are precision-independent on all three comparators
                     // and identical to the bit-parallel baseline.
                     let full = LayerPrecisionSpec::full_precision_static();
-                    let analytic = dpnn_acc.fc_cycles(spec, &full).0;
-                    assert_eq!(stripes_acc.fc_cycles(spec, &full).0, analytic);
-                    assert_eq!(dstripes_acc.fc_cycles(spec, &full).0, analytic);
+                    let analytic = dpnn_acc.fc_cycles(spec, full).0;
+                    assert_eq!(stripes_acc.fc_cycles(spec, full).0, analytic);
+                    assert_eq!(dstripes_acc.fc_cycles(spec, full).0, analytic);
                     for (name, backend) in [
                         ("DPNN", &fdpnn as &dyn FunctionalDatapath),
                         ("Stripes", &fstripes),
@@ -311,7 +310,7 @@ proptest! {
             padding,
             ..ConvSpec::simple(in_channels, size, size, filters, kernel.min(size))
         };
-        if grouped && in_channels % 2 == 0 && filters % 2 == 0 {
+        if grouped && in_channels.is_multiple_of(2) && filters.is_multiple_of(2) {
             spec.groups = 2;
         }
         let (input, weights) = random_conv_case(

@@ -407,7 +407,6 @@ fn functional_engine_matches_golden_model_over_a_whole_network() {
     .unwrap();
     let options = InferenceOptions {
         activation_precision: Precision::new(8).unwrap(),
-        relu: true,
     };
     let trace = run_chain(&network, &params, &input, options).unwrap();
 

@@ -12,7 +12,8 @@ use loom_core::loom_model::layer::{FcSpec, LayerKind};
 use loom_core::loom_model::zoo;
 use loom_core::loom_model::Precision;
 use loom_core::loom_precision::{table1, AccuracyTarget};
-use loom_core::loom_sim::engine::{AcceleratorKind, Simulator};
+use loom_core::loom_sim::accelerator::build;
+use loom_core::loom_sim::engine::AcceleratorKind;
 use loom_core::loom_sim::{EquivalentConfig, LoomVariant};
 
 #[test]
@@ -30,11 +31,15 @@ fn packed_footprints_match_the_paper_formula() {
 
 #[test]
 fn loom_reads_fewer_bits_than_dpnn_on_every_network() {
-    let sim = Simulator::baseline_128();
+    let dpnn_model = build(AcceleratorKind::Dpnn, EquivalentConfig::BASELINE_128);
+    let lm_model = build(
+        AcceleratorKind::Loom(LoomVariant::Lm1b),
+        EquivalentConfig::BASELINE_128,
+    );
     for net in zoo::all() {
         let assignment = build_assignment(&net, &ExperimentSettings::default());
-        let dpnn = sim.simulate(AcceleratorKind::Dpnn, &net, &assignment);
-        let lm = sim.simulate(AcceleratorKind::Loom(LoomVariant::Lm1b), &net, &assignment);
+        let dpnn = dpnn_model.simulate_network(&net, &assignment);
+        let lm = lm_model.simulate_network(&net, &assignment);
         let ratio =
             lm.total_traffic().total_bits() as f64 / dpnn.total_traffic().total_bits() as f64;
         assert!(ratio < 0.85, "{}: traffic ratio {ratio}", net.name());
@@ -77,10 +82,13 @@ fn weight_footprint_shrinks_with_profile_precisions() {
 fn fully_connected_layers_are_offchip_bound_with_lpddr4() {
     // §4.5: "fully-connected layers are off-chip bound whereas the
     // convolutional layers are compute bound".
-    let sim = Simulator::baseline_128();
     let net = zoo::vgg19();
     let assignment = build_assignment(&net, &ExperimentSettings::default());
-    let run = sim.simulate(AcceleratorKind::Loom(LoomVariant::Lm1b), &net, &assignment);
+    let run = build(
+        AcceleratorKind::Loom(LoomVariant::Lm1b),
+        EquivalentConfig::BASELINE_128,
+    )
+    .simulate_network(&net, &assignment);
     let system = MemorySystem::with_lpddr4(MemoryConfig::loom_default());
     for (layer_sim, layer) in run.layers.iter().zip(net.layers().iter()) {
         let usage = system.evaluate_layer(
@@ -109,15 +117,16 @@ fn fully_connected_layers_are_offchip_bound_with_lpddr4() {
 
 #[test]
 fn energy_model_orders_designs_as_the_paper_does() {
-    let sim = Simulator::baseline_128();
     let model = EnergyModel::baseline_128();
     let net = zoo::vgg_m();
     let assignment = build_assignment(&net, &ExperimentSettings::default());
-    let dpnn = sim.simulate(AcceleratorKind::Dpnn, &net, &assignment);
+    let simulate =
+        |kind| build(kind, EquivalentConfig::BASELINE_128).simulate_network(&net, &assignment);
+    let dpnn = simulate(AcceleratorKind::Dpnn);
     let mut efficiencies = Vec::new();
     for variant in [LoomVariant::Lm1b, LoomVariant::Lm2b, LoomVariant::Lm4b] {
         let kind = AcceleratorKind::Loom(variant);
-        let lm = sim.simulate(kind, &net, &assignment);
+        let lm = simulate(kind);
         efficiencies.push(model.efficiency(AcceleratorKind::Dpnn, &dpnn, 0, kind, &lm, 0));
     }
     // Every variant is more efficient than the baseline; the per-variant

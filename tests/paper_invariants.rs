@@ -7,8 +7,9 @@ use loom_core::loom_model::zoo;
 use loom_core::loom_model::Precision;
 use loom_core::loom_precision::trace::LayerPrecisionSpec;
 use loom_core::loom_precision::{table1, AccuracyTarget};
+use loom_core::loom_sim::accelerator::build;
 use loom_core::loom_sim::config::{EquivalentConfig, LoomVariant};
-use loom_core::loom_sim::engine::{assignment_from_profile, AcceleratorKind, Simulator};
+use loom_core::loom_sim::engine::{assignment_from_profile, AcceleratorKind};
 use loom_core::loom_sim::loom::{conv_schedule, fc_schedule};
 use loom_core::loom_sim::{dpnn, stripes};
 use proptest::prelude::*;
@@ -98,7 +99,7 @@ proptest! {
         let c4 = conv_schedule(&cfg.loom(LoomVariant::Lm4b), &spec, &prec).cycles;
         prop_assert!(c2 >= c1);
         prop_assert!(c4 >= c2);
-        if pa % 4 == 0 {
+        if pa.is_multiple_of(4) {
             prop_assert_eq!(c1, c2);
             prop_assert_eq!(c2, c4);
         }
@@ -110,11 +111,13 @@ proptest! {
 /// worse than the baseline it replaces.
 #[test]
 fn loom_matches_dpnn_at_full_precision_on_all_networks() {
-    let sim = Simulator::baseline_128();
+    let config = EquivalentConfig::BASELINE_128;
+    let dpnn = build(AcceleratorKind::Dpnn, config);
+    let lm = build(AcceleratorKind::Loom(LoomVariant::Lm1b), config);
     for net in zoo::all() {
         let assignment = loom_core::loom_sim::engine::PrecisionAssignment::full_precision(&net);
-        let dpnn_run = sim.simulate(AcceleratorKind::Dpnn, &net, &assignment);
-        let lm_run = sim.simulate(AcceleratorKind::Loom(LoomVariant::Lm1b), &net, &assignment);
+        let dpnn_run = dpnn.simulate_network(&net, &assignment);
+        let lm_run = lm.simulate_network(&net, &assignment);
         for (d, l) in dpnn_run.layers.iter().zip(lm_run.layers.iter()) {
             if !d.is_compute() {
                 continue;
@@ -144,7 +147,6 @@ fn loom_matches_dpnn_at_full_precision_on_all_networks() {
 /// executes more MACs per cycle than its peak.
 #[test]
 fn no_accelerator_exceeds_peak_bandwidth() {
-    let sim = Simulator::baseline_128();
     for net in zoo::all() {
         let profile = table1::profile(net.name(), AccuracyTarget::Lossless).unwrap();
         let assignment = assignment_from_profile(&net, &profile, Some(0.7), None);
@@ -154,7 +156,8 @@ fn no_accelerator_exceeds_peak_bandwidth() {
             AcceleratorKind::DStripes,
             AcceleratorKind::Loom(LoomVariant::Lm1b),
         ] {
-            let run = sim.simulate(kind, &net, &assignment);
+            let run =
+                build(kind, EquivalentConfig::BASELINE_128).simulate_network(&net, &assignment);
             for layer in &run.layers {
                 if layer.cycles == 0 {
                     continue;
@@ -181,12 +184,11 @@ fn no_accelerator_exceeds_peak_bandwidth() {
 /// count regardless of precision or accelerator.
 #[test]
 fn mac_counts_are_conserved() {
-    let sim = Simulator::baseline_128();
     let net = zoo::vgg_m();
     let profile = table1::profile("VGGM", AccuracyTarget::Lossless).unwrap();
     let assignment = assignment_from_profile(&net, &profile, Some(0.7), None);
     for kind in AcceleratorKind::all() {
-        let run = sim.simulate(kind, &net, &assignment);
+        let run = build(kind, EquivalentConfig::BASELINE_128).simulate_network(&net, &assignment);
         assert_eq!(run.total_macs(), net.total_macs(), "{kind}");
     }
 }

@@ -75,7 +75,7 @@ impl JobPlan {
         JobPlan {
             model: (seed % MODELS.len() as u64) as usize,
             variant: (seed >> 8) % VARIANTS,
-            tier: if (seed >> 16) % 4 == 0 {
+            tier: if (seed >> 16).is_multiple_of(4) {
                 Tier::Static
             } else {
                 Tier::Dynamic

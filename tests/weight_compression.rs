@@ -116,15 +116,15 @@ proptest! {
         let values: Vec<i32> = bytes.iter().map(|&b| adversarial(b)).collect();
         let c = assert_round_trip(&values);
         let (planes, signs) = dense_of(&values);
-        for bit in 0..PLANE_COUNT {
+        for (bit, &plane) in planes.iter().enumerate() {
             match c.plane(bit as u8) {
-                PlaneRef::Zero => prop_assert_eq!(planes[bit], [0; PLANE_WORDS]),
+                PlaneRef::Zero => prop_assert_eq!(plane, [0; PLANE_WORDS]),
                 PlaneRef::SignExtended => {
-                    prop_assert_eq!(planes[bit], signs);
-                    prop_assert_ne!(planes[bit], [0; PLANE_WORDS]);
+                    prop_assert_eq!(plane, signs);
+                    prop_assert_ne!(plane, [0; PLANE_WORDS]);
                 }
                 PlaneRef::Stored(words) => {
-                    prop_assert_eq!(*words, planes[bit]);
+                    prop_assert_eq!(*words, plane);
                     prop_assert_ne!(*words, signs);
                 }
             }
