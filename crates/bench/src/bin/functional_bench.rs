@@ -599,13 +599,13 @@ fn main() {
     let probe_weights = probe_params
         .layers()
         .iter()
-        .map(|layer| layer.values.len())
+        .map(|layer| layer.tensor.len())
         .sum::<usize>()
         .max(1) as f64;
     let per_weight_ns = |scan: &dyn Fn(&[i32])| {
         let (seconds, ()) = fastest_of_three(|| {
             for layer in probe_params.layers() {
-                scan(black_box(&layer.values));
+                scan(black_box(layer.values()));
             }
         });
         seconds * 1e9 / probe_weights

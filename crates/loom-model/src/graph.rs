@@ -1,13 +1,14 @@
 //! Explicit layer graphs: the DAG form of a network, with branch and concat
-//! nodes, topological scheduling, and per-edge tensor buffers.
+//! nodes, topological scheduling, and one executor every path shares.
 //!
 //! A [`crate::network::Network`] is an ordered list of layers — enough for the
 //! cycle models, which only need per-layer geometry, but not for *executing*
 //! topologies that branch, like GoogLeNet's inception modules. A
 //! [`LayerGraph`] generalises the chain: every node names the node(s) it reads
 //! from, a [`Concat`](NodeOp::Concat) node merges parallel branches along the
-//! channel dimension, and execution walks a topological schedule keeping each
-//! intermediate tensor alive only while consumers remain.
+//! channel dimension, and execution walks a topological schedule. There are
+//! no per-edge buffers: each node's output lives once, in its entry of the
+//! trace the run returns, and its consumers read it from there.
 //!
 //! Linear networks lift into graphs with [`LayerGraph::from_network`], which
 //! is how [`crate::inference::run_chain`] is implemented; branching networks
@@ -49,8 +50,8 @@ use crate::inference::{
 };
 use crate::layer::{ConvSpec, FcSpec, LayerError, LayerKind, PoolSpec};
 use crate::network::Network;
-use crate::quant::{apply_precision, choose_requant_shift, requantize};
-use crate::reference::{conv_forward, fc_forward, max_pool_forward, relu_in_place};
+use crate::quant::{apply_precision, choose_requant_shift, requantize_relu};
+use crate::reference::{conv_forward, fc_forward, max_pool_forward};
 use crate::tensor::{Shape3, Shape4, Tensor3, Tensor4};
 use std::collections::HashMap;
 use std::fmt;
@@ -232,9 +233,6 @@ impl GraphCompute for ReferenceCompute {
         fc_forward(spec, input, weights)
     }
 }
-
-/// One node's output for every batch item: values and shape, in item order.
-type ItemOutputs = Vec<(Vec<i32>, Shape3)>;
 
 /// A validated, schedulable layer DAG.
 ///
@@ -441,7 +439,7 @@ impl LayerGraph {
 
     /// Runs a forward pass with a caller-supplied [`GraphCompute`] backend.
     /// This is the single executor every path shares: topological order,
-    /// per-edge buffers freed at the last consumer, per-layer re-quantization
+    /// sources read from the trace, per-layer re-quantization
     /// (`choose_requant_shift` on the backend's accumulators), ReLU after
     /// every compute layer (the evaluated networks all use it), pooling and
     /// concatenation.
@@ -486,18 +484,29 @@ impl LayerGraph {
     /// pool. Per-item results are bit-identical to `inputs.len()` single
     /// runs.
     ///
+    /// Nothing is held twice. A node's output lives only in its trace entry
+    /// ([`LayerTrace::outputs`]), and every consumer reads it from there. A
+    /// conv or pool node copies its input once, into the tensor it hands on,
+    /// which then becomes the trace's `inputs`. The weights are the
+    /// [`NetworkParams`] tensors themselves, borrowed. Each compute node's
+    /// accumulators are re-quantized (`choose_requant_shift`) and rectified
+    /// (ReLU after every compute layer: the evaluated networks all use it) in
+    /// one pass.
+    ///
     /// `compute_precisions` clamps the input of the `j`-th compute node (in
     /// execution order) for every item, as
     /// [`LayerGraph::run_with_precisions`] describes.
     ///
     /// # Errors
     ///
-    /// The first error in (schedule, item) order, as [`LayerGraph::run`].
+    /// The first error in (schedule, item) order, as [`LayerGraph::run`]. A
+    /// weight tensor whose shape is not the layer's is a
+    /// [`InferenceError::ShapeMismatch`] too.
     ///
     /// # Panics
     ///
     /// Panics if `params` holds fewer weight sets than the graph has compute
-    /// nodes, or if a fully-connected weight set has the wrong length.
+    /// nodes.
     pub fn run_batch_with(
         &self,
         params: &NetworkParams,
@@ -509,190 +518,98 @@ impl LayerGraph {
         if self.nodes.is_empty() {
             return Err(InferenceError::Empty);
         }
-        let items = inputs.len();
-        if items == 0 {
+        if inputs.is_empty() {
             return Ok(Vec::new());
         }
-        // Per-edge liveness: how many consumers each node's output still has.
-        // The output node gets one extra so its buffer survives the walk.
-        let mut remaining = vec![0usize; self.nodes.len()];
-        for node in &self.nodes {
-            for source in &node.sources {
-                if let Source::Node(i) = source {
-                    remaining[*i] += 1;
-                }
-            }
+        // Every item's trace is pushed in schedule order, so a node's entry
+        // sits at its schedule position.
+        let mut position = vec![0usize; self.nodes.len()];
+        for (pos, &idx) in self.schedule.iter().enumerate() {
+            position[idx] = pos;
         }
-        remaining[self.output] += 1;
-
-        // One buffer per (node, item); freed for all items at once when the
-        // node's last consumer has run.
-        let mut buffers: Vec<Option<ItemOutputs>> = vec![None; self.nodes.len()];
-        let mut traces: Vec<Vec<LayerTrace>> = (0..items)
+        let mut traces: Vec<Vec<LayerTrace>> = inputs
+            .iter()
             .map(|_| Vec::with_capacity(self.nodes.len()))
             .collect();
         let mut compute_idx = 0usize;
-
-        // Borrow one (node, item) tensor out of the live buffers — no copy;
-        // the call sites that need ownership (clamping, traces) copy once.
-        fn bind<'a>(
-            inputs: &'a [Tensor3],
-            buffers: &'a [Option<ItemOutputs>],
-            source: &Source,
-            item: usize,
-        ) -> (&'a [i32], Shape3) {
-            match source {
-                Source::Input => (inputs[item].as_slice(), inputs[item].shape()),
-                Source::Node(i) => {
-                    let per_item = buffers[*i]
-                        .as_ref()
-                        .expect("schedule orders every source before its consumers");
-                    (per_item[item].0.as_slice(), per_item[item].1)
-                }
-            }
-        }
+        let precision = options.activation_precision;
 
         for &idx in &self.schedule {
             let node = &self.nodes[idx];
+            let source = node.sources[0];
             match &node.op {
                 NodeOp::Layer(LayerKind::Conv(spec)) => {
                     spec.validate()?;
-                    let weights = &params.layers()[compute_idx];
+                    let weights = layer_weights(node, params, compute_idx, spec.weight_shape())?;
                     let clamp = compute_precisions.get(compute_idx).copied();
                     compute_idx += 1;
-                    let w_shape = spec.weight_shape();
-                    let w_tensor = Tensor4::from_vec(
-                        Shape4::new(w_shape.k, w_shape.c, w_shape.h, w_shape.w),
-                        weights.values.clone(),
-                    )
-                    .map_err(|_| InferenceError::ShapeMismatch {
-                        layer: node.name.clone(),
-                        produced: weights.values.len(),
-                        expected: w_shape.len(),
-                    })?;
-                    let expected = spec.input_shape().len();
-                    let mut item_values = Vec::with_capacity(items);
-                    let mut item_tensors = Vec::with_capacity(items);
-                    for item in 0..items {
-                        let (bound, _) = bind(inputs, &buffers, &node.sources[0], item);
-                        let mut values = bound.to_vec();
-                        if let Some(p) = clamp {
-                            values = apply_precision(&values, p);
-                        }
-                        if values.len() != expected {
-                            return Err(InferenceError::ShapeMismatch {
-                                layer: node.name.clone(),
-                                produced: values.len(),
-                                expected,
-                            });
-                        }
-                        item_tensors.push(
-                            Tensor3::from_vec(spec.input_shape(), values.clone())
-                                .expect("length checked above"),
-                        );
-                        item_values.push(values);
+                    let tensors = (0..traces.len())
+                        .map(|item| {
+                            let values = read(inputs, &traces[item], &position, item, source);
+                            Tensor3::from_vec(spec.input_shape(), clamped(values, clamp)).map_err(
+                                |_| shape_mismatch(node, values.len(), spec.input_shape().len()),
+                            )
+                        })
+                        .collect::<Result<Vec<_>, _>>()?;
+                    let accs = backend.conv_batch(&node.name, spec, &tensors, weights);
+                    for ((trace, input), acc) in traces.iter_mut().zip(tensors).zip(accs) {
+                        trace.push(compute_trace(&node.name, input.into_vec(), acc, precision));
                     }
-                    let accs = backend.conv_batch(&node.name, spec, &item_tensors, &w_tensor);
-                    let mut outs = Vec::with_capacity(items);
-                    for (item, acc) in accs.into_iter().enumerate() {
-                        let shift = choose_requant_shift(&acc, options.activation_precision);
-                        let mut out = requantize(&acc, shift, options.activation_precision);
-                        relu_in_place(&mut out);
-                        traces[item].push(LayerTrace {
-                            layer_name: node.name.clone(),
-                            inputs: std::mem::take(&mut item_values[item]),
-                            accumulators: acc,
-                            outputs: out.clone(),
-                            requant_shift: shift,
-                        });
-                        outs.push((out, spec.output_shape()));
-                    }
-                    buffers[idx] = Some(outs);
                 }
                 NodeOp::Layer(LayerKind::FullyConnected(spec)) => {
                     spec.validate()?;
-                    let weights = &params.layers()[compute_idx];
+                    let weights = layer_weights(node, params, compute_idx, spec.weight_shape())?;
                     let clamp = compute_precisions.get(compute_idx).copied();
                     compute_idx += 1;
-                    let mut item_values = Vec::with_capacity(items);
-                    for item in 0..items {
-                        let (bound, _) = bind(inputs, &buffers, &node.sources[0], item);
-                        let mut values = bound.to_vec();
-                        if let Some(p) = clamp {
-                            values = apply_precision(&values, p);
-                        }
-                        if values.len() != spec.in_features {
-                            return Err(InferenceError::ShapeMismatch {
-                                layer: node.name.clone(),
-                                produced: values.len(),
-                                expected: spec.in_features,
-                            });
-                        }
-                        item_values.push(values);
+                    let values = (0..traces.len())
+                        .map(|item| {
+                            let values = read(inputs, &traces[item], &position, item, source);
+                            if values.len() == spec.in_features {
+                                Ok(clamped(values, clamp))
+                            } else {
+                                Err(shape_mismatch(node, values.len(), spec.in_features))
+                            }
+                        })
+                        .collect::<Result<Vec<_>, _>>()?;
+                    let accs = backend.fc_batch(&node.name, spec, &values, weights.as_slice());
+                    for ((trace, input), acc) in traces.iter_mut().zip(values).zip(accs) {
+                        trace.push(compute_trace(&node.name, input, acc, precision));
                     }
-                    let accs = backend.fc_batch(&node.name, spec, &item_values, &weights.values);
-                    let mut outs = Vec::with_capacity(items);
-                    for (item, acc) in accs.into_iter().enumerate() {
-                        let shift = choose_requant_shift(&acc, options.activation_precision);
-                        let mut out = requantize(&acc, shift, options.activation_precision);
-                        relu_in_place(&mut out);
-                        traces[item].push(LayerTrace {
-                            layer_name: node.name.clone(),
-                            inputs: std::mem::take(&mut item_values[item]),
-                            accumulators: acc,
-                            outputs: out.clone(),
-                            requant_shift: shift,
-                        });
-                        outs.push((out, Shape3::new(spec.out_features, 1, 1)));
-                    }
-                    buffers[idx] = Some(outs);
                 }
                 NodeOp::Layer(LayerKind::MaxPool(spec)) => {
-                    let expected = spec.input_shape().len();
-                    let mut outs = Vec::with_capacity(items);
                     for (item, trace) in traces.iter_mut().enumerate() {
-                        let (bound, _) = bind(inputs, &buffers, &node.sources[0], item);
-                        let values = bound.to_vec();
-                        if values.len() != expected {
-                            return Err(InferenceError::ShapeMismatch {
-                                layer: node.name.clone(),
-                                produced: values.len(),
-                                expected,
-                            });
-                        }
-                        let in_tensor = Tensor3::from_vec(spec.input_shape(), values.clone())
-                            .expect("length checked above");
-                        let out = max_pool_forward(spec, &in_tensor).into_vec();
+                        let values = read(inputs, trace, &position, item, source);
+                        let input = Tensor3::from_vec(spec.input_shape(), values.to_vec())
+                            .map_err(|_| {
+                                shape_mismatch(node, values.len(), spec.input_shape().len())
+                            })?;
+                        let outputs = max_pool_forward(spec, &input).into_vec();
                         trace.push(LayerTrace {
                             layer_name: node.name.clone(),
-                            inputs: values,
+                            inputs: input.into_vec(),
                             accumulators: Vec::new(),
-                            outputs: out.clone(),
+                            outputs,
                             requant_shift: 0,
                         });
-                        outs.push((out, spec.output_shape()));
                     }
-                    buffers[idx] = Some(outs);
                 }
                 NodeOp::Concat => {
-                    let mut outs = Vec::with_capacity(items);
                     for (item, trace) in traces.iter_mut().enumerate() {
-                        let bound: Vec<(&[i32], Shape3)> = node
-                            .sources
-                            .iter()
-                            .map(|s| bind(inputs, &buffers, s, item))
-                            .collect();
-                        let (h, w) = (bound[0].1.h, bound[0].1.w);
-                        if bound.iter().any(|(_, s)| s.h != h || s.w != w) {
+                        let first = self.source_shape(&inputs[item], source);
+                        if node.sources.iter().any(|&s| {
+                            let shape = self.source_shape(&inputs[item], s);
+                            (shape.h, shape.w) != (first.h, first.w)
+                        }) {
                             return Err(InferenceError::Graph(GraphError::ConcatShape {
                                 node: node.name.clone(),
                             }));
                         }
-                        let channels = bound.iter().map(|(_, s)| s.c).sum();
-                        let mut out = Vec::with_capacity(bound.iter().map(|(v, _)| v.len()).sum());
-                        for (values, _) in &bound {
-                            out.extend_from_slice(values);
-                        }
+                        let parts: Vec<&[i32]> = node
+                            .sources
+                            .iter()
+                            .map(|&s| read(inputs, trace, &position, item, s))
+                            .collect();
+                        let outputs = parts.concat();
                         // Concat moves no values through the datapath; its
                         // trace records the merged tensor as outputs and
                         // leaves inputs empty rather than duplicating every
@@ -701,21 +618,9 @@ impl LayerGraph {
                             layer_name: node.name.clone(),
                             inputs: Vec::new(),
                             accumulators: Vec::new(),
-                            outputs: out.clone(),
+                            outputs,
                             requant_shift: 0,
                         });
-                        outs.push((out, Shape3::new(channels, h, w)));
-                    }
-                    buffers[idx] = Some(outs);
-                }
-            }
-
-            // Release source buffers whose last consumer just ran.
-            for source in &self.nodes[idx].sources {
-                if let Source::Node(i) = source {
-                    remaining[*i] -= 1;
-                    if remaining[*i] == 0 {
-                        buffers[*i] = None;
                     }
                 }
             }
@@ -724,6 +629,93 @@ impl LayerGraph {
             .into_iter()
             .map(|layers| InferenceTrace { layers })
             .collect())
+    }
+
+    /// The shape of `source` for an item whose graph input is `input`.
+    fn source_shape(&self, input: &Tensor3, source: Source) -> Shape3 {
+        let Source::Node(i) = source else {
+            return input.shape();
+        };
+        let node = &self.nodes[i];
+        match &node.op {
+            NodeOp::Layer(LayerKind::Conv(spec)) => spec.output_shape(),
+            NodeOp::Layer(LayerKind::FullyConnected(spec)) => Shape3::new(spec.out_features, 1, 1),
+            NodeOp::Layer(LayerKind::MaxPool(spec)) => spec.output_shape(),
+            NodeOp::Concat => {
+                let first = self.source_shape(input, node.sources[0]);
+                let channels = node
+                    .sources
+                    .iter()
+                    .map(|&s| self.source_shape(input, s).c)
+                    .sum();
+                Shape3::new(channels, first.h, first.w)
+            }
+        }
+    }
+}
+
+/// One item's values of `source`: the graph input, or a node's outputs as
+/// the item's trace holds them (`position` maps a node to its entry).
+fn read<'a>(
+    inputs: &'a [Tensor3],
+    trace: &'a [LayerTrace],
+    position: &[usize],
+    item: usize,
+    source: Source,
+) -> &'a [i32] {
+    match source {
+        Source::Input => inputs[item].as_slice(),
+        Source::Node(i) => &trace[position[i]].outputs,
+    }
+}
+
+/// The weight tensor of the `compute_idx`-th compute node, checked against
+/// the shape its layer needs.
+fn layer_weights<'p>(
+    node: &GraphNode,
+    params: &'p NetworkParams,
+    compute_idx: usize,
+    shape: Shape4,
+) -> Result<&'p Tensor4, InferenceError> {
+    let weights = &params.layers()[compute_idx].tensor;
+    if weights.shape() == shape {
+        Ok(weights)
+    } else {
+        Err(shape_mismatch(node, weights.len(), shape.len()))
+    }
+}
+
+/// A node input's copy, clamped to the node's precision when it has one.
+fn clamped(values: &[i32], clamp: Option<Precision>) -> Vec<i32> {
+    match clamp {
+        Some(p) => apply_precision(values, p),
+        None => values.to_vec(),
+    }
+}
+
+fn shape_mismatch(node: &GraphNode, produced: usize, expected: usize) -> InferenceError {
+    InferenceError::ShapeMismatch {
+        layer: node.name.clone(),
+        produced,
+        expected,
+    }
+}
+
+/// A compute node's trace entry: its accumulators re-quantized to
+/// `precision` and rectified in one pass.
+fn compute_trace(
+    name: &str,
+    inputs: Vec<i32>,
+    accumulators: Vec<i64>,
+    precision: Precision,
+) -> LayerTrace {
+    let shift = choose_requant_shift(&accumulators, precision);
+    LayerTrace {
+        layer_name: name.to_string(),
+        inputs,
+        outputs: requantize_relu(&accumulators, shift, precision),
+        accumulators,
+        requant_shift: shift,
     }
 }
 
@@ -1083,8 +1075,9 @@ mod tests {
 
     #[test]
     fn buffers_are_freed_after_the_last_consumer() {
-        // Structural proxy: executing a long chain must not error even though
-        // every intermediate buffer is dropped as soon as its consumer ran.
+        // Structural proxy: executing a long chain must not error. The
+        // executor keeps no per-edge buffers to free: every consumer reads
+        // its source's outputs from the trace, the only copy there is.
         let net = NetworkBuilder::new("chain")
             .conv("c1", ConvSpec::simple(1, 8, 8, 2, 3))
             .conv("c2", ConvSpec::simple(2, 6, 6, 2, 3))
@@ -1105,6 +1098,50 @@ mod tests {
             .run(&params, &input, InferenceOptions::default())
             .unwrap();
         assert_eq!(trace.layers.len(), 3);
+    }
+
+    #[test]
+    fn a_weight_tensor_of_the_wrong_shape_is_a_shape_mismatch() {
+        let graph = branching();
+        let good = NetworkParams::synthetic_for_graph(&graph, &[Precision::new(6).unwrap()], 11);
+        let shapes = [
+            // One filter short.
+            Shape4::new(3, 4, 1, 1),
+            // The right number of weights in the wrong shape.
+            Shape4::new(4, 2, 1, 1),
+        ];
+        for shape in shapes {
+            let mut layers = good.layers().to_vec();
+            // `b1`, the second compute node: a 1x1 conv with weights 2x4x1x1.
+            layers[1].tensor = Tensor4::zeros(shape);
+            let err = graph
+                .run(
+                    &NetworkParams::new(layers),
+                    &input(3),
+                    InferenceOptions::default(),
+                )
+                .unwrap_err();
+            assert_eq!(
+                err,
+                InferenceError::ShapeMismatch {
+                    layer: "b1".into(),
+                    produced: shape.len(),
+                    expected: 8,
+                }
+            );
+        }
+        // A fully-connected layer's weights are checked the same way.
+        let mut layers = good.layers().to_vec();
+        let fc = layers.last_mut().unwrap();
+        fc.tensor = Tensor4::zeros(Shape4::new(5, 9 * 16, 1, 2));
+        let err = graph
+            .run(
+                &NetworkParams::new(layers),
+                &input(3),
+                InferenceOptions::default(),
+            )
+            .unwrap_err();
+        assert!(matches!(err, InferenceError::ShapeMismatch { layer, .. } if layer == "fc"));
     }
 
     #[test]

@@ -45,7 +45,7 @@ use crate::graph::{GraphError, LayerGraph};
 use crate::layer::LayerError;
 use crate::network::Network;
 use crate::synthetic::{synthetic_weights, ValueDistribution};
-use crate::tensor::Tensor3;
+use crate::tensor::{Tensor3, Tensor4};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::fmt;
@@ -103,15 +103,26 @@ impl From<GraphError> for InferenceError {
     }
 }
 
-/// The weights of one compute layer, flattened in the layout the reference
-/// implementations expect (`KCHW` for convolutions, row-major `out × in` for
-/// fully-connected layers).
+/// The weights of one compute layer, held once as the tensor the backend
+/// receives: the layer's
+/// [`weight_shape`](crate::layer::LayerKind::weight_shape), `K × C × H × W` for a
+/// convolution and `out × in × 1 × 1` for a fully-connected layer (whose
+/// backing slice is the row-major `out × in` matrix).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LayerWeights {
     /// Name of the layer these weights belong to.
     pub layer_name: String,
-    /// Flattened weight values.
-    pub values: Vec<i32>,
+    /// The weight tensor.
+    pub tensor: Tensor4,
+}
+
+impl LayerWeights {
+    /// The flattened weight values, in the layout the reference kernels read
+    /// (`KCHW` for convolutions, row-major `out × in` for fully-connected
+    /// layers).
+    pub fn values(&self) -> &[i32] {
+        self.tensor.as_slice()
+    }
 }
 
 /// All weights of a network, one entry per *compute* layer in network order.
@@ -161,10 +172,16 @@ impl NetworkParams {
         let mut weights = Vec::new();
         for (idx, (name, kind)) in graph.compute_layers().enumerate() {
             let precision = weight_precisions[idx % weight_precisions.len()];
-            let count = kind.total_weights() as usize;
+            let shape = kind.weight_shape();
+            let values = synthetic_weights(
+                &mut rng,
+                shape.len(),
+                precision,
+                ValueDistribution::weights(),
+            );
             weights.push(LayerWeights {
                 layer_name: name.to_string(),
-                values: synthetic_weights(&mut rng, count, precision, ValueDistribution::weights()),
+                tensor: Tensor4::from_vec(shape, values).expect("one value per weight"),
             });
         }
         NetworkParams { weights }

@@ -210,6 +210,12 @@ impl FcSpec {
         self.in_features as u64 * self.out_features as u64
     }
 
+    /// Weight tensor shape: `out × in × 1 × 1`, so the row-major `out × in`
+    /// matrix is the tensor's backing slice.
+    pub fn weight_shape(&self) -> Shape4 {
+        Shape4::new(self.out_features, self.in_features, 1, 1)
+    }
+
     /// Total multiply-accumulate operations (one weight, one MAC: no reuse).
     pub fn macs(&self) -> u64 {
         self.total_weights()
@@ -353,6 +359,15 @@ impl LayerKind {
     /// Whether this is a fully-connected layer.
     pub fn is_fc(&self) -> bool {
         matches!(self, LayerKind::FullyConnected(_))
+    }
+
+    /// Shape of the layer's weight tensor (empty for pooling).
+    pub fn weight_shape(&self) -> Shape4 {
+        match self {
+            LayerKind::Conv(c) => c.weight_shape(),
+            LayerKind::FullyConnected(f) => f.weight_shape(),
+            LayerKind::MaxPool(_) => Shape4::new(0, 0, 0, 0),
+        }
     }
 
     /// Number of weights stored for the layer.

@@ -15,7 +15,7 @@
 //!   convolution, fully-connected, pooling and ReLU layers.
 //! * [`quant`] — linear quantization and inter-layer re-quantization.
 //! * [`graph`] — explicit layer DAGs with branch/concat nodes, topological
-//!   scheduling, and per-edge tensor buffers.
+//!   scheduling, and the one executor every path shares.
 //! * [`synthetic`] — synthetic weight/activation generators calibrated to the
 //!   paper's precision profiles (the ImageNet-trained originals are not
 //!   available; see `DESIGN.md` for the substitution).

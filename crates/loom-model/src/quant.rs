@@ -93,6 +93,19 @@ pub fn requantize(acc: &[i64], shift: u8, target: Precision) -> Vec<i32> {
         .collect()
 }
 
+/// [`requantize`] followed by ReLU, in one branch-free pass: the
+/// post-activation outputs of a compute layer. A negative accumulator
+/// re-quantizes to a value at most 0, which ReLU zeroes, so every value is
+/// `min((max(v, 0) + bias) >> shift, max)` with the same rounding bias.
+pub fn requantize_relu(acc: &[i64], shift: u8, target: Precision) -> Vec<i32> {
+    let (_, max) = signed_range(target);
+    let max = i64::from(max);
+    let bias = if shift == 0 { 0 } else { 1i64 << (shift - 1) };
+    acc.iter()
+        .map(|&v| ((v.max(0) + bias) >> shift).min(max) as i32)
+        .collect()
+}
+
 /// Chooses the smallest right-shift that brings the largest accumulator
 /// magnitude within the representable range of `target`.
 pub fn choose_requant_shift(acc: &[i64], target: Precision) -> u8 {
@@ -188,6 +201,37 @@ mod tests {
         let p = Precision::new(8).unwrap();
         assert_eq!(requantize(&[1_000_000], 2, p), vec![127]);
         assert_eq!(requantize(&[-1_000_000], 2, p), vec![-128]);
+    }
+
+    #[test]
+    fn requantize_relu_equals_requantize_then_relu() {
+        use crate::reference::relu_in_place;
+        for shift in 0u8..=62 {
+            let bias: i128 = if shift == 0 { 0 } else { 1 << (shift - 1) };
+            for bits in 1u8..=16 {
+                let target = Precision::new(bits).unwrap();
+                let max = i128::from(signed_range(target).1);
+                let mut acc = vec![0i64, 1, -1, 2, -2, 1 << 40, -(1 << 40)];
+                // Either side of the smallest accumulator that rounds to the
+                // clamp value and to one past it, in both signs, wherever the
+                // rounding add stays in range.
+                for edge in [max, max + 1] {
+                    for d in -1..=1 {
+                        let x = (edge << shift) - bias + d;
+                        if let (Ok(x), Ok(_)) = (i64::try_from(x), i64::try_from(x + bias)) {
+                            acc.extend([x, -x]);
+                        }
+                    }
+                }
+                let mut expected = requantize(&acc, shift, target);
+                relu_in_place(&mut expected);
+                assert_eq!(
+                    requantize_relu(&acc, shift, target),
+                    expected,
+                    "shift {shift}, {bits} bits"
+                );
+            }
+        }
     }
 
     #[test]

@@ -4,10 +4,12 @@
 //! bit-serial functional model in `loom-sim` and every scheduling optimisation
 //! must produce results identical to them. They are deliberately simple —
 //! quadruple loops, no blocking — so that their correctness is evident by
-//! inspection.
+//! inspection. Max pooling is the exception: every executor path runs it, so
+//! it folds rows into column maxima, and its tests pin it to the per-element
+//! loop.
 
 use crate::layer::{ConvSpec, FcSpec, PoolSpec};
-use crate::tensor::{Shape3, Tensor3, Tensor4};
+use crate::tensor::{Tensor3, Tensor4};
 
 /// Computes a convolutional layer over integer inputs and weights.
 ///
@@ -84,36 +86,56 @@ pub fn fc_forward(spec: &FcSpec, input: &[i32], weights: &[i32]) -> Vec<i64> {
 /// Computes a max-pooling layer. Positions introduced by padding are skipped
 /// (never treated as zeros), so every output is the max of real inputs only.
 ///
+/// Each output row folds its window's input rows into one row of column
+/// maxima, then reads every window of that row as a plain slice of it. The
+/// columns outside the input (the padding, and whatever a clipped window
+/// reaches past it) hold `i32::MIN`, so they never win a max.
+///
 /// # Panics
 ///
 /// Panics if the input shape does not match the spec.
 pub fn max_pool_forward(spec: &PoolSpec, input: &Tensor3) -> Tensor3 {
     assert_eq!(input.shape(), spec.input_shape(), "input shape mismatch");
-    let out_h = spec.out_height();
-    let out_w = spec.out_width();
-    let mut output = Tensor3::zeros(Shape3::new(spec.channels, out_h, out_w));
-    for c in 0..spec.channels {
+    let (in_h, in_w) = (spec.in_height, spec.in_width);
+    let (out_h, out_w) = (spec.out_height(), spec.out_width());
+    let (window, stride, pad) = (spec.window, spec.stride, spec.padding);
+    let span = (in_w + 2 * pad).max((out_w - 1) * stride + window);
+    let mut columns = vec![i32::MIN; span];
+    let mut output = Vec::with_capacity(spec.channels * out_h * out_w);
+    for plane in input.as_slice().chunks_exact(in_h * in_w) {
         for oy in 0..out_h {
-            for ox in 0..out_w {
-                let mut best = i32::MIN;
-                for wy in 0..spec.window {
-                    for wx in 0..spec.window {
-                        let iy = (oy * spec.stride + wy) as isize - spec.padding as isize;
-                        let ix = (ox * spec.stride + wx) as isize - spec.padding as isize;
-                        if iy >= 0
-                            && ix >= 0
-                            && (iy as usize) < spec.in_height
-                            && (ix as usize) < spec.in_width
-                        {
-                            best = best.max(input.get(c, iy as usize, ix as usize));
-                        }
+            // The window's input rows, clipped to the input: never empty,
+            // because the padding is smaller than the window.
+            let top = (oy * stride).saturating_sub(pad);
+            let bottom = (oy * stride + window - pad).min(in_h);
+            let maxima = &mut columns[pad..pad + in_w];
+            maxima.copy_from_slice(&plane[top * in_w..][..in_w]);
+            for row in plane[(top + 1) * in_w..bottom * in_w].chunks_exact(in_w) {
+                for (m, &v) in maxima.iter_mut().zip(row) {
+                    *m = (*m).max(v);
+                }
+            }
+            // Window `ox` is `columns[ox * stride..][..window]`: fold each
+            // window's `d`-th column into the output row, one pass per `d`.
+            let start = output.len();
+            output.resize(start + out_w, i32::MIN);
+            let row = &mut output[start..];
+            for d in 0..window {
+                // Stride 1 gets its own loop: it vectorizes, a strided
+                // iterator does not.
+                if stride == 1 {
+                    for (o, &v) in row.iter_mut().zip(&columns[d..]) {
+                        *o = (*o).max(v);
+                    }
+                } else {
+                    for (o, &v) in row.iter_mut().zip(columns[d..].iter().step_by(stride)) {
+                        *o = (*o).max(v);
                     }
                 }
-                output.set(c, oy, ox, best);
             }
         }
     }
-    output
+    Tensor3::from_vec(spec.output_shape(), output).expect("one value per output")
 }
 
 /// Applies the ReLU non-linearity in place.
@@ -132,6 +154,8 @@ pub fn relu_i64(values: &[i64]) -> Vec<i64> {
 mod tests {
     use super::*;
     use crate::tensor::{Shape3, Shape4};
+    use rand::rngs::StdRng;
+    use rand::{RngExt, SeedableRng};
 
     #[test]
     fn conv_identity_kernel_passes_input_through() {
@@ -228,6 +252,65 @@ mod tests {
         let out = max_pool_forward(&spec, &input);
         assert_eq!((spec.out_height(), spec.out_width()), (3, 3));
         assert!(out.as_slice().iter().all(|&v| v == -9));
+    }
+
+    /// The per-element loop [`max_pool_forward`] replaced, kept as its
+    /// oracle: every window position checked against the input bounds.
+    fn max_pool_oracle(spec: &PoolSpec, input: &Tensor3) -> Vec<i32> {
+        let mut output = Vec::new();
+        for c in 0..spec.channels {
+            for oy in 0..spec.out_height() {
+                for ox in 0..spec.out_width() {
+                    let mut best = i32::MIN;
+                    for wy in 0..spec.window {
+                        for wx in 0..spec.window {
+                            let iy = (oy * spec.stride + wy) as isize - spec.padding as isize;
+                            let ix = (ox * spec.stride + wx) as isize - spec.padding as isize;
+                            if iy >= 0
+                                && ix >= 0
+                                && (iy as usize) < spec.in_height
+                                && (ix as usize) < spec.in_width
+                            {
+                                best = best.max(input.get(c, iy as usize, ix as usize));
+                            }
+                        }
+                    }
+                    output.push(best);
+                }
+            }
+        }
+        output
+    }
+
+    #[test]
+    fn max_pool_matches_the_per_element_oracle() {
+        // Windows 1-4, strides 1-3, every padding below the window, and
+        // inputs from 1x1 up: small inputs clip windows on every side, and
+        // mostly negative values make any padding that won a max visible.
+        let mut rng = StdRng::seed_from_u64(5);
+        let mut checked = 0;
+        for window in 1..=4 {
+            for stride in 1..=3 {
+                for padding in 0..window {
+                    for in_h in 1..=7 {
+                        for in_w in 1..=7 {
+                            let spec =
+                                PoolSpec::new(2, in_h, in_w, window, stride).with_padding(padding);
+                            let values = (0..2 * in_h * in_w)
+                                .map(|_| rng.random_range(-60..20))
+                                .collect();
+                            let input = Tensor3::from_vec(spec.input_shape(), values).unwrap();
+                            let out = max_pool_forward(&spec, &input);
+                            assert_eq!(out.shape(), spec.output_shape(), "{spec:?}");
+                            assert_eq!(out.as_slice(), max_pool_oracle(&spec, &input), "{spec:?}");
+                            assert!(out.as_slice().iter().all(|&v| v > i32::MIN), "{spec:?}");
+                            checked += 1;
+                        }
+                    }
+                }
+            }
+        }
+        assert_eq!(checked, 10 * 3 * 49);
     }
 
     #[test]

@@ -51,23 +51,68 @@ impl ValueDistribution {
         }
     }
 
+    /// Draws one signed value that fits in `precision` bits (two's complement).
+    pub fn draw_signed<R: RngExt>(&self, rng: &mut R, precision: Precision) -> i32 {
+        Sampler::new(*self).signed(rng, precision)
+    }
+
+    /// Draws one non-negative value that fits in `precision` bits (unsigned).
+    pub fn draw_unsigned<R: RngExt>(&self, rng: &mut R, precision: Precision) -> i32 {
+        Sampler::new(*self).unsigned(rng, precision)
+    }
+}
+
+/// A [`ValueDistribution`]'s two probabilities as thresholds on the
+/// generator's raw 64-bit draws. A uniform `f64` is `(draw >> 11) · 2^-53`,
+/// exactly, so `random::<f64>() < p` holds exactly when
+/// `draw >> 11 < ceil(p · 2^53)`. Comparing integers draws the same values,
+/// and leaves the generator in the same place, without converting every
+/// draw to a float.
+#[derive(Debug, Clone, Copy)]
+struct Sampler {
+    /// Draws below this (after `>> 11`) are exact zeros.
+    zero: u64,
+    /// Draws at or above this (after `>> 11`) grow a value by one bit.
+    grow: u64,
+}
+
+impl Sampler {
+    fn new(dist: ValueDistribution) -> Self {
+        // `ceil(p · 2^53)`, the smallest 53-bit draw `m` with `m · 2^-53 >= p`
+        // (scaling by a power of two is exact).
+        let threshold = |p: f64| (p * (1u64 << 53) as f64).ceil() as u64;
+        Sampler {
+            zero: threshold(dist.zero_fraction),
+            grow: threshold(dist.p_small),
+        }
+    }
+
+    /// Whether the next value is an exact zero.
+    fn zero<R: RngExt>(self, rng: &mut R) -> bool {
+        rng.next_u64() >> 11 < self.zero
+    }
+
     /// Draws the number of magnitude bits for one value, in `1..=max_bits`.
-    fn draw_bits<R: RngExt>(&self, rng: &mut R, max_bits: u8) -> u8 {
+    fn bits<R: RngExt>(self, rng: &mut R, max_bits: u8) -> u8 {
         let mut bits = 1u8;
-        while bits < max_bits && rng.random::<f64>() >= self.p_small {
+        while bits < max_bits && rng.next_u64() >> 11 >= self.grow {
             bits += 1;
         }
         bits
     }
 
-    /// Draws one signed value that fits in `precision` bits (two's complement).
-    pub fn draw_signed<R: RngExt>(&self, rng: &mut R, precision: Precision) -> i32 {
-        if rng.random::<f64>() < self.zero_fraction {
+    /// Draws a magnitude: a bit length in `1..=max_bits`, then a value
+    /// uniform below `2^length`.
+    fn magnitude<R: RngExt>(self, rng: &mut R, max_bits: u8) -> i32 {
+        let max_mag = (1i64 << self.bits(rng, max_bits)) - 1;
+        rng.random_range(0..=max_mag) as i32
+    }
+
+    fn signed<R: RngExt>(self, rng: &mut R, precision: Precision) -> i32 {
+        if self.zero(rng) {
             return 0;
         }
-        let mag_bits = self.draw_bits(rng, precision.bits().saturating_sub(1).max(1));
-        let max_mag = (1i64 << mag_bits) - 1;
-        let mag = rng.random_range(0..=max_mag) as i32;
+        let mag = self.magnitude(rng, precision.bits().saturating_sub(1).max(1));
         if rng.random::<bool>() {
             mag
         } else {
@@ -75,14 +120,11 @@ impl ValueDistribution {
         }
     }
 
-    /// Draws one non-negative value that fits in `precision` bits (unsigned).
-    pub fn draw_unsigned<R: RngExt>(&self, rng: &mut R, precision: Precision) -> i32 {
-        if rng.random::<f64>() < self.zero_fraction {
+    fn unsigned<R: RngExt>(self, rng: &mut R, precision: Precision) -> i32 {
+        if self.zero(rng) {
             return 0;
         }
-        let mag_bits = self.draw_bits(rng, precision.bits());
-        let max_mag = (1i64 << mag_bits) - 1;
-        rng.random_range(0..=max_mag) as i32
+        self.magnitude(rng, precision.bits())
     }
 }
 
@@ -100,9 +142,8 @@ pub fn synthetic_weights<R: RngExt>(
     dist: ValueDistribution,
 ) -> Vec<i32> {
     assert!(count > 0, "cannot generate an empty weight tensor");
-    let mut values: Vec<i32> = (0..count)
-        .map(|_| dist.draw_signed(rng, precision))
-        .collect();
+    let sampler = Sampler::new(dist);
+    let mut values: Vec<i32> = (0..count).map(|_| sampler.signed(rng, precision)).collect();
     // Plant the extreme value so the layer needs exactly `precision` bits.
     values[0] = -(1i32 << (precision.bits() - 1));
     values
@@ -131,8 +172,9 @@ pub fn synthetic_activations<R: RngExt>(
     dist: ValueDistribution,
 ) -> Vec<i32> {
     assert!(count > 0, "cannot generate an empty activation tensor");
+    let sampler = Sampler::new(dist);
     let mut values: Vec<i32> = (0..count)
-        .map(|_| dist.draw_unsigned(rng, precision))
+        .map(|_| sampler.unsigned(rng, precision))
         .collect();
     values[0] = (1i32 << precision.bits()) - 1;
     values
@@ -148,9 +190,8 @@ pub fn synthetic_signed_activations<R: RngExt>(
     dist: ValueDistribution,
 ) -> Vec<i32> {
     assert!(count > 0, "cannot generate an empty activation tensor");
-    let mut values: Vec<i32> = (0..count)
-        .map(|_| dist.draw_signed(rng, precision))
-        .collect();
+    let sampler = Sampler::new(dist);
+    let mut values: Vec<i32> = (0..count).map(|_| sampler.signed(rng, precision)).collect();
     values[0] = (1i32 << (precision.bits() - 1)) - 1;
     values
 }
@@ -160,7 +201,104 @@ mod tests {
     use super::*;
     use crate::fixed::{required_precision, required_unsigned_precision};
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{RngCore, SeedableRng};
+
+    /// The floating-point sampler [`Sampler`] replaced, kept as its oracle:
+    /// every probability compared against a uniform `f64` draw.
+    mod oracle {
+        use super::*;
+
+        fn draw_bits(dist: ValueDistribution, rng: &mut StdRng, max_bits: u8) -> u8 {
+            let mut bits = 1u8;
+            while bits < max_bits && rng.random::<f64>() >= dist.p_small {
+                bits += 1;
+            }
+            bits
+        }
+
+        pub fn signed(dist: ValueDistribution, rng: &mut StdRng, precision: Precision) -> i32 {
+            if rng.random::<f64>() < dist.zero_fraction {
+                return 0;
+            }
+            let mag_bits = draw_bits(dist, rng, precision.bits().saturating_sub(1).max(1));
+            let mag = rng.random_range(0..=(1i64 << mag_bits) - 1) as i32;
+            if rng.random::<bool>() {
+                mag
+            } else {
+                -mag
+            }
+        }
+
+        pub fn unsigned(dist: ValueDistribution, rng: &mut StdRng, precision: Precision) -> i32 {
+            if rng.random::<f64>() < dist.zero_fraction {
+                return 0;
+            }
+            let mag_bits = draw_bits(dist, rng, precision.bits());
+            rng.random_range(0..=(1i64 << mag_bits) - 1) as i32
+        }
+    }
+
+    #[test]
+    fn integer_thresholds_draw_what_the_float_comparisons_drew() {
+        for seed in [0u64, 1, 7, 2018, u64::MAX] {
+            for count in [1usize, 2, 31, 400] {
+                for bits in 1..=16u8 {
+                    let p = Precision::new(bits).unwrap();
+                    for dist in [
+                        ValueDistribution::weights(),
+                        ValueDistribution::activations(),
+                    ] {
+                        let (mut fast, mut slow) =
+                            (StdRng::seed_from_u64(seed), StdRng::seed_from_u64(seed));
+                        let mut expected: Vec<i32> = (0..count)
+                            .map(|_| oracle::signed(dist, &mut slow, p))
+                            .collect();
+                        expected[0] = -(1i32 << (bits - 1));
+                        assert_eq!(synthetic_weights(&mut fast, count, p, dist), expected);
+                        assert_eq!(fast.next_u64(), slow.next_u64(), "weights, seed {seed}");
+
+                        let mut expected: Vec<i32> = (0..count)
+                            .map(|_| oracle::unsigned(dist, &mut slow, p))
+                            .collect();
+                        expected[0] = (1i32 << bits) - 1;
+                        assert_eq!(synthetic_activations(&mut fast, count, p, dist), expected);
+                        assert_eq!(fast.next_u64(), slow.next_u64(), "activations, seed {seed}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn thresholds_hold_at_the_probability_edges() {
+        // p = 0 never zeroes and always grows; p = 1 always zeroes and never
+        // grows; p = 0.5 splits the 53-bit draws exactly in half.
+        let never = Sampler::new(ValueDistribution {
+            p_small: 0.0,
+            zero_fraction: 0.0,
+        });
+        assert_eq!((never.zero, never.grow), (0, 0));
+        let always = Sampler::new(ValueDistribution {
+            p_small: 1.0,
+            zero_fraction: 1.0,
+        });
+        assert_eq!((always.zero, always.grow), (1 << 53, 1 << 53));
+        let half = Sampler::new(ValueDistribution {
+            p_small: 0.5,
+            zero_fraction: 0.5,
+        });
+        assert_eq!((half.zero, half.grow), (1 << 52, 1 << 52));
+        // Each threshold is the smallest draw whose float reaches `p`.
+        let unit = |m: u64| m as f64 * (1.0 / (1u64 << 53) as f64);
+        for p in [0.02, 0.1, 0.3, 0.35, 0.45, 0.999] {
+            let t = Sampler::new(ValueDistribution {
+                p_small: p,
+                zero_fraction: p,
+            })
+            .grow;
+            assert!(unit(t) >= p && unit(t - 1) < p, "p = {p}");
+        }
+    }
 
     #[test]
     fn weights_hit_exact_precision() {

@@ -11,13 +11,14 @@
 //! target, then verify all layers combined.
 
 use crate::profile::{AccuracyTarget, NetworkProfile};
-use loom_model::fixed::{required_precision, Precision};
-use loom_model::inference::{
-    run_chain, run_chain_with_precisions, InferenceOptions, InferenceTrace, NetworkParams,
-};
+use loom_model::fixed::{clamp_to_precision, required_precision, Precision};
+use loom_model::graph::{GraphCompute, LayerGraph};
+use loom_model::inference::{InferenceOptions, InferenceTrace, NetworkParams};
+use loom_model::layer::{ConvSpec, FcSpec};
 use loom_model::network::Network;
 use loom_model::quant::relative_rmse;
-use loom_model::tensor::Tensor3;
+use loom_model::reference::{conv_forward, fc_forward};
+use loom_model::tensor::{Tensor3, Tensor4};
 
 /// Configuration of the precision search.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -115,6 +116,12 @@ impl DerivedProfile {
 /// finally verifies the combined profile, backing precisions off one bit at a
 /// time (round-robin) if the combination violates the budget.
 ///
+/// A per-layer trial clamps one layer and leaves every other at
+/// `config.max_precision`. When that ceiling leaves every reference compute
+/// input unchanged, the layers before the trial's reproduce the reference
+/// run, so the trial replays their accumulators from it and computes only
+/// from the trial's layer on.
+///
 /// # Panics
 ///
 /// Panics if `inputs` is empty or the network cannot be run as a linear chain
@@ -126,25 +133,47 @@ pub fn profile_network(
     config: ProfilerConfig,
 ) -> DerivedProfile {
     assert!(!inputs.is_empty(), "profiling requires at least one input");
+    let graph = LayerGraph::from_network(network);
     let options = InferenceOptions {
         activation_precision: config.inference_activation_precision,
     };
     let references: Vec<InferenceTrace> = inputs
         .iter()
-        .map(|input| run_chain(network, params, input, options).expect("network must be runnable"))
+        .map(|input| {
+            graph
+                .run(params, input, options)
+                .expect("network must be runnable")
+        })
         .collect();
 
     let n_compute = network.compute_layers().count();
+    let replayable = references.iter().all(|reference| {
+        network.compute_layers().all(|layer| {
+            let inputs = &reference.for_layer(&layer.name).expect("traced").inputs;
+            inputs
+                .iter()
+                .all(|&v| clamp_to_precision(v, config.max_precision) == v)
+        })
+    });
     let mut per_layer = vec![config.max_precision; n_compute];
 
     // Phase 1: independent per-layer activation search.
     for layer_idx in 0..n_compute {
+        let replayed = if replayable { layer_idx } else { 0 };
         let mut best = config.max_precision;
         for bits in (1..=config.max_precision.bits()).rev() {
             let candidate = Precision::new(bits).expect("bits in range");
             let mut trial = vec![config.max_precision; n_compute];
             trial[layer_idx] = candidate;
-            let fidelity = batch_fidelity(network, params, inputs, &references, options, &trial);
+            let fidelity = batch_fidelity(
+                &graph,
+                params,
+                inputs,
+                &references,
+                options,
+                &trial,
+                replayed,
+            );
             if fidelity <= config.fidelity_threshold {
                 best = candidate;
             } else {
@@ -155,12 +184,12 @@ pub fn profile_network(
     }
 
     // Phase 2: shared weight precision search (clamping weights).
-    let weight_precision = search_weight_precision(network, params, inputs, &references, config);
+    let weight_precision = search_weight_precision(&graph, params, inputs, &references, config);
 
     // Phase 3: verify the combination; relax the most aggressive layer one bit
     // at a time until the budget holds again.
     let mut combined = per_layer.clone();
-    let mut fidelity = batch_fidelity(network, params, inputs, &references, options, &combined);
+    let mut fidelity = batch_fidelity(&graph, params, inputs, &references, options, &combined, 0);
     while fidelity > config.fidelity_threshold {
         let (idx, _) = combined
             .iter()
@@ -171,7 +200,7 @@ pub fn profile_network(
             break;
         }
         combined[idx] = Precision::saturating(combined[idx].bits() + 1);
-        fidelity = batch_fidelity(network, params, inputs, &references, options, &combined);
+        fidelity = batch_fidelity(&graph, params, inputs, &references, options, &combined, 0);
     }
 
     DerivedProfile {
@@ -181,21 +210,65 @@ pub fn profile_network(
     }
 }
 
+/// A trial's inner products: its first `replayed` compute layers return the
+/// reference run's accumulators, and every later one runs the golden
+/// kernels. Sound only when those layers' inputs equal the reference's.
+struct Replay<'r> {
+    reference: &'r InferenceTrace,
+    replayed: usize,
+}
+
+impl Replay<'_> {
+    /// `layer`'s reference accumulators, while compute layers are replayed.
+    fn replay(&mut self, layer: &str) -> Option<Vec<i64>> {
+        if self.replayed == 0 {
+            return None;
+        }
+        self.replayed -= 1;
+        Some(self.reference.for_layer(layer)?.accumulators.clone())
+    }
+}
+
+impl GraphCompute for Replay<'_> {
+    fn conv(
+        &mut self,
+        layer: &str,
+        spec: &ConvSpec,
+        input: &Tensor3,
+        weights: &Tensor4,
+    ) -> Vec<i64> {
+        self.replay(layer)
+            .unwrap_or_else(|| conv_forward(spec, input, weights))
+    }
+
+    fn fc(&mut self, layer: &str, spec: &FcSpec, input: &[i32], weights: &[i32]) -> Vec<i64> {
+        self.replay(layer)
+            .unwrap_or_else(|| fc_forward(spec, input, weights))
+    }
+}
+
 /// Fidelity of a per-layer activation precision assignment over a batch: the
-/// worst relative RMSE of the final accumulators across all inputs.
+/// worst relative RMSE of the final accumulators across all inputs. The
+/// first `replayed` compute layers replay each reference.
 fn batch_fidelity(
-    network: &Network,
+    graph: &LayerGraph,
     params: &NetworkParams,
     inputs: &[Tensor3],
     references: &[InferenceTrace],
     options: InferenceOptions,
     precisions: &[Precision],
+    replayed: usize,
 ) -> f64 {
     inputs
         .iter()
         .zip(references.iter())
         .map(|(input, reference)| {
-            let trial = run_chain_with_precisions(network, params, input, options, precisions)
+            let mut backend = Replay {
+                reference,
+                replayed,
+            };
+            let trial = graph
+                .run_with(params, input, options, precisions, &mut backend)
                 .expect("network must be runnable");
             relative_rmse(reference.final_accumulators(), trial.final_accumulators())
         })
@@ -205,7 +278,7 @@ fn batch_fidelity(
 /// Finds the smallest shared weight precision whose clamping keeps fidelity
 /// within budget.
 fn search_weight_precision(
-    network: &Network,
+    graph: &LayerGraph,
     params: &NetworkParams,
     inputs: &[Tensor3],
     references: &[InferenceTrace],
@@ -218,7 +291,7 @@ fn search_weight_precision(
     let needed = params
         .layers()
         .iter()
-        .map(|w| required_precision(&w.values))
+        .map(|w| required_precision(w.values()))
         .max()
         .unwrap_or(Precision::FULL);
     let mut best = needed;
@@ -229,8 +302,9 @@ fn search_weight_precision(
             .iter()
             .zip(references.iter())
             .map(|(input, reference)| {
-                let trial =
-                    run_chain(network, &clamped, input, options).expect("network must be runnable");
+                let trial = graph
+                    .run(&clamped, input, options)
+                    .expect("network must be runnable");
                 relative_rmse(reference.final_accumulators(), trial.final_accumulators())
             })
             .fold(0.0f64, f64::max);
@@ -250,7 +324,11 @@ fn clamp_params(params: &NetworkParams, precision: Precision) -> NetworkParams {
         .iter()
         .map(|w| loom_model::inference::LayerWeights {
             layer_name: w.layer_name.clone(),
-            values: loom_model::quant::apply_precision(&w.values, precision),
+            tensor: Tensor4::from_vec(
+                w.tensor.shape(),
+                loom_model::quant::apply_precision(w.values(), precision),
+            )
+            .expect("clamping keeps every weight"),
         })
         .collect();
     NetworkParams::new(layers)
@@ -335,6 +413,39 @@ mod tests {
         assert_eq!(profile.conv_activations.len(), 2);
         assert_eq!(profile.fc_weights.len(), 1);
         profile.validate_against(&net).unwrap();
+    }
+
+    #[test]
+    fn replayed_trials_equal_full_trials() {
+        let net = test_net();
+        let graph = LayerGraph::from_network(&net);
+        let params = NetworkParams::synthetic(&net, &[Precision::new(8).unwrap()], 9);
+        let inputs = test_inputs(2);
+        let options = InferenceOptions {
+            activation_precision: Precision::saturating(13),
+        };
+        let references: Vec<InferenceTrace> = inputs
+            .iter()
+            .map(|input| graph.run(&params, input, options).unwrap())
+            .collect();
+        for layer_idx in 0..3 {
+            for bits in [16, 9, 5, 2] {
+                let mut trial = vec![Precision::FULL; 3];
+                trial[layer_idx] = Precision::new(bits).unwrap();
+                let replayed = batch_fidelity(
+                    &graph,
+                    &params,
+                    &inputs,
+                    &references,
+                    options,
+                    &trial,
+                    layer_idx,
+                );
+                let full =
+                    batch_fidelity(&graph, &params, &inputs, &references, options, &trial, 0);
+                assert_eq!(replayed, full, "layer {layer_idx} at {bits} bits");
+            }
+        }
     }
 
     #[test]

@@ -146,13 +146,18 @@ impl FunctionalLoom {
             .iter()
             .map(|&(input, pa)| self.wide_conv_job(spec, input, filters, pa, pw, units))
             .collect();
+        self.run_conv_jobs(&jobs)
+    }
+
+    /// Runs every job's tasks on one pool and returns one run per job.
+    fn run_conv_jobs(&self, jobs: &[WideConvJob<'_>]) -> Vec<FunctionalRun> {
         // Each item plans from its *own* activation precision, so task counts
         // can differ across the batch: map the flat pool index to
         // (item, local task) through a prefix sum rather than assuming item
         // 0's count holds for everyone.
         let mut task_base = Vec::with_capacity(jobs.len());
         let mut total_tasks = 0usize;
-        for job in &jobs {
+        for job in jobs {
             task_base.push(total_tasks);
             total_tasks += job.task_count();
         }
@@ -169,7 +174,7 @@ impl FunctionalLoom {
         jobs.iter()
             .map(|job| {
                 let tasks: Vec<_> = results.by_ref().take(job.task_count()).collect();
-                merge_conv_tasks(spec.filters, job.windows, tasks)
+                merge_conv_tasks(job.spec.filters, job.windows, tasks)
             })
             .collect()
     }
@@ -937,6 +942,77 @@ mod tests {
                     serial_conv(&engine, &spec, &input, &weights, pa, pw),
                     "{window_columns} window columns"
                 );
+            }
+        }
+    }
+
+    #[test]
+    fn filter_tiles_and_ragged_window_chunks_match_the_oracle() {
+        // 49 windows in groups of 4: 13 groups, the last of one window.
+        let spec = ConvSpec {
+            padding: 1,
+            ..ConvSpec::simple(3, 7, 7, 6, 3)
+        };
+        let mut rng = StdRng::seed_from_u64(7);
+        let pa = Precision::new(8).unwrap();
+        let pw = Precision::new(6).unwrap();
+        let inputs: Vec<Tensor3> = (0..2)
+            .map(|_| {
+                let values = synthetic_activations(
+                    &mut rng,
+                    spec.input_shape().len(),
+                    pa,
+                    ValueDistribution::activations(),
+                );
+                Tensor3::from_vec(spec.input_shape(), values).unwrap()
+            })
+            .collect();
+        let weights = Tensor4::from_vec(
+            spec.weight_shape(),
+            synthetic_weights(
+                &mut rng,
+                spec.weight_shape().len(),
+                pw,
+                ValueDistribution::weights(),
+            ),
+        )
+        .unwrap();
+        let filters = PackedRows::pack(weights.as_slice(), spec.weights_per_filter());
+        // Item 0: chunks of 3, 3, 3, 3 and 1 groups × three filter tiles of
+        // two filters. Item 1: chunks of 5, 5 and 3 groups × two tiles of
+        // three filters. Every task's rectangle is ragged somewhere.
+        let plans = [
+            ConvPlan {
+                window_chunks: 5,
+                groups_per_chunk: 3,
+                filter_tiles: 3,
+            },
+            ConvPlan {
+                window_chunks: 3,
+                groups_per_chunk: 5,
+                filter_tiles: 2,
+            },
+        ];
+        for threads in [1, 4] {
+            let dynamic = FunctionalLoom::new(small_geometry()).with_threads(threads);
+            for engine in [dynamic, dynamic.without_dynamic_precision()] {
+                let jobs: Vec<_> = inputs
+                    .iter()
+                    .zip(plans)
+                    .map(|(input, plan)| WideConvJob {
+                        plan,
+                        ..engine.wide_conv_job(&spec, input, &filters, pa, pw, threads)
+                    })
+                    .collect();
+                let runs = engine.run_conv_jobs(&jobs);
+                assert_eq!(runs.len(), 2);
+                for (run, input) in runs.iter().zip(&inputs) {
+                    assert_eq!(
+                        run,
+                        &serial_conv(&engine, &spec, input, &weights, pa, pw),
+                        "{threads} threads"
+                    );
+                }
             }
         }
     }

@@ -273,7 +273,7 @@ impl NetworkEngine {
                     name, weights.layer_name,
                     "params must list weights in compute-layer order"
                 );
-                (name.to_string(), PreparedLayer::new(kind, &weights.values))
+                (name.to_string(), PreparedLayer::new(kind, weights.values()))
             })
             .collect();
         PackedModel {

@@ -176,18 +176,18 @@ fn functional_cycles_match_analytic_models_on_the_mini_zoo() {
                 .iter()
                 .find(|l| l.layer_name == node.name)
                 .expect("trace covers every node");
-            let weights = params.for_layer(&node.name).map(|w| &w.values);
+            let weights = params.for_layer(&node.name).map(|w| &w.tensor);
             match &node.op {
                 NodeOp::Layer(LayerKind::Conv(spec)) => {
                     let input =
                         Tensor3::from_vec(spec.input_shape(), layer_trace.inputs.clone()).unwrap();
-                    let weights =
-                        Tensor4::from_vec(spec.weight_shape(), weights.unwrap().clone()).unwrap();
+                    let weights = weights.unwrap();
+                    assert_eq!(weights.shape(), spec.weight_shape());
                     let pa = required_precision(input.as_slice());
                     let pw = required_precision(weights.as_slice());
                     let static_spec = LayerPrecisionSpec::static_profile(pa, pw);
 
-                    let d = fdpnn.run_conv(spec, &input, &weights);
+                    let d = fdpnn.run_conv(spec, &input, weights);
                     assert_eq!(
                         d.cycles,
                         dpnn_acc.conv_cycles(spec, &static_spec).0,
@@ -196,7 +196,7 @@ fn functional_cycles_match_analytic_models_on_the_mini_zoo() {
                         node.name
                     );
 
-                    let s = fstripes.run_conv(spec, &input, &weights);
+                    let s = fstripes.run_conv(spec, &input, weights);
                     assert_eq!(
                         s.run.cycles,
                         stripes_acc.conv_cycles(spec, &static_spec).0,
@@ -205,7 +205,7 @@ fn functional_cycles_match_analytic_models_on_the_mini_zoo() {
                         node.name
                     );
 
-                    let ds = fdstripes.run_conv(spec, &input, &weights);
+                    let ds = fdstripes.run_conv(spec, &input, weights);
                     let dynamic_spec = LayerPrecisionSpec {
                         dynamic_activation: ds.explicit_source(),
                         ..LayerPrecisionSpec::static_profile(pa, pw)
@@ -220,7 +220,7 @@ fn functional_cycles_match_analytic_models_on_the_mini_zoo() {
                     convs_checked += 1;
                 }
                 NodeOp::Layer(LayerKind::FullyConnected(spec)) => {
-                    let weights = weights.unwrap();
+                    let weights = weights.unwrap().as_slice();
                     let fc_input = &layer_trace.inputs;
                     // FCLs are precision-independent on all three comparators
                     // and identical to the bit-parallel baseline.

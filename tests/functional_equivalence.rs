@@ -424,15 +424,12 @@ fn functional_engine_matches_golden_model_over_a_whole_network() {
             loom_core::loom_model::layer::LayerKind::Conv(spec) => {
                 let layer_input =
                     Tensor3::from_vec(spec.input_shape(), layer_trace.inputs.clone()).unwrap();
-                let layer_weights = Tensor4::from_vec(
-                    spec.weight_shape(),
-                    params.for_layer(&layer.name).unwrap().values.clone(),
-                )
-                .unwrap();
+                let layer_weights = &params.for_layer(&layer.name).unwrap().tensor;
+                assert_eq!(layer_weights.shape(), spec.weight_shape());
                 let run = engine.run_conv(
                     spec,
                     &layer_input,
-                    &layer_weights,
+                    layer_weights,
                     required_precision(&layer_trace.inputs),
                     pw,
                 );
@@ -444,7 +441,7 @@ fn functional_engine_matches_golden_model_over_a_whole_network() {
                 let run = engine.run_fc(
                     spec,
                     &layer_trace.inputs,
-                    &params.for_layer(&layer.name).unwrap().values,
+                    params.for_layer(&layer.name).unwrap().values(),
                     pw,
                 );
                 assert_eq!(run.outputs, layer_trace.accumulators, "{}", layer.name);
