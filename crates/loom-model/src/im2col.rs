@@ -51,6 +51,10 @@ pub fn im2col(spec: &ConvSpec, input: &Tensor3) -> Vec<WindowPatch> {
 /// Extracts the window patch for output position `(oy, ox)` restricted to the
 /// channel range `[c_base, c_base + c_count)`. Grouped convolutions use this to
 /// give each filter group its own slice of the input channels.
+///
+/// This is the reference form, one padded read per value. The oracles use it
+/// ([`conv_via_im2col`] here, the bit-serial conv in `loom-sim`), so they do
+/// not share the row copies of [`window_patch_into`].
 pub fn window_patch(
     spec: &ConvSpec,
     input: &Tensor3,
@@ -60,13 +64,25 @@ pub fn window_patch(
     c_count: usize,
 ) -> WindowPatch {
     let mut patch = Vec::with_capacity(c_count * spec.kernel_h * spec.kernel_w);
-    window_patch_into(spec, input, oy, ox, c_base, c_count, &mut patch);
+    for c in 0..c_count {
+        for ky in 0..spec.kernel_h {
+            for kx in 0..spec.kernel_w {
+                let iy = (oy * spec.stride + ky) as isize - spec.padding as isize;
+                let ix = (ox * spec.stride + kx) as isize - spec.padding as isize;
+                patch.push(input.get_padded(c_base + c, iy, ix));
+            }
+        }
+    }
     patch
 }
 
 /// Appends the window patch for output position `(oy, ox)` to `patch` instead
-/// of allocating a fresh vector — the arena form the wide functional datapath
-/// uses on its hot path (one scratch buffer per worker, cleared per window).
+/// of allocating a fresh vector — the arena form the functional datapaths use
+/// on their hot path (one scratch buffer per worker, cleared per window).
+///
+/// Equal to [`window_patch`], but each (channel, kernel row) run is copied as
+/// one slice, and a 1×1 window is one strided walk down the channels. Kernel
+/// rows and columns that fall in the padding stay zero.
 pub fn window_patch_into(
     spec: &ConvSpec,
     input: &Tensor3,
@@ -76,15 +92,69 @@ pub fn window_patch_into(
     c_count: usize,
     patch: &mut Vec<i32>,
 ) {
-    patch.reserve(c_count * spec.kernel_h * spec.kernel_w);
-    for c in 0..c_count {
-        for ky in 0..spec.kernel_h {
-            for kx in 0..spec.kernel_w {
-                let iy = (oy * spec.stride + ky) as isize - spec.padding as isize;
-                let ix = (ox * spec.stride + kx) as isize - spec.padding as isize;
-                patch.push(input.get_padded(c_base + c, iy, ix));
-            }
+    let shape = input.shape();
+    let (kh, kw) = (spec.kernel_h, spec.kernel_w);
+    let y0 = (oy * spec.stride) as isize - spec.padding as isize;
+    let x0 = (ox * spec.stride) as isize - spec.padding as isize;
+    // The kernel rows and columns inside the input: `[ky0, ky1)`, `[kx0, kx1)`.
+    let inside = |origin: isize, kernel: usize, extent: usize| {
+        let lo = (-origin).clamp(0, kernel as isize);
+        let hi = (extent as isize - origin).clamp(lo, kernel as isize);
+        (lo as usize, hi as usize)
+    };
+    let (ky0, ky1) = inside(y0, kh, shape.h);
+    let (kx0, kx1) = inside(x0, kw, shape.w);
+    let start = patch.len();
+    patch.resize(start + c_count * kh * kw, 0);
+    let out = &mut patch[start..];
+    if ky0 == ky1 || kx0 == kx1 {
+        return;
+    }
+    let data = input.as_slice();
+    let channel_len = shape.h * shape.w;
+    // Every position read below lies inside the input: the first is kernel
+    // position (ky0, kx0) of channel `c_base`.
+    let first = c_base * channel_len
+        + (y0 + ky0 as isize) as usize * shape.w
+        + (x0 + kx0 as isize) as usize;
+    if kh == 1 && kw == 1 {
+        for (c, value) in out.iter_mut().enumerate() {
+            *value = data[first + c * channel_len];
         }
+        return;
+    }
+    // One (patch offset, input offset) pair per in-bounds run.
+    let runs = (0..c_count).flat_map(|c| {
+        (ky0..ky1).map(move |ky| {
+            (
+                (c * kh + ky) * kw + kx0,
+                first + c * channel_len + (ky - ky0) * shape.w,
+            )
+        })
+    });
+    match kx1 - kx0 {
+        2 => copy_runs::<2>(out, data, 2, runs),
+        3 => copy_runs::<3>(out, data, 3, runs),
+        4 => copy_runs::<4>(out, data, 4, runs),
+        5 => copy_runs::<5>(out, data, 5, runs),
+        7 => copy_runs::<7>(out, data, 7, runs),
+        len => copy_runs::<0>(out, data, len, runs),
+    }
+}
+
+/// Copies `len` values from `data` into `out` at each (patch offset, input
+/// offset) pair of `runs`. A nonzero `N` is the run length as a constant, so
+/// each copy is a few moves rather than a `memcpy` call.
+#[inline(always)]
+fn copy_runs<const N: usize>(
+    out: &mut [i32],
+    data: &[i32],
+    len: usize,
+    runs: impl Iterator<Item = (usize, usize)>,
+) {
+    let len = if N > 0 { N } else { len };
+    for (dst, src) in runs {
+        out[dst..dst + len].copy_from_slice(&data[src..src + len]);
     }
 }
 
@@ -172,6 +242,68 @@ mod tests {
         let patches = im2col(&spec, &input);
         // Top-left window: only the bottom-right 2x2 of the kernel overlaps the image.
         assert_eq!(patches[0], vec![0, 0, 0, 0, 1, 2, 0, 3, 4]);
+    }
+
+    /// The row-copy gather appends exactly the per-element reference patch,
+    /// for every window of random specs: kernels 1–11 (square or not),
+    /// strides 1–4, padding 0–3, inputs with `in_height != in_width`, and
+    /// each filter group's channel range.
+    #[test]
+    fn window_patch_into_matches_the_per_element_gather() {
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut draw = |n: usize| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state % n as u64) as usize
+        };
+        let mut checked = 0;
+        while checked < 300 {
+            let groups = 1 + draw(3);
+            let kernel_h = 1 + draw(11);
+            let kernel_w = if draw(2) == 0 { kernel_h } else { 1 + draw(11) };
+            let spec = ConvSpec {
+                in_channels: groups * (1 + draw(3)),
+                in_height: 1 + draw(16),
+                in_width: 1 + draw(16),
+                filters: groups,
+                kernel_h,
+                kernel_w,
+                stride: 1 + draw(4),
+                padding: draw(4),
+                groups,
+            };
+            if spec.in_height == spec.in_width || spec.validate().is_err() {
+                continue;
+            }
+            checked += 1;
+            let n = spec.input_shape().len();
+            // Nonzero values, so a zero in a patch can only be padding.
+            let input = Tensor3::from_vec(spec.input_shape(), (1..=n as i32).collect()).unwrap();
+            let group_in = spec.in_channels / groups;
+            for oy in 0..spec.out_height() {
+                for ox in 0..spec.out_width() {
+                    for g in 0..groups {
+                        let mut patch = vec![-1; 3];
+                        window_patch_into(
+                            &spec,
+                            &input,
+                            oy,
+                            ox,
+                            g * group_in,
+                            group_in,
+                            &mut patch,
+                        );
+                        assert_eq!(patch[..3], [-1; 3], "{spec:?}");
+                        assert_eq!(
+                            patch[3..],
+                            window_patch(&spec, &input, oy, ox, g * group_in, group_in),
+                            "{spec:?} window ({oy}, {ox}) group {g}"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

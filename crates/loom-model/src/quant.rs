@@ -97,23 +97,75 @@ pub fn requantize(acc: &[i64], shift: u8, target: Precision) -> Vec<i32> {
 /// post-activation outputs of a compute layer. A negative accumulator
 /// re-quantizes to a value at most 0, which ReLU zeroes, so every value is
 /// `min((max(v, 0) + bias) >> shift, max)` with the same rounding bias.
+///
+/// The baseline x86-64 target (SSE2) has no 64-bit vector compare, so the
+/// max and min do not vectorize there; on x86-64 the pass runs as a copy
+/// compiled for AVX-512 or AVX2 when the CPU has either.
 pub fn requantize_relu(acc: &[i64], shift: u8, target: Precision) -> Vec<i32> {
-    let (_, max) = signed_range(target);
-    let max = i64::from(max);
-    let bias = if shift == 0 { 0 } else { 1i64 << (shift - 1) };
+    #[cfg(target_arch = "x86_64")]
+    {
+        // SAFETY (both calls): the copy's target feature was just detected.
+        if std::arch::is_x86_feature_detected!("avx512f") {
+            return unsafe { requantize_relu_avx512(acc, shift, target) };
+        }
+        if std::arch::is_x86_feature_detected!("avx2") {
+            return unsafe { requantize_relu_avx2(acc, shift, target) };
+        }
+    }
+    requantize_relu_on(acc, shift, target)
+}
+
+/// The body of [`requantize_relu`], inlined into each compiled copy. The
+/// rounding add is the bit just below the shift,
+/// `(x + 2^(s-1)) >> s == (x >> s) + (x >> (s-1) & 1)`, which cannot
+/// overflow, even for `i64::MAX`.
+#[inline(always)]
+fn requantize_relu_on(acc: &[i64], shift: u8, target: Precision) -> Vec<i32> {
+    let max = i64::from(signed_range(target).1);
+    let round_bit = shift.saturating_sub(1);
+    let round_mask = i64::from(shift > 0);
     acc.iter()
-        .map(|&v| ((v.max(0) + bias) >> shift).min(max) as i32)
+        .map(|&v| {
+            let x = v.max(0);
+            ((x >> shift) + (x >> round_bit & round_mask)).min(max) as i32
+        })
         .collect()
+}
+
+/// [`requantize_relu_on`] compiled for AVX-512.
+///
+/// # Safety
+///
+/// The CPU must support `avx512f`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+unsafe fn requantize_relu_avx512(acc: &[i64], shift: u8, target: Precision) -> Vec<i32> {
+    requantize_relu_on(acc, shift, target)
+}
+
+/// [`requantize_relu_on`] compiled for AVX2.
+///
+/// # Safety
+///
+/// The CPU must support `avx2`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn requantize_relu_avx2(acc: &[i64], shift: u8, target: Precision) -> Vec<i32> {
+    requantize_relu_on(acc, shift, target)
 }
 
 /// Chooses the smallest right-shift that brings the largest accumulator
 /// magnitude within the representable range of `target`.
+///
+/// The magnitudes are OR-folded rather than maximised: the OR has the bit
+/// length of the largest magnitude, which alone decides the shift, and the
+/// fold vectorizes.
 pub fn choose_requant_shift(acc: &[i64], target: Precision) -> u8 {
-    let max_abs = acc.iter().map(|v| v.unsigned_abs()).max().unwrap_or(0);
+    let magnitudes = acc.iter().fold(0, |bits, v| bits | v.unsigned_abs());
     let (_, max) = signed_range(target);
     let limit = max as u64;
     let mut shift = 0u8;
-    while shift < 63 && (max_abs >> shift) > limit {
+    while shift < 63 && (magnitudes >> shift) > limit {
         shift += 1;
     }
     shift
@@ -234,6 +286,106 @@ mod tests {
         }
     }
 
+    /// The per-value forms the vectorized passes replaced, kept as their
+    /// oracles: the rounding bias added before the shift (in `i128`, so that
+    /// it cannot overflow next to `i64::MAX`), and a max of the magnitudes.
+    pub(super) fn requantize_relu_oracle(acc: &[i64], shift: u8, target: Precision) -> Vec<i32> {
+        let max = i128::from(signed_range(target).1);
+        let bias = if shift == 0 { 0 } else { 1i128 << (shift - 1) };
+        acc.iter()
+            .map(|&v| ((i128::from(v).max(0) + bias) >> shift).min(max) as i32)
+            .collect()
+    }
+
+    pub(super) fn choose_requant_shift_oracle(acc: &[i64], target: Precision) -> u8 {
+        let max_abs = acc.iter().map(|v| v.unsigned_abs()).max().unwrap_or(0);
+        let limit = signed_range(target).1 as u64;
+        let mut shift = 0u8;
+        while shift < 63 && (max_abs >> shift) > limit {
+            shift += 1;
+        }
+        shift
+    }
+
+    type Requantizer = fn(&[i64], u8, Precision) -> Vec<i32>;
+
+    /// The dispatched pass and every compiled copy of it this CPU can run.
+    pub(super) fn requantize_relu_copies() -> Vec<(&'static str, Requantizer)> {
+        let mut copies: Vec<(&'static str, Requantizer)> = vec![
+            ("dispatched", requantize_relu),
+            ("baseline", requantize_relu_on),
+        ];
+        #[cfg(target_arch = "x86_64")]
+        {
+            if std::arch::is_x86_feature_detected!("avx512f") {
+                // SAFETY: `avx512f` was just detected.
+                copies.push(("avx512", |a, s, t| unsafe {
+                    requantize_relu_avx512(a, s, t)
+                }));
+            }
+            if std::arch::is_x86_feature_detected!("avx2") {
+                // SAFETY: `avx2` was just detected.
+                copies.push(("avx2", |a, s, t| unsafe { requantize_relu_avx2(a, s, t) }));
+            }
+        }
+        copies
+    }
+
+    /// Every copy of the requantize pass, and the OR-folded shift, equal the
+    /// per-value forms over every shift and precision, on the edge values
+    /// (0, ±1, ±2, ±2^40, `i64::MIN`, `i64::MAX`) at every position of
+    /// vectors of length 0, 1 and lengths that are no multiple of any vector
+    /// width, and on values of every bit length.
+    #[test]
+    fn vectorized_requantization_matches_the_per_value_forms() {
+        let specials = [0, 1, -1, 2, -2, 1 << 40, -(1 << 40), i64::MIN, i64::MAX];
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        let mut random = || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state as i64) >> (state % 64)
+        };
+        let mut vectors = Vec::new();
+        for len in [0usize, 1, 3, 7, 9, 17, 31, 33] {
+            for offset in 0..specials.len() {
+                vectors.push(
+                    (0..len)
+                        .map(|i| specials[(i + offset) % specials.len()])
+                        .collect(),
+                );
+            }
+            vectors.push((0..len).map(|_| random()).collect::<Vec<i64>>());
+        }
+        let copies = requantize_relu_copies();
+        for acc in &vectors {
+            for bits in 1u8..=16 {
+                let target = Precision::new(bits).unwrap();
+                assert_eq!(
+                    choose_requant_shift(acc, target),
+                    choose_requant_shift_oracle(acc, target),
+                    "{bits} bits, {acc:?}"
+                );
+                for shift in 0u8..=62 {
+                    let expected = requantize_relu_oracle(acc, shift, target);
+                    for (name, copy) in &copies {
+                        assert_eq!(
+                            copy(acc, shift, target),
+                            expected,
+                            "{name}: shift {shift}, {bits} bits, {acc:?}"
+                        );
+                    }
+                }
+            }
+        }
+        // The cap: a magnitude of 2^63 needs 64 bits, one more than a shift
+        // can take off.
+        assert_eq!(
+            choose_requant_shift(&[i64::MIN], Precision::new(1).unwrap()),
+            63
+        );
+    }
+
     #[test]
     fn choose_shift_brings_values_in_range() {
         let acc = vec![123_456_789i64, -987_654, 42];
@@ -298,6 +450,27 @@ mod proptests {
             prop_assert!(out.iter().all(|&v| v >= min && v <= max));
             if a <= b {
                 prop_assert!(out[0] <= out[1], "{a} -> {} vs {b} -> {}", out[0], out[1]);
+            }
+        }
+
+        /// Every copy of the requantize pass, and the OR-folded shift, equal
+        /// the per-value forms on random accumulators of every magnitude.
+        #[test]
+        fn vectorized_requantization_matches_on_random_accumulators(
+            raw in prop::collection::vec(any::<i64>(), 0..40),
+            scale in 0u32..64,
+            shift in 0u8..63,
+            bits in 1u8..=16,
+        ) {
+            let acc: Vec<i64> = raw.iter().map(|&v| v >> scale).collect();
+            let target = Precision::new(bits).unwrap();
+            prop_assert_eq!(
+                choose_requant_shift(&acc, target),
+                super::tests::choose_requant_shift_oracle(&acc, target)
+            );
+            let expected = super::tests::requantize_relu_oracle(&acc, shift, target);
+            for (_, copy) in super::tests::requantize_relu_copies() {
+                prop_assert_eq!(copy(&acc, shift, target), expected.clone());
             }
         }
 

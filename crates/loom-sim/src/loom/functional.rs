@@ -317,7 +317,9 @@ impl FunctionalLoom {
             filters,
             pa,
             pw,
-            activations_signed: input.as_slice().iter().any(|&v| v < 0),
+            // An OR of the values is negative exactly when one of them is;
+            // unlike an early-exit search, the fold vectorizes.
+            activations_signed: input.as_slice().iter().fold(0, |acc, &v| acc | v) < 0,
             detection: self.dynamic_precision && spec.groups == 1,
             cols,
             rows: self.geometry.filter_rows,

@@ -57,14 +57,18 @@
 //! * **portable** — the same loop on the baseline target, for non-x86 hosts.
 //!
 //! Packing is dispatched from the same once-resolved tier. Both AVX-512 tiers
-//! transpose sixteen lanes per `_mm512_test_epi32_mask` (masked loads for a
-//! ragged tail), the AVX2 tier eight lanes per `_mm256_movemask_ps`, and the
-//! others one bit at a time; all produce identical blocks. Every packer
-//! first OR-folds `v ^ (v >> 31)` over the values. The fold's width is the
-//! block's magnitude width: packing stops extracting planes there (every
-//! higher plane of a two's-complement value equals its sign, so those planes
-//! are filled with the sign words directly), and the block keeps it, so
-//! [`WideBitplaneBlock::detected_precision`] and
+//! transpose 64 lanes at a time, byte-sliced: `vpmovdb` narrows each lane to
+//! a byte, and one `_mm512_movepi8_mask` of the bytes' top bits is a whole
+//! plane word (masked loads for a ragged tail). The AVX2 tier transposes
+//! eight lanes per `_mm256_movemask_ps`, and the others one bit at a time;
+//! all produce identical blocks, and every packer writes every word, so a
+//! used block is re-packed in place without a reset. Every packer OR-folds
+//! `v ^ (v >> 31)` over the values. The fold's width is the block's
+//! magnitude width: every plane at or above it of a two's-complement value
+//! equals its sign, so those planes are filled with the sign words instead
+//! of extracted (the AVX-512 packer extracts planes 0–7 in one pass and
+//! planes 8–15 only for blocks wider than 8 bits). The block keeps the
+//! width, so [`WideBitplaneBlock::detected_precision`] and
 //! [`WideBitplaneBlock::is_zero`] read it instead of rescanning 16 planes.
 
 use loom_mem::compress::{CompressedPlanes, PlaneRef, PLANE_LANES, PLANE_WORDS};
@@ -168,13 +172,14 @@ impl WideBitplaneBlock {
             values.len()
         );
         debug_assert!(tier.detected(), "{} is not detected", tier.name());
-        *self = Self::EMPTY;
+        // Every packer writes every plane and sign word and the width, so a
+        // used block needs no reset first.
         self.lanes = values.len();
         #[cfg(target_arch = "x86_64")]
         {
             // SAFETY (each arm): the caller guarantees `tier` is detected,
             // which implies its features; both AVX-512 tiers include
-            // `avx512f`.
+            // `avx512f` and `avx512bw`.
             match tier {
                 KernelTier::Avx512 | KernelTier::Avx512Vpopcnt => {
                     return unsafe { pack_avx512(self, values) };
@@ -431,6 +436,15 @@ fn magnitude_width(values: &[i32]) -> u8 {
     (32 - packed.leading_zeros()) as u8
 }
 
+/// Sets the block's magnitude width from `values` and clears its sign words
+/// and the planes below that width, which the bit-at-a-time packers OR into.
+#[inline(always)]
+fn clear_for(block: &mut WideBitplaneBlock, values: &[i32]) {
+    block.width = magnitude_width(values);
+    block.signs = [0; WIDE_WORDS];
+    block.planes[..usize::from(block.width)].fill([0; WIDE_WORDS]);
+}
+
 /// Fills the planes at and above the block's magnitude width from the sign
 /// words.
 #[inline(always)]
@@ -442,7 +456,7 @@ fn fill_sign_planes(block: &mut WideBitplaneBlock) {
 
 /// Portable bit-by-bit transpose.
 fn pack_scalar(block: &mut WideBitplaneBlock, values: &[i32]) {
-    block.width = magnitude_width(values);
+    clear_for(block, values);
     let cutoff = usize::from(block.width);
     for (lane, &v) in values.iter().enumerate() {
         let (word, bit) = (lane / 64, lane % 64);
@@ -462,7 +476,7 @@ fn pack_scalar(block: &mut WideBitplaneBlock, values: &[i32]) {
 #[target_feature(enable = "avx2")]
 unsafe fn pack_avx2(block: &mut WideBitplaneBlock, values: &[i32]) {
     use std::arch::x86_64::*;
-    block.width = magnitude_width(values);
+    clear_for(block, values);
     let cutoff = usize::from(block.width);
     let mut chunk = 0usize;
     while chunk * 8 < values.len() {
@@ -487,43 +501,69 @@ unsafe fn pack_avx2(block: &mut WideBitplaneBlock, values: &[i32]) {
     fill_sign_planes(block);
 }
 
-/// AVX-512F transpose: sixteen lanes per `_mm512_test_epi32_mask`, which
-/// sets one mask bit per 32-bit lane whose target bit is set. Four 16-lane
-/// loads cover a 64-lane plane word, so each word of each plane is written
-/// once; a ragged tail loads through a lane mask (masked-off lanes read as
-/// zero and never touch memory).
+/// AVX-512 transpose, byte-sliced: 64 lanes at a time. The magnitude width
+/// is OR-folded in registers as the lanes load (a ragged tail loads through a
+/// lane mask; masked-off lanes read as zero and never touch memory). Planes
+/// 0–7 come from each lane's low byte ([`pack_byte_planes`]); planes 8–15
+/// come the same way from the bytes of `v >> 8`, and only when the block is
+/// wider than 8 bits. As in the other packers, the planes at and above the
+/// width are then filled from the sign words, so every word of every plane
+/// is written.
 #[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f")]
+#[target_feature(enable = "avx512f,avx512bw")]
 unsafe fn pack_avx512(block: &mut WideBitplaneBlock, values: &[i32]) {
     use std::arch::x86_64::*;
-    block.width = magnitude_width(values);
     let zero = _mm512_setzero_si512();
-    for word in 0..values.len().div_ceil(64) {
-        let mut quarters = [zero; 4];
-        for (q, quarter) in quarters.iter_mut().enumerate() {
+    let mut fold = zero;
+    let mut signs = [0u64; WIDE_WORDS];
+    // Sixteen lanes per vector, four vectors per plane word.
+    let lanes: [[__m512i; 4]; WIDE_WORDS] = std::array::from_fn(|word| {
+        std::array::from_fn(|q| {
             let base = word * 64 + q * 16;
-            if base >= values.len() {
-                break;
-            }
-            let lanes = (values.len() - base).min(16);
-            let mask = (u32::MAX >> (32 - lanes)) as __mmask16;
-            *quarter = _mm512_maskz_loadu_epi32(mask, values.as_ptr().add(base).cast());
-        }
-        let mut signs = 0u64;
-        for (q, &v) in quarters.iter().enumerate() {
-            signs |= u64::from(_mm512_cmplt_epi32_mask(v, zero)) << (16 * q);
-        }
-        block.signs[word] = signs;
-        for plane in 0..usize::from(block.width) {
-            let bit = _mm512_set1_epi32(1 << plane);
-            let mut bits = 0u64;
-            for (q, &v) in quarters.iter().enumerate() {
-                bits |= u64::from(_mm512_test_epi32_mask(v, bit)) << (16 * q);
-            }
-            block.planes[plane][word] = bits;
+            let count = values.len().saturating_sub(base).min(16);
+            let mask = ((1u32 << count) - 1) as __mmask16;
+            let at = values.as_ptr().add(base.min(values.len()));
+            let v = _mm512_maskz_loadu_epi32(mask, at.cast());
+            fold = _mm512_or_si512(fold, _mm512_xor_si512(v, _mm512_srai_epi32::<31>(v)));
+            signs[word] |= u64::from(_mm512_cmplt_epi32_mask(v, zero)) << (16 * q);
+            v
+        })
+    });
+    let packed = _mm512_reduce_or_epi32(fold) as u32 & ((1 << MAX_PRECISION) - 1);
+    block.width = (32 - packed.leading_zeros()) as u8;
+    block.signs = signs;
+    for (word, lanes) in lanes.iter().enumerate() {
+        pack_byte_planes::<0>(block, word, lanes);
+        if block.width > 8 {
+            pack_byte_planes::<8>(block, word, lanes);
         }
     }
     fill_sign_planes(block);
+}
+
+/// Writes word `word` of planes `SHIFT..SHIFT + 8` from that word's 64 lanes
+/// (four 16-lane vectors). `vpmovdb` narrows bits `SHIFT..SHIFT + 8` of each
+/// lane to one byte of a 512-bit vector, so one `_mm512_movepi8_mask` of the
+/// bytes' top bits is a whole plane word, and adding the bytes to themselves
+/// shifts the next plane's bit to the top.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,avx512bw")]
+#[inline]
+unsafe fn pack_byte_planes<const SHIFT: u32>(
+    block: &mut WideBitplaneBlock,
+    word: usize,
+    lanes: &[std::arch::x86_64::__m512i; 4],
+) {
+    use std::arch::x86_64::*;
+    let narrow = |v: __m512i| _mm512_cvtepi32_epi8(_mm512_srli_epi32::<SHIFT>(v));
+    let mut bytes = _mm512_castsi128_si512(narrow(lanes[0]));
+    bytes = _mm512_inserti32x4::<1>(bytes, narrow(lanes[1]));
+    bytes = _mm512_inserti32x4::<2>(bytes, narrow(lanes[2]));
+    bytes = _mm512_inserti32x4::<3>(bytes, narrow(lanes[3]));
+    for plane in (SHIFT as usize..SHIFT as usize + 8).rev() {
+        block.planes[plane][word] = _mm512_movepi8_mask(bytes);
+        bytes = _mm512_add_epi8(bytes, bytes);
+    }
 }
 
 /// Activation rows one kernel call evaluates against one weight row: the
@@ -1103,7 +1143,9 @@ pub enum KernelTier {
     Avx2,
     /// 512-bit `vpshufb` nibble-lookup popcount (`avx512f` + `avx512bw`).
     Avx512,
-    /// 512-bit `vpopcntdq` per-lane popcount (`avx512f` + `avx512vpopcntdq`).
+    /// 512-bit `vpopcntdq` per-lane popcount (`avx512f` + `avx512vpopcntdq`,
+    /// plus `avx512bw` for the byte-sliced transposer it shares with
+    /// [`Avx512`](Self::Avx512)).
     Avx512Vpopcnt,
 }
 
@@ -1144,6 +1186,7 @@ impl KernelTier {
             #[cfg(target_arch = "x86_64")]
             KernelTier::Avx512Vpopcnt => {
                 std::arch::is_x86_feature_detected!("avx512f")
+                    && std::arch::is_x86_feature_detected!("avx512bw")
                     && std::arch::is_x86_feature_detected!("avx512vpopcntdq")
             }
             #[cfg(not(target_arch = "x86_64"))]
@@ -1647,6 +1690,34 @@ mod tests {
         );
     }
 
+    /// Re-packing a used block equals a fresh pack on every detected
+    /// transposer: every packer writes every word, so nothing of a wide
+    /// block with negative lanes survives a short, narrow re-pack.
+    #[test]
+    fn repacking_a_used_block_equals_a_fresh_pack() {
+        for tier in detected_tiers() {
+            for used in [Signs::Negative, Signs::Mixed] {
+                let wide = values_of_width(WIDE_LANES, MAX_PRECISION, used);
+                for lanes in [1, 17, 63, 65] {
+                    for width in [0, 3, 8, 9] {
+                        for signs in [Signs::NonNegative, Signs::Negative, Signs::Mixed] {
+                            let values = values_of_width(lanes, width, signs);
+                            let mut block = pack_on(tier, &wide);
+                            // SAFETY: `detected_tiers` yields detected tiers.
+                            unsafe { block.pack_on(tier, &values) };
+                            assert_eq!(
+                                block,
+                                pack_on(KernelTier::Portable, &values),
+                                "{} over {used:?}: {lanes} lanes width {width} {signs:?}",
+                                tier.name()
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
     /// Each plane word equals the single-word transpose of its 64 lanes.
     #[test]
     fn wide_planes_match_narrow_blocks() {
@@ -1939,7 +2010,7 @@ mod tests {
         );
         assert_eq!(
             KernelTier::Avx512Vpopcnt.detected(),
-            features.avx512f && features.avx512vpopcntdq
+            features.avx512f && features.avx512bw && features.avx512vpopcntdq
         );
     }
 
