@@ -3,53 +3,39 @@
 //! precision, SIP cascading for few-output FCLs, per-group weight precisions,
 //! and the bits-per-cycle variant. Each row removes or changes exactly one
 //! mechanism and reports the all-layer speedup over DPNN.
-//!
-//! Accepts `--threads N` / `LOOM_THREADS` (worker threads for the sweep) and
-//! `--filter <network>` (restrict the geomean to matching networks instead of
-//! running the whole zoo).
 
-use loom_core::experiment::{ExperimentSettings, WeightGranularity};
+use loom_core::experiment::{build_assignment, ExperimentSettings, WeightGranularity};
 use loom_core::loom_model::layer::FcSpec;
-use loom_core::loom_model::network::Network;
 use loom_core::loom_model::zoo;
 use loom_core::loom_model::Precision;
 use loom_core::loom_precision::trace::LayerPrecisionSpec;
+use loom_core::loom_sim::accelerator;
 use loom_core::loom_sim::config::EquivalentConfig;
+use loom_core::loom_sim::counts::geomean;
 use loom_core::loom_sim::engine::AcceleratorKind;
 use loom_core::loom_sim::loom::fc_schedule;
 use loom_core::loom_sim::{dpnn, LoomVariant};
 use loom_core::report::TextTable;
-use loom_core::sweep::{SweepOptions, SweepRunner};
 
-fn all_layer_speedup(
-    runner: &SweepRunner,
-    networks: &[Network],
-    settings: &ExperimentSettings,
-    variant: LoomVariant,
-) -> f64 {
-    let speedups = runner.parallel_map(networks, |net| {
-        let dpnn_run = runner.simulate(net, AcceleratorKind::Dpnn, settings);
-        let lm_run = runner.simulate(net, AcceleratorKind::Loom(variant), settings);
-        lm_run.speedup_vs(&dpnn_run)
-    });
-    loom_core::loom_sim::counts::geomean(&speedups)
+/// Geomean over the zoo of `variant`'s all-layer speedup over DPNN.
+fn all_layer_speedup(settings: &ExperimentSettings, variant: LoomVariant) -> f64 {
+    let speedups: Vec<f64> = zoo::all()
+        .iter()
+        .map(|net| {
+            let assignment = build_assignment(net, settings);
+            let simulate =
+                |kind| accelerator::build(kind, settings.config).simulate_network(net, &assignment);
+            simulate(AcceleratorKind::Loom(variant)).speedup_vs(&simulate(AcceleratorKind::Dpnn))
+        })
+        .collect();
+    geomean(&speedups)
 }
 
 fn main() {
-    let options = SweepOptions::from_env();
-    let runner = SweepRunner::from_options(&options);
-    if options.matches_nothing_in(zoo::all().iter().map(|n| n.name().to_string())) {
-        eprintln!(
-            "warning: --filter {:?} matches no network (ablation filters networks only); running the full zoo",
-            options.filter.as_deref().unwrap_or("")
-        );
-    }
-    let (networks, _) = options.apply(zoo::all(), vec![]);
-    let scope: Vec<String> = networks.iter().map(|n| n.name().to_string()).collect();
+    let scope: Vec<String> = zoo::all().iter().map(|n| n.name().to_string()).collect();
     println!(
         "Ablation — geomean all-layer speedup over DPNN (config 128, 100% profiles)\n\
-         ({} worker threads, networks: {})\n",
-        runner.threads(),
+         (networks: {})\n",
         scope.join(", ")
     );
     let mut table = TextTable::new(vec!["Configuration", "Speedup"]);
@@ -57,10 +43,7 @@ fn main() {
     let base = ExperimentSettings::default();
     table.row(vec![
         "Loom 1-bit (paper default: dynamic activations, per-layer weights)".to_string(),
-        format!(
-            "{:.2}",
-            all_layer_speedup(&runner, &networks, &base, LoomVariant::Lm1b)
-        ),
+        format!("{:.2}", all_layer_speedup(&base, LoomVariant::Lm1b)),
     ]);
 
     let static_only = ExperimentSettings {
@@ -69,10 +52,7 @@ fn main() {
     };
     table.row(vec![
         "  - without runtime activation precision detection".to_string(),
-        format!(
-            "{:.2}",
-            all_layer_speedup(&runner, &networks, &static_only, LoomVariant::Lm1b)
-        ),
+        format!("{:.2}", all_layer_speedup(&static_only, LoomVariant::Lm1b)),
     ]);
 
     let per_group = ExperimentSettings {
@@ -81,19 +61,13 @@ fn main() {
     };
     table.row(vec![
         "  + per-group weight precisions (Table 3)".to_string(),
-        format!(
-            "{:.2}",
-            all_layer_speedup(&runner, &networks, &per_group, LoomVariant::Lm1b)
-        ),
+        format!("{:.2}", all_layer_speedup(&per_group, LoomVariant::Lm1b)),
     ]);
 
     for variant in [LoomVariant::Lm2b, LoomVariant::Lm4b] {
         table.row(vec![
             format!("  {variant} instead of 1-bit"),
-            format!(
-                "{:.2}",
-                all_layer_speedup(&runner, &networks, &base, variant)
-            ),
+            format!("{:.2}", all_layer_speedup(&base, variant)),
         ]);
     }
     println!("{}", table.render());

@@ -1,54 +1,27 @@
 //! Runs every table and figure reproduction in sequence (the full evaluation
 //! section of the paper) and writes the underlying data as CSV into
 //! `results/` for external plotting.
-//!
-//! The sweep fans out across worker threads (`--threads N` or `LOOM_THREADS`,
-//! defaulting to the machine's parallelism) and memoizes every
-//! (network, accelerator, settings) simulation, so design points shared
-//! between tables are simulated once. `--filter <network|accelerator>` runs a
-//! partial sweep instead of the full matrix.
 
-use loom_core::experiment::ExperimentSettings;
+use loom_core::experiment::{evaluate_all_networks, ExperimentSettings};
 use loom_core::export::{evaluations_to_csv, figure5_to_csv, table2_to_csv, table4_to_csv};
 use loom_core::loom_precision::AccuracyTarget;
-use loom_core::loom_sim::engine::AcceleratorKind;
-use loom_core::report::{fmt_ratio, TextTable};
-use loom_core::scaling::figure5_with;
-use loom_core::sweep::{SweepOptions, SweepRunner};
-use loom_core::tables::{figure4_with, table2_with, table4_with};
+use loom_core::scaling::figure5;
+use loom_core::tables::{figure4, table2, table4};
 use std::fs;
 use std::time::Instant;
 
 fn main() {
-    let options = SweepOptions::from_env();
-    let runner = SweepRunner::from_options(&options);
     println!(
         "==================== Loom (DAC 2018) reproduction: full evaluation ===================="
     );
-    println!("({} worker threads)", runner.threads());
     println!();
     let started = Instant::now();
 
-    if options.filter.is_some() {
-        run_filtered(&runner, &options);
-    } else {
-        run_full(&runner);
-    }
-
-    println!(
-        "Total wall-clock: {:.2}s ({} memoized simulations)",
-        started.elapsed().as_secs_f64(),
-        runner.cached_results()
-    );
-}
-
-/// The full matrix: every table and figure, CSV export included.
-fn run_full(runner: &SweepRunner) {
     let results_dir = std::path::Path::new("results");
     let export = fs::create_dir_all(results_dir).is_ok();
 
     for target in [AccuracyTarget::Lossless, AccuracyTarget::Relative99] {
-        let t = table2_with(runner, target);
+        let t = table2(target);
         println!("{}", t.render());
         if export {
             let name = match target {
@@ -58,16 +31,15 @@ fn run_full(runner: &SweepRunner) {
             let _ = fs::write(results_dir.join(name), table2_to_csv(&t));
         }
     }
-    let t4 = table4_with(runner);
+    let t4 = table4();
     println!("{}", t4.render());
-    let f4 = figure4_with(runner);
-    println!("{}", f4.render());
-    let f5 = figure5_with(runner);
+    println!("{}", figure4().render());
+    let f5 = figure5();
     println!("{}", f5.render());
     if export {
         let _ = fs::write(results_dir.join("table4.csv"), table4_to_csv(&t4));
         let _ = fs::write(results_dir.join("figure5.csv"), figure5_to_csv(&f5));
-        let evals = runner.evaluate_zoo(&ExperimentSettings::default());
+        let evals = evaluate_all_networks(&ExperimentSettings::default());
         let _ = fs::write(
             results_dir.join("figure4_all_layers.csv"),
             evaluations_to_csv(&evals),
@@ -75,51 +47,6 @@ fn run_full(runner: &SweepRunner) {
         println!("CSV data written to {}/", results_dir.display());
     }
     println!("Run `table1`, `table3`, `area`, `ablation` and `aspect_ratio` binaries for the remaining artefacts.");
-}
 
-/// A partial sweep: only the (network × accelerator) pairs matching the
-/// filter, reported as one speedup/efficiency table (the full paper tables
-/// need the whole matrix).
-fn run_filtered(runner: &SweepRunner, options: &SweepOptions) {
-    let zoo = loom_core::loom_model::zoo::all();
-    let comparators: Vec<AcceleratorKind> = AcceleratorKind::all()
-        .into_iter()
-        .filter(|k| *k != AcceleratorKind::Dpnn)
-        .collect();
-    let names = zoo
-        .iter()
-        .map(|n| n.name().to_string())
-        .chain(comparators.iter().map(|k| k.to_string()));
-    if options.matches_nothing_in(names) {
-        eprintln!(
-            "warning: --filter {:?} matches no network or accelerator; running the full matrix",
-            options.filter.as_deref().unwrap_or("")
-        );
-    }
-    let (networks, kinds) = options.apply(zoo, comparators);
-    println!(
-        "Partial sweep (--filter {}): {} network(s) x {} accelerator(s), 100% profile\n",
-        options.filter.as_deref().unwrap_or(""),
-        networks.len(),
-        kinds.len()
-    );
-    let settings = ExperimentSettings::default();
-    let evals = runner.evaluate_networks_on(&networks, &kinds, &settings);
-    let mut table = TextTable::new(vec!["Network", "Accelerator", "Conv", "FC", "All", "Eff"]);
-    for eval in &evals {
-        for kind in &kinds {
-            let Some(r) = eval.result_for(*kind) else {
-                continue;
-            };
-            table.row(vec![
-                eval.network.clone(),
-                kind.to_string(),
-                fmt_ratio(r.conv_speedup),
-                fmt_ratio(r.fc_speedup),
-                fmt_ratio(r.all_speedup),
-                fmt_ratio(r.all_efficiency),
-            ]);
-        }
-    }
-    println!("{}", table.render());
+    println!("Total wall-clock: {:.2}s", started.elapsed().as_secs_f64());
 }

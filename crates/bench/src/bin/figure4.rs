@@ -1,13 +1,9 @@
 //! Reproduces Figure 4: per-network performance (a) and energy efficiency (b)
 //! of Stripes, DStripes and the Loom variants relative to DPNN for all layers
 //! under the 100% accuracy profile.
-//!
-//! Accepts `--threads N` / `LOOM_THREADS` to fan the sweep across workers.
 
-use loom_core::sweep::{SweepOptions, SweepRunner};
-use loom_core::tables::figure4_with;
+use loom_core::tables::figure4;
 
 fn main() {
-    let runner = SweepRunner::from_options(&SweepOptions::from_env());
-    println!("{}", figure4_with(&runner).render());
+    println!("{}", figure4().render());
 }

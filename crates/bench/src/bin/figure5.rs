@@ -2,18 +2,13 @@
 //! equally-provisioned DPNN from 32 to 512 equivalent MACs/cycle, with a
 //! single-channel LPDDR4-4267 off-chip memory, plus the §4.5 activation-memory
 //! sizing claims.
-//!
-//! Accepts `--threads N` / `LOOM_THREADS` to fan the design points across
-//! workers.
 
 use loom_core::loom_model::zoo;
 use loom_core::report::TextTable;
-use loom_core::scaling::{am_sizing, figure5_with};
-use loom_core::sweep::{SweepOptions, SweepRunner};
+use loom_core::scaling::{am_sizing, figure5};
 
 fn main() {
-    let runner = SweepRunner::from_options(&SweepOptions::from_env());
-    println!("{}", figure5_with(&runner).render());
+    println!("{}", figure5().render());
     println!("Activation-memory sizing (§4.5):");
     let mut table = TextTable::new(vec!["Network", "DPNN AM (16b)", "Loom AM (packed)"]);
     for net in zoo::all() {

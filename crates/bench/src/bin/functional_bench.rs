@@ -35,8 +35,10 @@
 //! oversubscribed scaling curve reads like a regression — unless
 //! `--allow-oversubscribe` is given, which records `oversubscribed: true`
 //! and skips the scaling floors loudly. `--filter <network>` restricts the
-//! zoo section, and `--reduced` swaps in the topology-preserving `Mini*`
-//! networks for a quick run.
+//! zoo section to the networks whose names contain it (ignoring case), and
+//! `--reduced` swaps in the topology-preserving `Mini*` networks for a quick
+//! run. Every valued flag goes through `loom_core::threads::flag`, so a
+//! missing or unparsable value exits 2.
 
 use loom_core::export::{
     functional_bench_to_json, BatchBench, DatapathThroughputRow, FunctionalBenchReport,
@@ -61,7 +63,6 @@ use loom_core::loom_sim::loom::{
     CompressedWideBlock, FunctionalLoom, NetworkEngine, WideBitplaneBlock, KERNEL_TIERS, TILE,
 };
 use loom_core::loom_sim::{AcceleratorKind, EquivalentConfig};
-use loom_core::sweep::SweepOptions;
 use loom_core::threads::flag;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -307,7 +308,8 @@ fn print_scaling(label: &str, bench: &BatchBench) {
 }
 
 fn main() {
-    let mut options = SweepOptions::from_env();
+    let threads = loom_core::threads::resolve(flag("threads"));
+    let filter: Option<String> = flag("filter");
     let reduced = std::env::args().any(|a| a == "--reduced");
     let speedup_floor = flag("min-conv-speedup").unwrap_or(DEFAULT_MIN_CONV_SPEEDUP);
     let batch_floor: Option<f64> = flag("min-batch-speedup");
@@ -318,19 +320,19 @@ fn main() {
     // one is a hard error rather than a silent 1-thread (or thrashing) run.
     let available = loom_core::threads::available();
     let allow_oversubscribe = std::env::args().any(|a| a == "--allow-oversubscribe");
-    let oversubscribed = options.threads > available;
+    let oversubscribed = threads > available;
     if oversubscribed {
         if allow_oversubscribe {
             eprintln!(
                 "WARNING: --threads {} exceeds available parallelism {available}; \
                  scaling numbers will not be meaningful and the scaling floors are skipped",
-                options.threads
+                threads
             );
         } else {
             eprintln!(
                 "ERROR: --threads {} exceeds available parallelism {available} \
                  (pass --allow-oversubscribe to force an oversubscribed run)",
-                options.threads
+                threads
             );
             std::process::exit(2);
         }
@@ -439,26 +441,31 @@ fn main() {
     // (`loom_model::zoo::graphs::lookup`): the suite name lists above select
     // full-scale vs reduced, the resolution itself is common code.
     let resolve = |name: &str| graphs::lookup(name).expect("zoo suite names always resolve");
-    // A typo'd --filter must not silently skip the bit-exactness gate: warn
-    // and run the full suite instead, like the sweep binaries do.
-    if options.matches_nothing_in(zoo_names.iter().copied()) {
-        eprintln!(
-            "warning: --filter {:?} matches no zoo network; running the full suite",
-            options.filter.as_deref().unwrap_or("")
-        );
-        options.filter = None;
-    }
+    // `--filter` keeps the zoo networks whose names contain it, ignoring
+    // case. A typo'd filter must not silently skip the bit-exactness gate:
+    // warn and run the full suite instead.
+    let matches = |name: &str, filter: &str| {
+        name.to_ascii_lowercase()
+            .contains(&filter.to_ascii_lowercase())
+    };
+    let filter = filter.filter(|f| {
+        let any = zoo_names.iter().any(|name| matches(name, f));
+        if !any {
+            eprintln!("warning: --filter {f:?} matches no zoo network; running the full suite");
+        }
+        any
+    });
     println!(
         "Zoo functional suite ({} scale, {} threads):",
         if reduced { "reduced" } else { "full" },
-        options.threads
+        threads
     );
     let zoo: Vec<ZooFunctionalRow> = zoo_names
         .iter()
-        .filter(|n| options.matches(n))
+        .filter(|name| filter.as_deref().is_none_or(|f| matches(name, f)))
         .map(|name| {
             let graph = resolve(name);
-            let row = bench_zoo_network(&graph, geometry, options.threads);
+            let row = bench_zoo_network(&graph, geometry, threads);
             println!(
                 "  {:<14} {:>3} nodes {:>6.1} MMACs  golden {:>7.2}s  functional {:>7.2}s  {}",
                 row.network,
@@ -481,7 +488,7 @@ fn main() {
     // golden executor, with cycles and wall-clock per backend.
     // The measured speedup-vs-DPNN series backs Table 2 / Figure 4 with
     // executed (not just modelled) cycle counts.
-    let datapaths = if options.filter.is_none() {
+    let datapaths = if filter.is_none() {
         let name = if reduced { "MiniAlexNet" } else { "AlexNet" };
         let graph = resolve(name);
         let params =
@@ -504,7 +511,7 @@ fn main() {
         );
         let mut rows: Vec<DatapathThroughputRow> = Vec::new();
         for acc in &accelerators {
-            let Some(backend) = acc.functional_datapath(options.threads) else {
+            let Some(backend) = acc.functional_datapath(threads) else {
                 continue;
             };
             let started = Instant::now();
@@ -561,13 +568,13 @@ fn main() {
     // Bit-identical results are required at every point. The latency section
     // runs the *same single inference* at each width — only the cost model's
     // intra-layer task decomposition makes that curve move.
-    let thread_curve: Vec<usize> = [1usize, 2, 4, options.threads]
+    let thread_curve: Vec<usize> = [1usize, 2, 4, threads]
         .into_iter()
-        .filter(|&t| t <= options.threads)
+        .filter(|&t| t <= threads)
         .collect::<std::collections::BTreeSet<_>>()
         .into_iter()
         .collect();
-    let (batch, latency) = if options.filter.is_none() {
+    let (batch, latency) = if filter.is_none() {
         let name = if reduced { "MiniAlexNet" } else { "AlexNet" };
         let graph = resolve(name);
         let batch = scaling_bench(&graph, geometry, 4, 9000, &thread_curve);

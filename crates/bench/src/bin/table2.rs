@@ -1,16 +1,12 @@
 //! Reproduces Table 2: relative execution time speedup and energy efficiency
 //! of Stripes and the Loom variants over DPNN, for fully-connected and
 //! convolutional layers, under the 100% and 99% accuracy profiles.
-//!
-//! Accepts `--threads N` / `LOOM_THREADS` to fan the sweep across workers.
 
 use loom_core::loom_precision::AccuracyTarget;
-use loom_core::sweep::{SweepOptions, SweepRunner};
-use loom_core::tables::table2_with;
+use loom_core::tables::table2;
 
 fn main() {
-    let runner = SweepRunner::from_options(&SweepOptions::from_env());
     for target in [AccuracyTarget::Lossless, AccuracyTarget::Relative99] {
-        println!("{}", table2_with(&runner, target).render());
+        println!("{}", table2(target).render());
     }
 }

@@ -1,13 +1,9 @@
 //! Reproduces Table 4: all-layer speedup and energy efficiency of the Loom
 //! variants over DPNN when the per-group effective weight precisions of
 //! Table 3 are exploited.
-//!
-//! Accepts `--threads N` / `LOOM_THREADS` to fan the sweep across workers.
 
-use loom_core::sweep::{SweepOptions, SweepRunner};
-use loom_core::tables::table4_with;
+use loom_core::tables::table4;
 
 fn main() {
-    let runner = SweepRunner::from_options(&SweepOptions::from_env());
-    println!("{}", table4_with(&runner).render());
+    println!("{}", table4().render());
 }

@@ -1,6 +1,7 @@
 //! `loom-bench` — the reproduction harness. The real entry points are the
 //! per-table binaries (`table1`..`table4`, `figure4`, `figure5`, `area`,
-//! `all`) and the Criterion benches; this default binary just points there.
+//! `ablation`, `aspect_ratio`, `all`), `functional_bench` and the Criterion
+//! benches; this default binary just points there.
 
 fn main() {
     println!("loom-bench: run one of the reproduction binaries instead:");
@@ -14,13 +15,9 @@ fn main() {
         "area",
         "ablation",
         "aspect_ratio",
-        "sweep_bench",
         "all",
     ] {
         println!("  cargo run --release -p loom-bench --bin {bin}");
     }
     println!("or `cargo bench` for the Criterion micro-benchmarks.");
-    println!(
-        "Sweep binaries accept --threads N (or LOOM_THREADS) and --filter <network|accelerator>."
-    );
 }

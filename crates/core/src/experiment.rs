@@ -15,7 +15,7 @@ use loom_sim::engine::{assignment_from_profile, AcceleratorKind, PrecisionAssign
 use loom_sim::{EquivalentConfig, LoomVariant};
 
 /// Which weight-precision granularity an experiment uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WeightGranularity {
     /// One weight precision per network/layer as in Table 1 (Table 2, Figure 4).
     PerLayerProfile,
@@ -24,10 +24,7 @@ pub enum WeightGranularity {
 }
 
 /// Settings for one experimental run.
-///
-/// Settings are `Eq + Hash` so they can key the sweep runner's memoizing
-/// result cache (see [`crate::sweep`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ExperimentSettings {
     /// Design point (equivalent peak MACs per cycle).
     pub config: EquivalentConfig,
@@ -63,9 +60,10 @@ impl ExperimentSettings {
 
 /// The precision assignment an experiment uses for `network` under `settings`.
 ///
-/// `for_loom` selects whether the assignment is for an accelerator that
-/// exploits runtime activation detection (Loom, DStripes); static-only
-/// accelerators (Stripes) and the baseline ignore the dynamic source anyway.
+/// One assignment serves every accelerator. With
+/// `settings.dynamic_activation` its conv layers carry the runtime activation
+/// source, which only the accelerators that detect precisions at runtime
+/// (Loom, DStripes) read; Stripes and the DPNN baseline ignore it.
 pub fn build_assignment(network: &Network, settings: &ExperimentSettings) -> PrecisionAssignment {
     let profile = table1::profile(network.name(), settings.target)
         .unwrap_or_else(|| panic!("no Table 1 profile for network {}", network.name()));
@@ -146,21 +144,16 @@ pub fn comparator_kinds() -> [AcceleratorKind; 5] {
     ]
 }
 
-/// Assembles a [`NetworkEvaluation`] from already-simulated runs: the DPNN
-/// baseline plus one [`NetworkSim`] per comparator. This is the common tail
-/// of the serial path ([`evaluate_network`]) and the parallel sweep runner
-/// ([`crate::sweep::SweepRunner`]), which produce the sims differently but
-/// must attach energy and relative results identically.
-pub fn assemble_evaluation<'a>(
-    network: &Network,
-    settings: &ExperimentSettings,
-    dpnn: NetworkSim,
-    comparator_sims: impl IntoIterator<Item = (AcceleratorKind, &'a NetworkSim)>,
-) -> NetworkEvaluation {
+/// Runs `network` under `settings` on the baseline and all comparators.
+pub fn evaluate_network(network: &Network, settings: &ExperimentSettings) -> NetworkEvaluation {
+    let assignment = build_assignment(network, settings);
+    let simulate =
+        |kind| accelerator::build(kind, settings.config).simulate_network(network, &assignment);
+    let dpnn = simulate(AcceleratorKind::Dpnn);
     let energy = EnergyModel::new(settings.config);
-    let relatives = comparator_sims
+    let relatives = comparator_kinds()
         .into_iter()
-        .map(|(kind, sim)| (kind, relative_result(&energy, &dpnn, sim, kind)))
+        .map(|kind| (kind, relative_result(&energy, &dpnn, &simulate(kind), kind)))
         .collect();
     NetworkEvaluation {
         network: network.name().to_string(),
@@ -168,24 +161,6 @@ pub fn assemble_evaluation<'a>(
         dpnn,
         relatives,
     }
-}
-
-/// Runs `network` under `settings` on the baseline and all comparators.
-pub fn evaluate_network(network: &Network, settings: &ExperimentSettings) -> NetworkEvaluation {
-    let assignment = build_assignment(network, settings);
-    let simulate =
-        |kind| accelerator::build(kind, settings.config).simulate_network(network, &assignment);
-    let dpnn = simulate(AcceleratorKind::Dpnn);
-    let comparator_sims: Vec<(AcceleratorKind, NetworkSim)> = comparator_kinds()
-        .iter()
-        .map(|&kind| (kind, simulate(kind)))
-        .collect();
-    assemble_evaluation(
-        network,
-        settings,
-        dpnn,
-        comparator_sims.iter().map(|(k, s)| (*k, s)),
-    )
 }
 
 /// Evaluates all six paper networks under `settings`, in table order.

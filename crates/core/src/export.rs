@@ -112,38 +112,6 @@ pub fn figure5_to_csv(figure: &Figure5) -> String {
     out
 }
 
-/// One sweep-benchmark measurement: serial vs parallel wall-clock over the
-/// full (network × accelerator) matrix plus per-accelerator cycle totals.
-/// Rendered as machine-readable JSON by [`sweep_bench_to_json`] (consumed by
-/// CI as `BENCH_sweep.json`).
-#[derive(Debug, Clone, PartialEq)]
-pub struct SweepBenchReport {
-    /// Worker threads the parallel run used.
-    pub threads: usize,
-    /// Networks × accelerators the sweep covered.
-    pub jobs: usize,
-    /// Wall-clock seconds of the serial (1-thread) sweep.
-    pub serial_seconds: f64,
-    /// Wall-clock seconds of the parallel sweep.
-    pub parallel_seconds: f64,
-    /// Whether the parallel results were bit-identical to the serial results.
-    pub results_identical: bool,
-    /// Total simulated cycles per accelerator, summed over all networks, in
-    /// sweep order.
-    pub per_accelerator_cycles: Vec<(String, u64)>,
-}
-
-impl SweepBenchReport {
-    /// Serial-over-parallel wall-clock ratio (1.0 when parallel time is 0).
-    pub fn speedup(&self) -> f64 {
-        if self.parallel_seconds > 0.0 {
-            self.serial_seconds / self.parallel_seconds
-        } else {
-            1.0
-        }
-    }
-}
-
 /// Escapes a JSON string (quotes and control characters).
 fn json_string(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
@@ -162,42 +130,6 @@ fn json_string(s: &str) -> String {
         }
     }
     out.push('"');
-    out
-}
-
-/// Renders a [`SweepBenchReport`] as JSON (no external dependencies — the
-/// build environment has no serde).
-pub fn sweep_bench_to_json(report: &SweepBenchReport) -> String {
-    let mut out = String::from("{\n");
-    let _ = writeln!(out, "  \"threads\": {},", report.threads);
-    let _ = writeln!(out, "  \"jobs\": {},", report.jobs);
-    let _ = writeln!(out, "  \"serial_seconds\": {:.6},", report.serial_seconds);
-    let _ = writeln!(
-        out,
-        "  \"parallel_seconds\": {:.6},",
-        report.parallel_seconds
-    );
-    let _ = writeln!(out, "  \"speedup\": {:.4},", report.speedup());
-    let _ = writeln!(
-        out,
-        "  \"results_identical\": {},",
-        report.results_identical
-    );
-    out.push_str("  \"per_accelerator_cycles\": [\n");
-    for (i, (name, cycles)) in report.per_accelerator_cycles.iter().enumerate() {
-        let comma = if i + 1 < report.per_accelerator_cycles.len() {
-            ","
-        } else {
-            ""
-        };
-        let _ = writeln!(
-            out,
-            "    {{\"accelerator\": {}, \"total_cycles\": {}}}{comma}",
-            json_string(name),
-            cycles
-        );
-    }
-    out.push_str("  ]\n}\n");
     out
 }
 
@@ -655,31 +587,6 @@ mod tests {
     }
 
     #[test]
-    fn sweep_bench_json_is_well_formed() {
-        let report = SweepBenchReport {
-            threads: 4,
-            jobs: 36,
-            serial_seconds: 2.5,
-            parallel_seconds: 1.25,
-            results_identical: true,
-            per_accelerator_cycles: vec![("DPNN".into(), 100), ("Loom 1-bit".into(), 30)],
-        };
-        assert!((report.speedup() - 2.0).abs() < 1e-12);
-        let json = sweep_bench_to_json(&report);
-        assert!(json.contains("\"threads\": 4"));
-        assert!(json.contains("\"speedup\": 2.0000"));
-        assert!(json.contains("\"accelerator\": \"Loom 1-bit\", \"total_cycles\": 30"));
-        assert!(json.trim_start().starts_with('{') && json.trim_end().ends_with('}'));
-        // Escaping: a pathological name stays a single JSON string.
-        assert_eq!(json_string("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
-        let zero = SweepBenchReport {
-            parallel_seconds: 0.0,
-            ..report
-        };
-        assert_eq!(zero.speedup(), 1.0);
-    }
-
-    #[test]
     fn functional_bench_json_is_well_formed() {
         let report = FunctionalBenchReport {
             kernels: vec![
@@ -816,6 +723,8 @@ mod tests {
         assert!(report.all_agree());
         assert!((report.batch.as_ref().unwrap().speedup() - 4.0).abs() < 1e-12);
         assert!(json.trim_start().starts_with('{') && json.trim_end().ends_with('}'));
+        // Escaping: a pathological name stays a single JSON string.
+        assert_eq!(json_string("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
         assert!(json.contains("\"accelerator\": \"DStripes\""));
         assert!(json.contains("\"speedup_vs_dpnn\": 4.0000"));
         // A diverging conv layer, zoo row, datapath row, or batch flips the

@@ -7,17 +7,19 @@
 //!
 //! * [`experiment`] — precision-assignment construction and per-network
 //!   evaluation of every accelerator (DPNN, Stripes, DStripes, LM1b/2b/4b).
-//! * [`sweep`] — the parallel sweep runner: fans (network × accelerator ×
-//!   settings) jobs across the shared worker pool with a memoizing result
-//!   cache.
 //! * [`threads`] — the one thread-budget policy every binary shares
-//!   (`--threads` beats `LOOM_THREADS` beats available parallelism), plus
-//!   physical-core detection for bench provenance.
+//!   (`--threads` beats `LOOM_THREADS` beats available parallelism), the one
+//!   flag parser, and physical-core detection for bench provenance.
 //! * [`tables`] — Table 2, Table 4 and Figure 4 reproductions.
 //! * [`scaling`] — the Figure 5 scaling study with a realistic memory system.
 //! * [`report`] — plain-text table rendering shared by the reproduction
 //!   binaries in the `loom-bench` crate.
-//! * [`export`] — CSV export of every experiment's data for external plotting.
+//! * [`export`] — CSV export of every experiment's data for external
+//!   plotting, and the JSON report `functional_bench` writes.
+//!
+//! Every table and figure is computed serially, one network and one
+//! accelerator at a time: the whole evaluation section, as the `all` binary
+//! runs it, is 270 analytic simulations of about a millisecond each.
 //!
 //! # Quick start
 //!
@@ -39,14 +41,12 @@ pub mod experiment;
 pub mod export;
 pub mod report;
 pub mod scaling;
-pub mod sweep;
 pub mod tables;
 pub mod threads;
 
 pub use experiment::{evaluate_all_networks, evaluate_network, ExperimentSettings};
-pub use scaling::{figure5, figure5_with, Figure5};
-pub use sweep::{SweepOptions, SweepRunner};
-pub use tables::{figure4, figure4_with, table2, table2_with, table4, table4_with};
+pub use scaling::{figure5, Figure5};
+pub use tables::{figure4, table2, table4};
 
 // Re-export the crates a downstream user needs to drive the library without
 // having to depend on each one individually.

@@ -3,8 +3,7 @@
 //! 32 to 512 MACs/cycle, with a realistic memory hierarchy (finite activation
 //! memory, single-channel LPDDR4-4267 off-chip memory).
 
-use crate::experiment::ExperimentSettings;
-use crate::sweep::SweepRunner;
+use crate::experiment::{build_assignment, ExperimentSettings};
 use loom_energy::area::area;
 use loom_energy::EnergyModel;
 use loom_mem::compress::CompressedPlanes;
@@ -15,6 +14,7 @@ use loom_model::synthetic;
 use loom_model::zoo;
 use loom_model::Precision;
 use loom_precision::table1;
+use loom_sim::accelerator;
 use loom_sim::counts::{geomean, NetworkSim};
 use loom_sim::engine::AcceleratorKind;
 use loom_sim::{EquivalentConfig, LoomVariant};
@@ -161,21 +161,17 @@ fn frame_cycles(sim: &NetworkSim, network: &Network, system: &MemorySystem) -> u
     frame_costs(sim, network, system, false).cycles
 }
 
-/// Runs the full scaling sweep (all six networks, geomean aggregation)
-/// serially.
+/// Runs the full scaling sweep (all six networks, geomean aggregation).
 pub fn figure5() -> Figure5 {
-    figure5_with(&SweepRunner::serial())
+    Figure5 {
+        points: EquivalentConfig::scaling_sweep()
+            .into_iter()
+            .map(scaling_point)
+            .collect(),
+    }
 }
 
-/// Runs the full scaling sweep using `runner`, fanning the design points
-/// across its worker pool and memoizing the per-point simulations.
-pub fn figure5_with(runner: &SweepRunner) -> Figure5 {
-    let configs = EquivalentConfig::scaling_sweep();
-    let points = runner.parallel_map(&configs, |&config| scaling_point(runner, config));
-    Figure5 { points }
-}
-
-fn scaling_point(runner: &SweepRunner, config: EquivalentConfig) -> ScalingPoint {
+fn scaling_point(config: EquivalentConfig) -> ScalingPoint {
     let settings = ExperimentSettings {
         config,
         ..Default::default()
@@ -207,13 +203,12 @@ fn scaling_point(runner: &SweepRunner, config: EquivalentConfig) -> ScalingPoint
             wm_bytes: wm,
         });
 
-        let dpnn = runner.simulate(&network, AcceleratorKind::Dpnn, &settings);
-        let lm = runner.simulate(
-            &network,
-            AcceleratorKind::Loom(LoomVariant::Lm1b),
-            &settings,
-        );
-        let ds = runner.simulate(&network, AcceleratorKind::DStripes, &settings);
+        let assignment = build_assignment(&network, &settings);
+        let simulate =
+            |kind| accelerator::build(kind, config).simulate_network(&network, &assignment);
+        let dpnn = simulate(AcceleratorKind::Dpnn);
+        let lm = simulate(AcceleratorKind::Loom(LoomVariant::Lm1b));
+        let ds = simulate(AcceleratorKind::DStripes);
 
         let dpnn_frame = frame_cycles(&dpnn, &network, &dpnn_system);
         let lm_costs = frame_costs(&lm, &network, &loom_system, false);
@@ -237,22 +232,17 @@ fn scaling_point(runner: &SweepRunner, config: EquivalentConfig) -> ScalingPoint
         dstripes_conv.push(ds.conv_speedup_vs(&dpnn));
         loom_fps_conv.push(1e9 / lm.conv_cycles().max(1) as f64);
 
-        // Energy including off-chip traffic.
+        // Energy including off-chip traffic. Loom's traffic is priced at one
+        // storage precision for every layer, FC included: 8-bit packed
+        // activations and the network's conv weight precision.
         let dpnn_off =
             dpnn_system.network_offchip_bits(&network, |_, _| StoragePrecision::baseline());
         let profile = table1::profile(network.name(), settings.target).unwrap();
-        let loom_off = loom_system.network_offchip_bits(&network, |i, kind| {
-            if kind.is_compute() {
-                // Conv layers use the per-layer profile; index `i` walks all
-                // layers so translate to the compute-layer storage the
-                // simulator chose instead.
-                let _ = i;
-            }
-            StoragePrecision::packed(
-                Precision::new(8).unwrap_or(Precision::FULL),
-                profile.conv_weight,
-            )
-        });
+        let loom_storage = StoragePrecision::packed(
+            Precision::new(8).unwrap_or(Precision::FULL),
+            profile.conv_weight,
+        );
+        let loom_off = loom_system.network_offchip_bits(&network, |_, _| loom_storage);
         efficiency.push(energy.efficiency(
             AcceleratorKind::Dpnn,
             &dpnn,

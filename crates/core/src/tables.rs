@@ -1,8 +1,9 @@
 //! Reproductions of the paper's Tables 2 and 4 and Figure 4.
 
-use crate::experiment::{ExperimentSettings, NetworkEvaluation, RelativeResult};
+use crate::experiment::{
+    comparator_kinds, evaluate_all_networks, ExperimentSettings, NetworkEvaluation, RelativeResult,
+};
 use crate::report::{fmt_ratio, TextTable};
-use crate::sweep::SweepRunner;
 use loom_precision::AccuracyTarget;
 use loom_sim::counts::geomean;
 use loom_sim::engine::AcceleratorKind;
@@ -60,19 +61,13 @@ fn extract(eval: &NetworkEvaluation, pick: impl Fn(&RelativeResult) -> PerfEff) 
 }
 
 /// Generates Table 2 for the given accuracy target at the headline 128
-/// configuration, running the sweep serially.
+/// configuration.
 pub fn table2(target: AccuracyTarget) -> Table2 {
-    table2_with(&SweepRunner::serial(), target)
-}
-
-/// Generates Table 2 using `runner`'s worker pool and result cache.
-pub fn table2_with(runner: &SweepRunner, target: AccuracyTarget) -> Table2 {
     let settings = ExperimentSettings {
         target,
         ..Default::default()
     };
-    let rows = runner
-        .evaluate_zoo(&settings)
+    let rows = evaluate_all_networks(&settings)
         .iter()
         .map(|eval| Table2Row {
             network: eval.network.clone(),
@@ -201,18 +196,10 @@ pub struct Table4 {
     pub rows: Vec<(String, [PerfEff; 3])>,
 }
 
-/// Generates Table 4 (100% profile, per-group weight precisions), running
-/// the sweep serially.
+/// Generates Table 4 (100% profile, per-group weight precisions).
 pub fn table4() -> Table4 {
-    table4_with(&SweepRunner::serial())
-}
-
-/// Generates Table 4 using `runner`'s worker pool and result cache.
-pub fn table4_with(runner: &SweepRunner) -> Table4 {
-    let settings = ExperimentSettings::per_group_weights();
     let variants = [LoomVariant::Lm1b, LoomVariant::Lm2b, LoomVariant::Lm4b];
-    let rows = runner
-        .evaluate_zoo(&settings)
+    let rows = evaluate_all_networks(&ExperimentSettings::per_group_weights())
         .iter()
         .map(|eval| {
             let mut cols = [PerfEff {
@@ -296,17 +283,10 @@ pub struct Figure4 {
     pub rows: Vec<(String, Vec<f64>, Vec<f64>)>,
 }
 
-/// Generates Figure 4's data, running the sweep serially.
+/// Generates Figure 4's data.
 pub fn figure4() -> Figure4 {
-    figure4_with(&SweepRunner::serial())
-}
-
-/// Generates Figure 4's data using `runner`'s worker pool and result cache.
-pub fn figure4_with(runner: &SweepRunner) -> Figure4 {
-    let settings = ExperimentSettings::default();
-    let kinds = crate::experiment::comparator_kinds();
-    let rows = runner
-        .evaluate_zoo(&settings)
+    let kinds = comparator_kinds();
+    let rows = evaluate_all_networks(&ExperimentSettings::default())
         .iter()
         .map(|eval| {
             let perf: Vec<f64> = kinds

@@ -1,15 +1,14 @@
 //! The one thread-budget policy every binary shares: **`--threads` flag beats
 //! `LOOM_THREADS` beats [`available`]** (the machine's available
-//! parallelism). Bench binaries and the sweep runner resolve their worker
-//! count through [`resolve`] so the precedence cannot drift between tools,
-//! and [`physical_cores`] reports the physical core count for bench
-//! provenance (SMT siblings share execution ports, so scaling floors are
-//! judged against physical cores, not logical CPUs).
+//! parallelism). Bench and serving binaries resolve their worker count
+//! through [`resolve`] so the precedence cannot drift between tools, and
+//! [`physical_cores`] reports the physical core count for bench provenance
+//! (SMT siblings share execution ports, so scaling floors are judged against
+//! physical cores, not logical CPUs).
 //!
 //! Beside it sits [`flag`], the one parser the serving and bench binaries
-//! read their valued options through (`--port`, `--out`, the CI floors);
-//! [`crate::sweep::SweepOptions::parse`] keeps its own, lenient policy for
-//! `--threads` and `--filter`.
+//! read their valued options through (`--threads`, `--filter`, `--port`,
+//! `--out`, the CI floors).
 
 use std::str::FromStr;
 

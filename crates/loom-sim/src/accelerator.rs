@@ -7,7 +7,7 @@
 //! Adding a new backend means one `AcceleratorKind` variant, one [`build`]
 //! arm and one impl of [`Accelerator`]; the experiment plumbing, the tables
 //! and the CSV export all consume the trait and need no changes (see
-//! `docs/ARCHITECTURE.md`, "Accelerator trait & sweep runner"). Backends
+//! `docs/ARCHITECTURE.md`, "Accelerator trait & evaluation path"). Backends
 //! that additionally override [`Accelerator::functional_datapath`] get pulled
 //! into the differential conformance harness automatically: every built
 //! functional datapath is run over the zoo and checked bit-exact against the
@@ -51,8 +51,8 @@ pub struct GeometrySummary {
 }
 
 /// A simulated datapath: per-layer cycle/traffic modelling plus identifying
-/// metadata. Implementations must be [`Send`] + [`Sync`] so the parallel
-/// sweep runner can share them across worker threads.
+/// metadata. Implementations must be [`Send`] + [`Sync`] so a built model
+/// can be shared across threads.
 pub trait Accelerator: Send + Sync {
     /// The serializable key identifying this accelerator (tables, CSV export
     /// and the energy model key off it).

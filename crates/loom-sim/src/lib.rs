@@ -26,7 +26,7 @@
 //!   [`PrecisionAssignment`] every simulation runs under.
 //! * [`counts`] — per-layer / per-network cycle and traffic records.
 //! * [`pool`] — the persistent worker pool every parallel path (layer
-//!   fan-out, batched inference, sweeps) shares: participants take jobs from
+//!   fan-out, batched inference) shares: participants take jobs from
 //!   one shared cursor per batch, with cost-model task granularity chosen per
 //!   layer by [`loom::cost`](crate::loom).
 //!

@@ -15,8 +15,8 @@
 //! schedule advances, so a layer's weights are resolved **once per batch**
 //! and the worker pool is fed fine-grained (item × window-group) tasks — not
 //! whole batch items — which keeps all threads busy even when the batch is
-//! smaller than the pool. Merging follows the sweep runner's ordered
-//! worker-queue pattern, so results are deterministic at any thread count.
+//! smaller than the pool. Results merge in task order through the pool's
+//! per-job result slots, so they are deterministic at any thread count.
 //!
 //! A layer's weights come packed from the process-wide weight store
 //! ([`crate::loom::store`]), which every entry point resolves them through;
