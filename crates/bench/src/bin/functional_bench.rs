@@ -342,7 +342,7 @@ fn main() {
     let active_tier = loom_core::loom_sim::loom::active_kernel_tier();
     println!(
         "Machine: {available} logical CPUs, {} physical cores; kernel tier {} \
-         (popcnt={} avx2={} avx512f={} avx512bw={} avx512vpopcntdq={})",
+         (popcnt={} avx2={} avx512f={} avx512bw={} avx512vpopcntdq={} avx512ifma={})",
         loom_core::threads::physical_cores(),
         active_tier.name(),
         machine_features.popcnt,
@@ -350,6 +350,7 @@ fn main() {
         machine_features.avx512f,
         machine_features.avx512bw,
         machine_features.avx512vpopcntdq,
+        machine_features.avx512ifma,
     );
 
     let mut rng = StdRng::seed_from_u64(2018);
@@ -672,6 +673,7 @@ fn main() {
                 "avx512vpopcntdq".to_string(),
                 machine_features.avx512vpopcntdq,
             ),
+            ("avx512ifma".to_string(), machine_features.avx512ifma),
         ],
         kernel_tiers: KERNEL_TIERS
             .iter()

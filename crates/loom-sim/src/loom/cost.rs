@@ -31,9 +31,9 @@ use loom_model::layer::{ConvSpec, FcSpec};
 
 /// Cost-model units (MAC × bit-products) one task should amortise: tasks
 /// below this run inline rather than paying pool dispatch. The tile kernel
-/// runs convolutions at 420–560 such bit-ops per ns on two threads of a
-/// 2-vCPU `avx512-vpopcnt` host (traced `zoo-b1`), about 250 per thread, so
-/// this is roughly 130 µs of one thread's work.
+/// runs convolutions at 475–630 such bit-ops per ns on two threads of a
+/// 2-vCPU `avx512-vpopcnt` host (traced `zoo-b1`), about 240–315 per thread,
+/// so this is roughly 105–140 µs of one thread's work.
 pub const TASK_GRAIN: u64 = 1 << 25;
 
 /// Over-decomposition factor: at most this many tasks per thread, so workers

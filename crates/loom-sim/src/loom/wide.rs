@@ -39,12 +39,17 @@
 //! detected tier is chosen once, into a process-wide [`KernelTier`]). Each
 //! takes the tile form, and all produce identical results:
 //!
-//! * **AVX-512 + `vpopcntdq`** — `_mm512_popcnt_epi64` counts a whole plane
-//!   pair per instruction: two adjacent activation planes load with one
-//!   512-bit read (the plane array is contiguous), AND against the weight
-//!   plane broadcast once per block, and popcount per 64-bit lane; Horner
-//!   steps weigh the plane pairs and the weight planes, and the odd planes'
-//!   extra factor of two is applied once per output.
+//! * **AVX-512 + `vpopcntdq` + `ifma`** — `_mm512_popcnt_epi64` counts a
+//!   whole plane pair per instruction: two adjacent activation planes load
+//!   with one 512-bit read (the plane array is contiguous), AND against the
+//!   weight plane broadcast once per block, and popcount per 64-bit lane.
+//!   One `_mm512_madd52lo_epu64` per plane pair weighs the counts against a
+//!   static table (`2^k` in lanes 0–3 for the even plane, `2^(k+1)` in
+//!   lanes 4–7 for the odd one). Each member's activation pairs load into
+//!   registers once per block, and the pair loop is unrolled per activation
+//!   width: one specialization per clean pair count and top-plane case,
+//!   chosen once per block. The weights' negated MSB plane goes to its own
+//!   negative accumulator.
 //! * **AVX-512 (`avx512f` + `avx512bw`)** — the `vpshufb` nibble-lookup
 //!   popcount at 512-bit width for parts without `vpopcntdq`: four
 //!   activation planes fold into one `_mm512_sad_epu8` (two per load, byte
@@ -1038,24 +1043,78 @@ unsafe fn tile_avx512<W: WeightBlock>(
     }
 }
 
+/// The pair weights [`tile_avx512_vpopcnt`] multiplies each plane pair's
+/// per-lane popcounts by: lanes 0–3 of entry `k` hold `2^k` (a pair's even
+/// plane) and lanes 4–7 hold `2^(k + 1)` (its odd plane). Weight plane `wb`
+/// against the activation pair `2j`, `2j + 1` reads entry `wb + 2j`; the
+/// highest is 15 + 14, the top weight plane against the top pair.
+#[cfg(target_arch = "x86_64")]
+#[repr(C, align(64))]
+struct PairWeights([[u64; 8]; 2 * MAX_PRECISION as usize - 2]);
+
+#[cfg(target_arch = "x86_64")]
+static PAIR_WEIGHTS: PairWeights = {
+    let mut table = [[0; 8]; 2 * MAX_PRECISION as usize - 2];
+    let mut k = 0;
+    while k < table.len() {
+        let mut lane = 0;
+        while lane < 8 {
+            table[k][lane] = 1 << (k + lane / 4);
+            lane += 1;
+        }
+        k += 1;
+    }
+    PairWeights(table)
+};
+
+/// The entries of [`PAIR_WEIGHTS`] one weight plane reads: entry `2j` weighs
+/// its products with activation pair `j`.
+#[cfg(target_arch = "x86_64")]
+type PlaneWeights = [[u64; 8]; MAX_PRECISION as usize - 1];
+
+/// A live weight plane as [`pair_block`] reads it: its words broadcast into
+/// both halves of a zmm register, and the pair weights of its bit.
+#[cfg(target_arch = "x86_64")]
+#[derive(Clone, Copy)]
+struct BroadcastPlane {
+    words: std::arch::x86_64::__m512i,
+    weights: &'static PlaneWeights,
+}
+
+/// The `TOP` cases of [`pair_block`]: which activation planes lie above a
+/// block's clean pairs (the pairs whose two planes both add), and how they
+/// are weighed.
+#[cfg(target_arch = "x86_64")]
+mod top {
+    /// None: the activations are unsigned and Pa is even.
+    pub const NONE: u8 = 0;
+    /// One plane, added: the activations are unsigned and Pa is odd.
+    pub const ODD_ADDS: u8 = 1;
+    /// One plane, the signed MSB, subtracted: Pa is odd.
+    pub const ODD_SUBTRACTS: u8 = 2;
+    /// A pair whose even plane adds and whose odd plane, the signed MSB,
+    /// subtracts: Pa is even.
+    pub const SIGNED_PAIR: u8 = 3;
+}
+
 /// AVX-512 `vpopcntdq` tile kernel: `_mm512_popcnt_epi64` counts each 64-bit
-/// lane of the AND directly, with no nibble lookup or byte folding. Each
-/// weight plane is broadcast into both halves of a zmm register once per
-/// block for the whole tile. A member's activation planes load two per
-/// 512-bit read, so lanes 0–3 count a pair's even plane and lanes 4–7 its
-/// odd one; Horner steps weigh the pairs (shift by two) and the weight
-/// planes (shift by one), and the odd planes' extra factor of two is applied
-/// once per member, at the reduction. A member's accumulator carries its
-/// signed partial sums (MSB negations applied in-vector) across every block
-/// of the row and is reduced once, at the end. Kept as a separate function
-/// (not a const-generic switch) so `avx512vpopcntdq` codegen never reaches
-/// parts that only detect `avx512f`/`avx512bw`.
+/// lane of the AND directly, and one `_mm512_madd52lo_epu64` weighs a plane
+/// pair's counts. Per block, each live weight plane is broadcast into both
+/// halves of a zmm register once for the whole tile, and the block's Pa
+/// picks one [`pair_block`] specialization, which runs every member. A
+/// member's activation planes load two per 512-bit read, so lanes 0–3 count
+/// a pair's even plane and lanes 4–7 its odd one; [`PAIR_WEIGHTS`] holds
+/// both lane groups' weights, so no shift is needed. A member's accumulator
+/// carries its signed partial sums across every block of the row and is
+/// reduced once, at the end. Kept as a separate function (not a
+/// const-generic switch) so `avx512vpopcntdq` and `avx512ifma` codegen never
+/// reaches parts that only detect `avx512f`/`avx512bw`.
 ///
 /// # Safety
 ///
-/// The CPU must support `avx512f` and `avx512vpopcntdq`.
+/// The CPU must support `avx512f`, `avx512vpopcntdq` and `avx512ifma`.
 #[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f,avx512vpopcntdq")]
+#[target_feature(enable = "avx512f,avx512vpopcntdq,avx512ifma")]
 unsafe fn tile_avx512_vpopcnt<W: WeightBlock>(
     weights: &[W],
     activations: &[WideBitplaneBlock],
@@ -1070,63 +1129,144 @@ unsafe fn tile_avx512_vpopcnt<W: WeightBlock>(
         let Some(plan) = schedule.plan(w, activations.iter().skip(b).step_by(blocks)) else {
             continue;
         };
-        // Each weight plane, broadcast once for the tile; elided planes
-        // are left out of `live` and only shift the Horner sum.
-        let mut planes = [zero; MAX_PRECISION as usize];
-        let mut live = 0u32;
-        for (wb, slot) in planes[..plan.pw].iter_mut().enumerate() {
-            if let Some(plane) = w.plane(wb) {
-                *slot = broadcast_plane_512(plane);
-                live |= 1 << wb;
+        // Each live weight plane, broadcast once for the tile; elided planes
+        // contribute nothing and are left out. The weights' negated MSB
+        // plane is kept apart.
+        let mut planes = [BroadcastPlane {
+            words: zero,
+            weights: plane_weights(0),
+        }; MAX_PRECISION as usize];
+        let (mut live, mut msb) = (0, None);
+        for wb in 0..plan.pw {
+            let Some(words) = w.plane(wb) else { continue };
+            let plane = BroadcastPlane {
+                words: broadcast_plane_512(words),
+                weights: plane_weights(wb),
+            };
+            if plan.negates_weight_plane(wb) {
+                msb = Some(plane);
+            } else {
+                planes[live] = plane;
+                live += 1;
             }
         }
-        let (pairs, odd) = (plan.pa / 2, plan.pa % 2 == 1);
-        for (total, member) in totals.iter_mut().zip(activations.chunks_exact(blocks)) {
-            let a = &member[b];
-            let mut sum = zero;
-            for wb in (0..plan.pw).rev() {
-                sum = _mm512_add_epi64(sum, sum);
-                if live >> wb & 1 == 0 {
-                    continue;
+        let (planes, msb) = (&planes[..live], msb.as_ref());
+        let members = activations.iter().skip(b).step_by(blocks);
+        let (odd, signed) = (plan.pa % 2 == 1, plan.activations_signed);
+        let pairs = plan.pa / 2 - usize::from(signed && !odd);
+        macro_rules! by_pairs {
+            ($top:ident: $($pairs:literal)*) => {
+                match pairs {
+                    $($pairs => pair_block::<$pairs, { top::$top }>(planes, msb, members, &mut totals),)*
+                    _ => unreachable!("Pa is 1..=16"),
                 }
-                let wz = planes[wb];
-                let count = |ap| _mm512_popcnt_epi64(_mm512_and_si512(wz, ap));
-                // Horner over the activation planes, top down, a pair per
-                // step. The top plane is the single one of an odd count;
-                // when the activations are signed it is the MSB, negated
-                // (the upper half of the top pair for an even count).
-                let mut pair = pairs;
-                let mut acc = zero;
-                if odd {
-                    let counts = count(load_plane_single_512(a, plan.pa - 1));
-                    acc = if plan.activations_signed {
-                        _mm512_sub_epi64(zero, counts)
-                    } else {
-                        counts
-                    };
-                } else if plan.activations_signed {
-                    pair -= 1;
-                    let counts = count(load_plane_pair_512(a, 2 * pair));
-                    acc = _mm512_mask_sub_epi64(counts, 0xf0, zero, counts);
-                }
-                while pair > 0 {
-                    pair -= 1;
-                    let counts = count(load_plane_pair_512(a, 2 * pair));
-                    acc = _mm512_add_epi64(_mm512_slli_epi64::<2>(acc), counts);
-                }
-                sum = if plan.negates_weight_plane(wb) {
-                    _mm512_sub_epi64(sum, acc)
-                } else {
-                    _mm512_add_epi64(sum, acc)
-                };
-            }
-            *total = _mm512_add_epi64(*total, sum);
+            };
+        }
+        match (odd, signed) {
+            (false, false) => by_pairs!(NONE: 1 2 3 4 5 6 7 8),
+            (true, false) => by_pairs!(ODD_ADDS: 0 1 2 3 4 5 6 7),
+            (true, true) => by_pairs!(ODD_SUBTRACTS: 0 1 2 3 4 5 6 7),
+            (false, true) => by_pairs!(SIGNED_PAIR: 0 1 2 3 4 5 6 7),
         }
     }
     for (out, total) in out.iter_mut().zip(totals) {
-        // The odd planes sit one bit above their pair's even plane.
-        *out = _mm512_reduce_add_epi64(_mm512_mask_add_epi64(total, 0xf0, total, total));
+        *out = _mm512_reduce_add_epi64(total);
     }
+}
+
+/// The [`PAIR_WEIGHTS`] entries weight plane `wb` reads.
+#[cfg(target_arch = "x86_64")]
+fn plane_weights(wb: usize) -> &'static PlaneWeights {
+    PAIR_WEIGHTS.0[wb..]
+        .first_chunk()
+        .expect("weight planes are 0..16")
+}
+
+/// One block of [`tile_avx512_vpopcnt`] for every member, at a Pa of
+/// `2 * PAIRS` clean planes plus the `TOP` case's ([`top`]). The member's
+/// clean pairs and top planes load into registers once; every weight plane
+/// then meets them in an unrolled run of AND + popcount + one
+/// `_mm512_madd52lo_epu64` per pair ([`plane_products`]). Products that add
+/// go to one accumulator and products that subtract to another: the
+/// activations' signed MSB is subtracted, and the weights' MSB plane
+/// (`msb`), negated, swaps the two. Not inlined, so both weight-block forms
+/// share the 32 specializations.
+///
+/// # Safety
+///
+/// The CPU must support `avx512f`, `avx512vpopcntdq` and `avx512ifma`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,avx512vpopcntdq,avx512ifma")]
+#[inline(never)]
+unsafe fn pair_block<'a, const PAIRS: usize, const TOP: u8>(
+    planes: &[BroadcastPlane],
+    msb: Option<&BroadcastPlane>,
+    members: impl Iterator<Item = &'a WideBitplaneBlock>,
+    totals: &mut [std::arch::x86_64::__m512i; TILE],
+) {
+    use std::arch::x86_64::*;
+    let zero = _mm512_setzero_si512();
+    for (total, a) in totals.iter_mut().zip(members) {
+        let mut pairs = [zero; PAIRS];
+        for (j, pair) in pairs.iter_mut().enumerate() {
+            *pair = load_plane_pair_512(a, 2 * j);
+        }
+        let top = match TOP {
+            top::NONE => zero,
+            top::SIGNED_PAIR => load_plane_pair_512(a, 2 * PAIRS),
+            _ => load_plane_single_512(a, 2 * PAIRS),
+        };
+        let (mut add, mut sub) = (zero, zero);
+        for plane in planes {
+            let (plus, minus) = plane_products::<PAIRS, TOP>(plane, &pairs, top);
+            add = _mm512_add_epi64(add, plus);
+            sub = _mm512_add_epi64(sub, minus);
+        }
+        if let Some(msb) = msb {
+            let (plus, minus) = plane_products::<PAIRS, TOP>(msb, &pairs, top);
+            add = _mm512_add_epi64(add, minus);
+            sub = _mm512_add_epi64(sub, plus);
+        }
+        *total = _mm512_add_epi64(*total, _mm512_sub_epi64(add, sub));
+    }
+}
+
+/// One weight plane's products with a member's clean `pairs` and `top`
+/// planes, weighed: the sum of those that add and the sum of those that
+/// subtract. Each plane sums on its own, so the planes' `madd` chains are
+/// independent.
+///
+/// # Safety
+///
+/// The CPU must support `avx512f`, `avx512vpopcntdq` and `avx512ifma`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,avx512vpopcntdq,avx512ifma")]
+#[inline]
+unsafe fn plane_products<const PAIRS: usize, const TOP: u8>(
+    plane: &BroadcastPlane,
+    pairs: &[std::arch::x86_64::__m512i; PAIRS],
+    top: std::arch::x86_64::__m512i,
+) -> (std::arch::x86_64::__m512i, std::arch::x86_64::__m512i) {
+    use std::arch::x86_64::*;
+    let zero = _mm512_setzero_si512();
+    let weight = |k: usize| _mm512_load_si512(plane.weights[k].as_ptr().cast());
+    let counts = |ap| _mm512_popcnt_epi64(_mm512_and_si512(plane.words, ap));
+    let mut plus = zero;
+    for (j, &pair) in pairs.iter().enumerate() {
+        plus = _mm512_madd52lo_epu64(plus, counts(pair), weight(2 * j));
+    }
+    let mut minus = zero;
+    match TOP {
+        top::ODD_ADDS => plus = _mm512_madd52lo_epu64(plus, counts(top), weight(2 * PAIRS)),
+        top::ODD_SUBTRACTS => minus = _mm512_madd52lo_epu64(zero, counts(top), weight(2 * PAIRS)),
+        top::SIGNED_PAIR => {
+            let (counts, weight) = (counts(top), weight(2 * PAIRS));
+            plus = _mm512_mask_madd52lo_epu64(plus, 0x0f, counts, weight);
+            minus = _mm512_mask_madd52lo_epu64(zero, 0xf0, counts, weight);
+        }
+        _ => {}
+    }
+    (plus, minus)
 }
 
 /// The kernel tiers [`tile_inner_products`] and [`wide_inner_product`]
@@ -1143,9 +1283,9 @@ pub enum KernelTier {
     Avx2,
     /// 512-bit `vpshufb` nibble-lookup popcount (`avx512f` + `avx512bw`).
     Avx512,
-    /// 512-bit `vpopcntdq` per-lane popcount (`avx512f` + `avx512vpopcntdq`,
-    /// plus `avx512bw` for the byte-sliced transposer it shares with
-    /// [`Avx512`](Self::Avx512)).
+    /// 512-bit `vpopcntdq` per-lane popcount weighed by `vpmadd52luq`
+    /// (`avx512f` + `avx512vpopcntdq` + `avx512ifma`, plus `avx512bw` for the
+    /// byte-sliced transposer it shares with [`Avx512`](Self::Avx512)).
     Avx512Vpopcnt,
 }
 
@@ -1188,6 +1328,7 @@ impl KernelTier {
                 std::arch::is_x86_feature_detected!("avx512f")
                     && std::arch::is_x86_feature_detected!("avx512bw")
                     && std::arch::is_x86_feature_detected!("avx512vpopcntdq")
+                    && std::arch::is_x86_feature_detected!("avx512ifma")
             }
             #[cfg(not(target_arch = "x86_64"))]
             _ => false,
@@ -1219,6 +1360,7 @@ pub struct CpuFeatures {
     pub avx512f: bool,
     pub avx512bw: bool,
     pub avx512vpopcntdq: bool,
+    pub avx512ifma: bool,
 }
 
 /// Detects the wide-kernel CPU features on the running machine (all `false`
@@ -1232,6 +1374,7 @@ pub fn cpu_features() -> CpuFeatures {
             avx512f: std::arch::is_x86_feature_detected!("avx512f"),
             avx512bw: std::arch::is_x86_feature_detected!("avx512bw"),
             avx512vpopcntdq: std::arch::is_x86_feature_detected!("avx512vpopcntdq"),
+            avx512ifma: std::arch::is_x86_feature_detected!("avx512ifma"),
         }
     }
     #[cfg(not(target_arch = "x86_64"))]
@@ -1242,6 +1385,7 @@ pub fn cpu_features() -> CpuFeatures {
             avx512f: false,
             avx512bw: false,
             avx512vpopcntdq: false,
+            avx512ifma: false,
         }
     }
 }
@@ -1268,7 +1412,12 @@ pub fn cpu_features() -> CpuFeatures {
 /// products per plane pair, each pair weighted by at most 2^30, so one block
 /// moves it by less than 256 · (2^16 − 1)^2 < 2^40. A row of fewer than
 /// 2^23 blocks (2.1·10^9 inputs) therefore never overflows it; VGGS fc6, the
-/// widest zoo row, has 72.
+/// widest zoo row, has 72. The `avx512-vpopcnt` tier keeps a member-block's
+/// positive and negative partial sums apart; a 64-bit lane counts at most 64
+/// one-bit products per plane pair, so each stays below
+/// 64 · (2^16 − 1)^2 < 2^38 per lane. One `vpmadd52luq` product is a count
+/// of at most 64 times a pair weight of at most 2^30, so it is below
+/// 64 · 2^30 < 2^52 and the instruction's low 52 bits are the whole product.
 ///
 /// Operands must be representable in 16-bit two's complement, as for any
 /// packed block.
@@ -1773,9 +1922,12 @@ mod tests {
 
     #[test]
     fn avx512_tiers_match_portable_across_precisions_and_signedness() {
-        // Sweeps every (pw, pa) pair so both the plane-pair remainder (odd
-        // pa) and the four-plane fast path of the AVX-512 kernels are hit,
-        // under all four signedness combinations.
+        // Sweeps every (pw, pa) pair under all four signedness combinations,
+        // so the `avx512` kernel meets every quad remainder and the
+        // `avx512-vpopcnt` kernel every pair count and top-plane case. Each
+        // case runs one dense block against one member, the compressed form
+        // of the block against the same member, and both forms against a
+        // full tile of distinct members of every width and sign.
         let avx512_tiers: Vec<_> = [KernelTier::Avx512, KernelTier::Avx512Vpopcnt]
             .into_iter()
             .filter(|tier| tier.detected())
@@ -1784,17 +1936,56 @@ mod tests {
             let weights = ragged_values(lanes);
             let activations: Vec<i32> = ragged_values(lanes).iter().map(|v| v / 5).collect();
             let w = WideBitplaneBlock::pack(&weights);
+            let c = CompressedWideBlock::compress(&w);
             let a = WideBitplaneBlock::pack(&activations);
+            let members: Vec<_> = std::iter::once(a)
+                .chain((1..TILE).map(|m| {
+                    let width = (5 * m as u8 + 1) % (MAX_PRECISION + 1);
+                    let signs = [Signs::Mixed, Signs::Negative, Signs::NonNegative][m % 3];
+                    WideBitplaneBlock::pack(&values_of_width(lanes, width, signs))
+                }))
+                .collect();
             for pw in 1..=16usize {
                 for pa in 1..=16usize {
                     for (ws, as_) in [(true, true), (true, false), (false, true), (false, false)] {
-                        let portable = wide_product_core(&w, &a, pw, pa, ws, as_);
+                        let plan = BlockPlan {
+                            pw,
+                            pa,
+                            weights_signed: ws,
+                            activations_signed: as_,
+                        };
+                        let expected: Vec<i64> = members
+                            .iter()
+                            .map(|member| wide_product_core(&w, member, pw, pa, ws, as_))
+                            .collect();
+                        let portable = expected[0];
                         for &tier in &avx512_tiers {
+                            let case = format!("{} {lanes} lanes pw={pw} pa={pa}", tier.name());
+                            assert_eq!(portable, fixed_on(tier, &w, &a, pw, pa, ws, as_), "{case}");
                             assert_eq!(
                                 portable,
-                                fixed_on(tier, &w, &a, pw, pa, ws, as_),
-                                "{} {lanes} lanes pw={pw} pa={pa}",
-                                tier.name()
+                                fixed_on(tier, &c, &a, pw, pa, ws, as_),
+                                "compressed {case}"
+                            );
+                            assert_eq!(
+                                tile_on_tier(
+                                    tier,
+                                    std::slice::from_ref(&w),
+                                    &members,
+                                    Schedule::Fixed(plan)
+                                ),
+                                expected,
+                                "tile {plan:?} {case}"
+                            );
+                            assert_eq!(
+                                tile_on_tier(
+                                    tier,
+                                    std::slice::from_ref(&c),
+                                    &members,
+                                    Schedule::Fixed(plan)
+                                ),
+                                expected,
+                                "compressed tile {plan:?} {case}"
                             );
                         }
                     }
@@ -2010,7 +2201,10 @@ mod tests {
         );
         assert_eq!(
             KernelTier::Avx512Vpopcnt.detected(),
-            features.avx512f && features.avx512bw && features.avx512vpopcntdq
+            features.avx512f
+                && features.avx512bw
+                && features.avx512vpopcntdq
+                && features.avx512ifma
         );
     }
 
