@@ -217,7 +217,9 @@ fn bench_zoo_network(
     threads: usize,
 ) -> ZooFunctionalRow {
     let pw = Precision::new(8).unwrap();
+    let started = Instant::now();
     let params = NetworkParams::synthetic_for_graph(graph, &[pw], 2018);
+    let synth_seconds = started.elapsed().as_secs_f64();
     let input = zoo_input(graph, 4242);
     let options = InferenceOptions::default();
 
@@ -238,6 +240,7 @@ fn bench_zoo_network(
         network: graph.name().to_string(),
         nodes: graph.nodes().len(),
         macs: graph.total_macs(),
+        synth_seconds,
         golden_seconds,
         functional_seconds,
         cycles: run.cycles,
@@ -468,10 +471,11 @@ fn main() {
             let graph = resolve(name);
             let row = bench_zoo_network(&graph, geometry, threads);
             println!(
-                "  {:<14} {:>3} nodes {:>6.1} MMACs  golden {:>7.2}s  functional {:>7.2}s  {}",
+                "  {:<14} {:>3} nodes {:>6.1} MMACs  synth {:>5.2}s  golden {:>7.2}s  functional {:>7.2}s  {}",
                 row.network,
                 row.nodes,
                 row.macs as f64 / 1e6,
+                row.synth_seconds,
                 row.golden_seconds,
                 row.functional_seconds,
                 if row.matches_reference {

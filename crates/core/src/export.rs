@@ -178,6 +178,9 @@ pub struct ZooFunctionalRow {
     pub nodes: usize,
     /// Total MACs of the graph.
     pub macs: u64,
+    /// Wall-clock seconds of generating the network's synthetic weights
+    /// (`NetworkParams::synthetic_for_graph`), the bulk of a cold start.
+    pub synth_seconds: f64,
     /// Wall-clock seconds of the golden (reference-kernel) forward pass.
     pub golden_seconds: f64,
     /// Wall-clock seconds of the functional (bit-serial datapath) pass.
@@ -450,10 +453,11 @@ pub fn functional_bench_to_json(report: &FunctionalBenchReport) -> String {
         let comma = if i + 1 < report.zoo.len() { "," } else { "" };
         let _ = writeln!(
             out,
-            "    {{\"network\": {}, \"nodes\": {}, \"macs\": {}, \"golden_seconds\": {:.6}, \"functional_seconds\": {:.6}, \"cycles\": {}, \"reduced_groups\": {}, \"matches_reference\": {}}}{comma}",
+            "    {{\"network\": {}, \"nodes\": {}, \"macs\": {}, \"synth_seconds\": {:.6}, \"golden_seconds\": {:.6}, \"functional_seconds\": {:.6}, \"cycles\": {}, \"reduced_groups\": {}, \"matches_reference\": {}}}{comma}",
             json_string(&z.network),
             z.nodes,
             z.macs,
+            z.synth_seconds,
             z.golden_seconds,
             z.functional_seconds,
             z.cycles,
@@ -621,6 +625,7 @@ mod tests {
                 network: "MiniGoogLeNet".into(),
                 nodes: 30,
                 macs: 1_000_000,
+                synth_seconds: 0.25,
                 golden_seconds: 0.5,
                 functional_seconds: 1.5,
                 cycles: 123,
@@ -715,7 +720,10 @@ mod tests {
         assert!(json.contains("\"conv_speedup\": 40.0000"));
         assert!(json.contains("\"conv_wide_seconds\": 0.050000"));
         assert!(json.contains("\"conv_matches_reference\": true"));
-        assert!(json.contains("\"network\": \"MiniGoogLeNet\""));
+        assert!(json.contains(
+            "\"network\": \"MiniGoogLeNet\", \"nodes\": 30, \"macs\": 1000000, \
+             \"synth_seconds\": 0.250000, \"golden_seconds\": 0.500000, \"functional_seconds\": 1.500000"
+        ));
         assert!(json.contains("\"matches_reference\": true"));
         assert!(json.contains("\"speedup\": 4.0000"));
         assert!(json.contains("\"scaling\": [{\"threads\": 1"));

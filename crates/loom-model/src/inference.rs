@@ -44,10 +44,8 @@ use crate::fixed::Precision;
 use crate::graph::{GraphError, LayerGraph};
 use crate::layer::LayerError;
 use crate::network::Network;
-use crate::synthetic::{synthetic_weights, ValueDistribution};
+use crate::synthetic::seeded_weight_tensors;
 use crate::tensor::{Tensor3, Tensor4};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use std::fmt;
 
 /// Error produced when a network cannot be run as a linear chain.
@@ -156,6 +154,12 @@ impl NetworkParams {
     /// uses to look weights up positionally). `weight_precisions` is cycled
     /// if shorter than the number of compute nodes.
     ///
+    /// The layers draw, in that order, from one `StdRng` seeded with `seed`:
+    /// each layer's values are
+    /// [`synthetic_weights`](crate::synthetic::synthetic_weights) with the
+    /// default weight distribution, decoded in bulk (see
+    /// [`crate::synthetic`]).
+    ///
     /// # Panics
     ///
     /// Panics if `weight_precisions` is empty.
@@ -168,22 +172,23 @@ impl NetworkParams {
             !weight_precisions.is_empty(),
             "at least one weight precision is required"
         );
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut weights = Vec::new();
-        for (idx, (name, kind)) in graph.compute_layers().enumerate() {
-            let precision = weight_precisions[idx % weight_precisions.len()];
-            let shape = kind.weight_shape();
-            let values = synthetic_weights(
-                &mut rng,
-                shape.len(),
-                precision,
-                ValueDistribution::weights(),
-            );
-            weights.push(LayerWeights {
+        let layers: Vec<_> = graph
+            .compute_layers()
+            .map(|(name, kind)| (name, kind.weight_shape()))
+            .collect();
+        let tensors: Vec<_> = layers
+            .iter()
+            .zip(weight_precisions.iter().cycle())
+            .map(|(&(_, shape), &precision)| (shape.len(), precision))
+            .collect();
+        let weights = layers
+            .into_iter()
+            .zip(seeded_weight_tensors(seed, &tensors))
+            .map(|((name, shape), values)| LayerWeights {
                 layer_name: name.to_string(),
                 tensor: Tensor4::from_vec(shape, values).expect("one value per weight"),
-            });
-        }
+            })
+            .collect();
         NetworkParams { weights }
     }
 
@@ -324,8 +329,10 @@ mod tests {
     use super::*;
     use crate::layer::{ConvSpec, FcSpec, PoolSpec};
     use crate::network::NetworkBuilder;
-    use crate::synthetic::{synthetic_activations, ValueDistribution};
+    use crate::synthetic::{synthetic_activations, synthetic_weights, ValueDistribution};
     use crate::tensor::Shape3;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
 
     fn small_net() -> Network {
         NetworkBuilder::new("small")
@@ -419,6 +426,28 @@ mod tests {
         assert!(params.for_layer("conv2").is_some());
         assert!(params.for_layer("nonexistent").is_none());
         assert_eq!(params.layers().len(), 3);
+    }
+
+    #[test]
+    fn synthetic_for_graph_draws_layers_in_compute_order() {
+        // Branching, so compute order is not declaration order; three
+        // precisions cycle over the layers.
+        let graph = crate::zoo::graphs::reduced_googlenet();
+        let precisions = [8, 5, 16].map(|bits| Precision::new(bits).unwrap());
+        let params = NetworkParams::synthetic_for_graph(&graph, &precisions, 77);
+        let mut rng = StdRng::seed_from_u64(77);
+        let layers: Vec<_> = graph.compute_layers().collect();
+        assert_eq!(params.layers().len(), layers.len());
+        for (idx, ((name, kind), got)) in layers.iter().zip(params.layers()).enumerate() {
+            let expected = synthetic_weights(
+                &mut rng,
+                kind.weight_shape().len(),
+                precisions[idx % precisions.len()],
+                ValueDistribution::weights(),
+            );
+            assert_eq!(got.layer_name, *name);
+            assert_eq!(got.values(), expected.as_slice(), "layer {name}");
+        }
     }
 
     #[test]
