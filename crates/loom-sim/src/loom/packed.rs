@@ -27,9 +27,6 @@ use loom_model::fixed::{Precision, MAX_PRECISION};
 pub(crate) struct MagnitudeOr {
     /// Words per plane row (`slots × WIDE_WORDS`).
     words: usize,
-    /// The widest magnitude absorbed since the last reset: every plane at or
-    /// above it is empty.
-    width: u8,
     /// `MAX_PRECISION` plane rows of `words` words each.
     planes: Vec<u64>,
 }
@@ -39,7 +36,6 @@ impl MagnitudeOr {
     /// storage.
     pub(crate) fn reset(&mut self, slots: usize) {
         self.words = slots * WIDE_WORDS;
-        self.width = 0;
         self.planes.clear();
         self.planes
             .resize(usize::from(MAX_PRECISION) * self.words, 0);
@@ -56,7 +52,6 @@ impl MagnitudeOr {
     pub(crate) fn absorb(&mut self, slot: usize, block: &WideBitplaneBlock) {
         let base = slot * WIDE_WORDS;
         assert!(base < self.words, "slot {slot} is outside the fold");
-        self.width = self.width.max(block.magnitude_width());
         for bit in 0..block.magnitude_width() {
             let row = usize::from(bit) * self.words + base;
             let fold = &mut self.planes[row..row + WIDE_WORDS];
@@ -70,10 +65,9 @@ impl MagnitudeOr {
     /// `[lo, hi)`: signed two's-complement width when `signed`, magnitude
     /// bits otherwise (the unsigned reading assumes non-negative values, as
     /// post-ReLU activations are). A range holding only zeros detects the
-    /// 1-bit minimum. The scan starts at the widest magnitude absorbed, as
-    /// the planes above it are empty.
+    /// 1-bit minimum.
     pub(crate) fn detected_precision(&self, lo: usize, hi: usize, signed: bool) -> Precision {
-        let highest = (0..self.width)
+        let highest = (0..MAX_PRECISION)
             .rev()
             .find(|&bit| self.range_has_bit(bit, lo, hi));
         match highest {
@@ -115,8 +109,6 @@ mod tests {
     use crate::loom::sip::{reference_inner_product, serial_inner_product, Sip};
     use crate::loom::wide::{wide_inner_product, wide_inner_product_slices};
     use loom_model::fixed::{bit_plane, required_precision, required_unsigned_precision};
-    use rand::rngs::StdRng;
-    use rand::{RngExt, SeedableRng};
 
     /// Folds `values` into a one-slot fold and detects over their lanes.
     fn detect(values: &[i32], signed: bool) -> Precision {
@@ -210,42 +202,6 @@ mod tests {
                 required_unsigned_precision(values),
                 "unsigned {values:?}"
             );
-        }
-    }
-
-    #[test]
-    fn detection_from_the_widest_absorbed_plane_equals_the_full_scan() {
-        let mut rng = StdRng::seed_from_u64(26);
-        let mut fold = MagnitudeOr::default();
-        for _ in 0..200 {
-            let slots = rng.random_range(1usize..=3);
-            fold.reset(slots);
-            for _ in 0..rng.random_range(0usize..=4) {
-                // Values of one random width, so the blocks' widths vary.
-                let bits = rng.random_range(1u32..=15);
-                let lanes = rng.random_range(1usize..=256);
-                let values: Vec<i32> = (0..lanes)
-                    .map(|_| rng.random_range(-(1i32 << bits)..(1i32 << bits)))
-                    .collect();
-                fold.absorb(
-                    rng.random_range(0..slots),
-                    &WideBitplaneBlock::pack(&values),
-                );
-            }
-            for _ in 0..8 {
-                let lo = rng.random_range(0..256 * slots);
-                let hi = rng.random_range(lo + 1..=256 * slots);
-                let signed = rng.random::<bool>();
-                let full = (0..MAX_PRECISION)
-                    .rev()
-                    .find(|&bit| fold.range_has_bit(bit, lo, hi))
-                    .map_or(1, |bit| bit + if signed { 2 } else { 1 });
-                assert_eq!(
-                    fold.detected_precision(lo, hi, signed),
-                    Precision::saturating(full),
-                    "lanes {lo}..{hi}, signed {signed}"
-                );
-            }
         }
     }
 
