@@ -20,29 +20,34 @@ fn main() {
     let results_dir = std::path::Path::new("results");
     let export = fs::create_dir_all(results_dir).is_ok();
 
-    for target in [AccuracyTarget::Lossless, AccuracyTarget::Relative99] {
-        let t = table2(target);
+    // The 100% evaluation of the zoo feeds Table 2 (100%), Figure 4 and
+    // `figure4_all_layers.csv`.
+    let lossless = evaluate_all_networks(&ExperimentSettings::default());
+    let relative99 = evaluate_all_networks(&ExperimentSettings {
+        target: AccuracyTarget::Relative99,
+        ..Default::default()
+    });
+    for (target, evals, name) in [
+        (AccuracyTarget::Lossless, &lossless, "table2_100.csv"),
+        (AccuracyTarget::Relative99, &relative99, "table2_99.csv"),
+    ] {
+        let t = table2(target, evals);
         println!("{}", t.render());
         if export {
-            let name = match target {
-                AccuracyTarget::Lossless => "table2_100.csv",
-                AccuracyTarget::Relative99 => "table2_99.csv",
-            };
             let _ = fs::write(results_dir.join(name), table2_to_csv(&t));
         }
     }
     let t4 = table4();
     println!("{}", t4.render());
-    println!("{}", figure4().render());
+    println!("{}", figure4(&lossless).render());
     let f5 = figure5();
     println!("{}", f5.render());
     if export {
         let _ = fs::write(results_dir.join("table4.csv"), table4_to_csv(&t4));
         let _ = fs::write(results_dir.join("figure5.csv"), figure5_to_csv(&f5));
-        let evals = evaluate_all_networks(&ExperimentSettings::default());
         let _ = fs::write(
             results_dir.join("figure4_all_layers.csv"),
-            evaluations_to_csv(&evals),
+            evaluations_to_csv(&lossless),
         );
         println!("CSV data written to {}/", results_dir.display());
     }

@@ -210,29 +210,34 @@ fn zoo_input(graph: &LayerGraph, seed: u64) -> Tensor3 {
     .expect("shape and length agree by construction")
 }
 
+/// Synthesizes a zoo graph's Pw = 8 weights (seed 2018) and times it.
+fn synthesize(graph: &LayerGraph) -> (NetworkParams, f64) {
+    let started = Instant::now();
+    let params = NetworkParams::synthetic_for_graph(graph, &[Precision::new(8).unwrap()], 2018);
+    (params, started.elapsed().as_secs_f64())
+}
+
 /// Runs one zoo network through both paths and compares the traces.
 fn bench_zoo_network(
     graph: &LayerGraph,
+    params: &NetworkParams,
+    synth_seconds: f64,
     geometry: LoomGeometry,
     threads: usize,
 ) -> ZooFunctionalRow {
-    let pw = Precision::new(8).unwrap();
-    let started = Instant::now();
-    let params = NetworkParams::synthetic_for_graph(graph, &[pw], 2018);
-    let synth_seconds = started.elapsed().as_secs_f64();
     let input = zoo_input(graph, 4242);
     let options = InferenceOptions::default();
 
     let started = Instant::now();
     let golden = graph
-        .run(&params, &input, options)
+        .run(params, &input, options)
         .expect("zoo graphs chain by construction");
     let golden_seconds = started.elapsed().as_secs_f64();
 
     let engine = NetworkEngine::new(geometry).with_threads(threads);
     let started = Instant::now();
     let run = engine
-        .run(graph, &params, &input, options)
+        .run(graph, params, &input, options)
         .expect("zoo graphs chain by construction");
     let functional_seconds = started.elapsed().as_secs_f64();
 
@@ -253,12 +258,12 @@ fn bench_zoo_network(
 /// size, asserting bit-identical runs at every width.
 fn scaling_bench(
     graph: &LayerGraph,
+    params: &NetworkParams,
     geometry: LoomGeometry,
     batch: usize,
     seed_base: u64,
     thread_curve: &[usize],
 ) -> BatchBench {
-    let params = NetworkParams::synthetic_for_graph(graph, &[Precision::new(8).unwrap()], 2018);
     let inputs: Vec<Tensor3> = (0..batch as u64)
         .map(|i| zoo_input(graph, seed_base + i))
         .collect();
@@ -270,7 +275,7 @@ fn scaling_bench(
         let started = Instant::now();
         let runs = NetworkEngine::new(geometry)
             .with_threads(threads)
-            .run_batch(graph, &params, &inputs, run_options)
+            .run_batch(graph, params, &inputs, run_options)
             .expect("zoo graphs chain by construction");
         let seconds = started.elapsed().as_secs_f64();
         scaling.push(ScalingPoint { threads, seconds });
@@ -464,12 +469,19 @@ fn main() {
         if reduced { "reduced" } else { "full" },
         threads
     );
+    // Each network's weights are synthesized once. AlexNet's (MiniAlexNet's
+    // with `--reduced`) also serve the datapath, scaling and pack-once
+    // sections below; when `--filter` drops it from this section, they are
+    // synthesized once after it.
+    let alexnet_name = if reduced { "MiniAlexNet" } else { "AlexNet" };
+    let mut alexnet = None;
     let zoo: Vec<ZooFunctionalRow> = zoo_names
         .iter()
         .filter(|name| filter.as_deref().is_none_or(|f| matches(name, f)))
         .map(|name| {
             let graph = resolve(name);
-            let row = bench_zoo_network(&graph, geometry, threads);
+            let (params, synth_seconds) = synthesize(&graph);
+            let row = bench_zoo_network(&graph, &params, synth_seconds, geometry, threads);
             println!(
                 "  {:<14} {:>3} nodes {:>6.1} MMACs  synth {:>5.2}s  golden {:>7.2}s  functional {:>7.2}s  {}",
                 row.network,
@@ -484,9 +496,17 @@ fn main() {
                     "MISMATCH"
                 }
             );
+            if *name == alexnet_name {
+                alexnet = Some((graph, params));
+            }
             row
         })
         .collect();
+    let (alexnet, alexnet_params) = alexnet.unwrap_or_else(|| {
+        let graph = resolve(alexnet_name);
+        let (params, _) = synthesize(&graph);
+        (graph, params)
+    });
 
     // Per-accelerator functional throughput: every backend that exposes a
     // functional datapath runs one network end to end, bit-exact against the
@@ -494,14 +514,10 @@ fn main() {
     // The measured speedup-vs-DPNN series backs Table 2 / Figure 4 with
     // executed (not just modelled) cycle counts.
     let datapaths = if filter.is_none() {
-        let name = if reduced { "MiniAlexNet" } else { "AlexNet" };
-        let graph = resolve(name);
-        let params =
-            NetworkParams::synthetic_for_graph(&graph, &[Precision::new(8).unwrap()], 2018);
-        let inputs: Vec<Tensor3> = (0..2).map(|i| zoo_input(&graph, 7000 + i)).collect();
+        let inputs: Vec<Tensor3> = (0..2).map(|i| zoo_input(&alexnet, 7000 + i)).collect();
         let run_options = InferenceOptions::default();
-        let golden = graph
-            .run_batch(&params, &inputs, run_options)
+        let golden = alexnet
+            .run_batch(&alexnet_params, &inputs, run_options)
             .expect("zoo graphs chain by construction");
 
         let accelerators: Vec<Box<dyn Accelerator>> = AcceleratorKind::all()
@@ -511,7 +527,7 @@ fn main() {
         println!(
             "Datapath throughput: {} backends on {} x{}:",
             accelerators.len(),
-            graph.name(),
+            alexnet.name(),
             inputs.len()
         );
         let mut rows: Vec<DatapathThroughputRow> = Vec::new();
@@ -522,8 +538,8 @@ fn main() {
             let started = Instant::now();
             let runs = datapath::run_network_batch(
                 backend.as_ref(),
-                &graph,
-                &params,
+                &alexnet,
+                &alexnet_params,
                 &inputs,
                 run_options,
             )
@@ -531,7 +547,7 @@ fn main() {
             let seconds = started.elapsed().as_secs_f64();
             rows.push(DatapathThroughputRow {
                 accelerator: acc.name(),
-                network: graph.name().to_string(),
+                network: alexnet.name().to_string(),
                 seconds,
                 cycles: runs.iter().map(|r| r.cycles).sum(),
                 reduced_groups: runs.iter().map(|r| r.reduced_groups).sum(),
@@ -580,11 +596,9 @@ fn main() {
         .into_iter()
         .collect();
     let (batch, latency) = if filter.is_none() {
-        let name = if reduced { "MiniAlexNet" } else { "AlexNet" };
-        let graph = resolve(name);
-        let batch = scaling_bench(&graph, geometry, 4, 9000, &thread_curve);
+        let batch = scaling_bench(&alexnet, &alexnet_params, geometry, 4, 9000, &thread_curve);
         print_scaling("Batched engine", &batch);
-        let latency = scaling_bench(&graph, geometry, 1, 9500, &thread_curve);
+        let latency = scaling_bench(&alexnet, &alexnet_params, geometry, 1, 9500, &thread_curve);
         print_scaling("Batch-of-1 latency", &latency);
         (Some(batch), Some(latency))
     } else {
@@ -594,13 +608,10 @@ fn main() {
     // Pack-once probe: prepacking the same model twice must be served from
     // the process-wide weight store the second time — CI gates on this with
     // --require-repack-avoidance.
-    let probe_graph = resolve(if reduced { "MiniAlexNet" } else { "AlexNet" });
-    let probe_params =
-        NetworkParams::synthetic_for_graph(&probe_graph, &[Precision::new(8).unwrap()], 2018);
     let probe_engine = NetworkEngine::new(geometry);
-    let first_pack = probe_engine.prepack(&probe_graph, &probe_params);
+    let first_pack = probe_engine.prepack(&alexnet, &alexnet_params);
     let before_probe = weight_store_stats();
-    let second_pack = probe_engine.prepack(&probe_graph, &probe_params);
+    let second_pack = probe_engine.prepack(&alexnet, &alexnet_params);
     let after_probe = weight_store_stats();
     let repack_avoided = after_probe.packs() == before_probe.packs()
         && after_probe.hits() >= before_probe.hits() + second_pack.packed_layers() as u64
@@ -608,7 +619,7 @@ fn main() {
     // The two per-weight passes an uncached dispatch makes over a layer's
     // weights, each timed over every layer of the probe model (fastest of
     // three).
-    let probe_weights = probe_params
+    let probe_weights = alexnet_params
         .layers()
         .iter()
         .map(|layer| layer.tensor.len())
@@ -616,7 +627,7 @@ fn main() {
         .max(1) as f64;
     let per_weight_ns = |scan: &dyn Fn(&[i32])| {
         let (seconds, ()) = fastest_of_three(|| {
-            for layer in probe_params.layers() {
+            for layer in alexnet_params.layers() {
                 scan(black_box(layer.values()));
             }
         });

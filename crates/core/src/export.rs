@@ -561,7 +561,7 @@ pub fn csv_accelerator_order() -> [AcceleratorKind; 4] {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::experiment::{evaluate_network, ExperimentSettings};
+    use crate::experiment::{evaluate_all_networks, evaluate_network, ExperimentSettings};
     use crate::tables::{table2, table4};
     use loom_precision::AccuracyTarget;
 
@@ -577,7 +577,10 @@ mod tests {
 
     #[test]
     fn table_csvs_are_well_formed() {
-        let t2 = table2(AccuracyTarget::Lossless);
+        let t2 = table2(
+            AccuracyTarget::Lossless,
+            &evaluate_all_networks(&ExperimentSettings::default()),
+        );
         let csv2 = table2_to_csv(&t2);
         // 6 networks x 2 classes - 1 (NiN has no FCL) + header.
         assert_eq!(csv2.lines().count(), 12);

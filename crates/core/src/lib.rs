@@ -18,8 +18,11 @@
 //!   plotting, and the JSON report `functional_bench` writes.
 //!
 //! Every table and figure is computed serially, one network and one
-//! accelerator at a time: the whole evaluation section, as the `all` binary
-//! runs it, is 270 analytic simulations of about a millisecond each.
+//! accelerator at a time. [`table2`] and [`figure4`] tabulate the
+//! evaluations they are given, so the `all` binary evaluates the 100% zoo
+//! once for Table 2 (100%), Figure 4 and its all-layers CSV: the whole
+//! evaluation section is 198 analytic simulations of about a millisecond
+//! each.
 //!
 //! # Quick start
 //!

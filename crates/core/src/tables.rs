@@ -60,14 +60,10 @@ fn extract(eval: &NetworkEvaluation, pick: impl Fn(&RelativeResult) -> PerfEff) 
     out
 }
 
-/// Generates Table 2 for the given accuracy target at the headline 128
-/// configuration.
-pub fn table2(target: AccuracyTarget) -> Table2 {
-    let settings = ExperimentSettings {
-        target,
-        ..Default::default()
-    };
-    let rows = evaluate_all_networks(&settings)
+/// Tabulates Table 2 from `evals`, the zoo evaluated under `target` at the
+/// headline 128 configuration (see [`evaluate_all_networks`]).
+pub fn table2(target: AccuracyTarget, evals: &[NetworkEvaluation]) -> Table2 {
+    let rows = evals
         .iter()
         .map(|eval| Table2Row {
             network: eval.network.clone(),
@@ -283,10 +279,11 @@ pub struct Figure4 {
     pub rows: Vec<(String, Vec<f64>, Vec<f64>)>,
 }
 
-/// Generates Figure 4's data.
-pub fn figure4() -> Figure4 {
+/// Tabulates Figure 4 from `evals`, the zoo evaluated under the default
+/// settings (see [`evaluate_all_networks`]).
+pub fn figure4(evals: &[NetworkEvaluation]) -> Figure4 {
     let kinds = comparator_kinds();
-    let rows = evaluate_all_networks(&ExperimentSettings::default())
+    let rows = evals
         .iter()
         .map(|eval| {
             let perf: Vec<f64> = kinds
@@ -353,9 +350,16 @@ impl Figure4 {
 mod tests {
     use super::*;
 
+    fn lossless_table2() -> Table2 {
+        table2(
+            AccuracyTarget::Lossless,
+            &evaluate_all_networks(&ExperimentSettings::default()),
+        )
+    }
+
     #[test]
     fn table2_has_six_rows_and_nin_has_no_fcl() {
-        let t = table2(AccuracyTarget::Lossless);
+        let t = lossless_table2();
         assert_eq!(t.rows.len(), 6);
         assert!(t
             .rows
@@ -373,7 +377,7 @@ mod tests {
     fn table2_geomeans_land_in_paper_band() {
         // Paper, 100% profile geomeans: Stripes CVL 1.84x, LM1b CVL 3.25x,
         // LM1b FCL 1.74x. The reproduction should land in the same band.
-        let t = table2(AccuracyTarget::Lossless);
+        let t = lossless_table2();
         let (fcl, cvl) = t.geomeans();
         let fcl = fcl.unwrap();
         assert!(
@@ -414,7 +418,7 @@ mod tests {
 
     #[test]
     fn figure4_orderings_match_the_paper() {
-        let f = figure4();
+        let f = figure4(&evaluate_all_networks(&ExperimentSettings::default()));
         assert_eq!(f.series.len(), 5);
         assert_eq!(f.rows.len(), 6);
         let (perf, _eff) = f.geomeans();

@@ -25,10 +25,11 @@
 //! * [`engine`] — the [`AcceleratorKind`] key and the per-layer
 //!   [`PrecisionAssignment`] every simulation runs under.
 //! * [`counts`] — per-layer / per-network cycle and traffic records.
-//! * [`pool`] — the persistent worker pool every parallel path (layer
-//!   fan-out, batched inference) shares: participants take jobs from
-//!   one shared cursor per batch, with cost-model task granularity chosen per
-//!   layer by [`loom::cost`](crate::loom).
+//! * [`pool`] — the one parallel substrate every parallel path (layer
+//!   fan-out, batched inference) shares: each batch runs on the caller plus
+//!   scoped helpers joined before it returns, taking jobs from one shared
+//!   cursor, with cost-model task granularity chosen per layer by
+//!   [`loom::cost`](crate::loom).
 //!
 //! # Example
 //!

@@ -11,7 +11,7 @@
 //!
 //! The inner products run on the 256-lane `[u64; 4]` datapath of
 //! [`crate::loom::wide`], with runtime SIMD dispatch. Window patches are
-//! extracted into per-worker pack arenas (scratch reused across a worker's
+//! extracted into per-thread pack arenas (scratch reused across a thread's
 //! jobs) and packed into wide blocks once per window. Products then take one
 //! tile-kernel call per (filter, window tile), or per (output row, item tile)
 //! for a fully-connected batch: the call broadcasts each of the row's weight
@@ -36,6 +36,7 @@ use loom_model::fixed::Precision;
 use loom_model::im2col::window_patch_into;
 use loom_model::layer::{ConvSpec, FcSpec, LayerKind};
 use loom_model::tensor::{Tensor3, Tensor4};
+use std::cell::RefCell;
 
 /// Result of running a layer through the functional engine.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -161,15 +162,10 @@ impl FunctionalLoom {
             task_base.push(total_tasks);
             total_tasks += job.task_count();
         }
-        let results = pool::ordered_map_with(
-            self.threads,
-            total_tasks,
-            ConvArena::default,
-            |arena, task| {
-                let item = task_base.partition_point(|&base| base <= task) - 1;
-                jobs[item].run_task(arena, task - task_base[item])
-            },
-        );
+        let results = pool::ordered_map(self.threads, total_tasks, |task| {
+            let item = task_base.partition_point(|&base| base <= task) - 1;
+            CONV_ARENA.with_borrow_mut(|arena| jobs[item].run_task(arena, task - task_base[item]))
+        });
         let mut results = results.into_iter();
         jobs.iter()
             .map(|job| {
@@ -189,7 +185,7 @@ impl FunctionalLoom {
     /// [`run_conv`](Self::run_conv), every block's product runs at the
     /// block's detected precisions, so the outputs are exact for any `pw`.
     /// The weight rows come packed from the weight store, except for layers
-    /// too big to hold there, whose rows stream through the worker arenas.
+    /// too big to hold there, whose rows stream through a per-thread arena.
     ///
     /// # Panics
     ///
@@ -224,12 +220,9 @@ impl FunctionalLoom {
         rows: Option<&PackedRows>,
     ) -> Vec<FunctionalRun> {
         let job = WideFcJob::new(spec, inputs, weights, pw, self.threads, rows);
-        let row_chunks = pool::ordered_map_with(
-            self.threads,
-            job.row_group_count(),
-            FcArena::default,
-            |arena, g| job.run_rows(arena, g),
-        );
+        let row_chunks = pool::ordered_map(self.threads, job.row_group_count(), |g| {
+            FC_ARENA.with_borrow_mut(|arena| job.run_rows(arena, g))
+        });
         let cycles = self.fc_cycles(spec, pw);
         let mut runs: Vec<FunctionalRun> = inputs
             .iter()
@@ -282,7 +275,7 @@ impl FunctionalLoom {
     /// the wide datapath, with its task decomposition planned by the cost
     /// model for a budget of `units` threads. The returned job exposes
     /// (window-chunk × filter-tile) tasks — the granularity the batched
-    /// network engine fans across the worker pool.
+    /// network engine fans across the pool.
     ///
     /// # Panics
     ///
@@ -476,11 +469,10 @@ impl PackedRows {
     }
 }
 
-/// Per-worker scratch for the wide convolutional path: the window patch
+/// Per-thread scratch for the wide convolutional path: the window patch
 /// buffer, the packed activation blocks of the current window group, and
-/// the magnitude-OR fold the architectural precision detector reads. Built
-/// once per worker and reused across all of its window-group jobs — the
-/// "pack arena".
+/// the magnitude-OR fold the architectural precision detector reads. Reused
+/// across every window-group job its thread runs — the "pack arena".
 #[derive(Default)]
 struct ConvArena {
     patch: Vec<i32>,
@@ -488,8 +480,14 @@ struct ConvArena {
     fold: MagnitudeOr,
 }
 
+thread_local! {
+    /// This thread's conv pack arena: the caller's lives across layers, a
+    /// pool helper's for its batch.
+    static CONV_ARENA: RefCell<ConvArena> = RefCell::default();
+}
+
 /// Everything a wide convolutional task needs, shared read-only across the
-/// worker pool (and across batch items — the weight planes are packed once
+/// pool's threads (and across batch items — the weight planes are packed once
 /// per layer).
 struct WideConvJob<'a> {
     spec: &'a ConvSpec,
@@ -610,7 +608,7 @@ impl WideConvJob<'_> {
 
         // Pack every (window, conv-group) patch into wide blocks — each
         // window is packed once per (layer, filter tile), into storage the
-        // worker reuses across its tasks. One conv group's windows are
+        // thread reuses across its tasks. One conv group's windows are
         // contiguous, member-major, as the tile kernel reads them.
         for col in 0..window_count {
             let w = window_base + col;
@@ -693,11 +691,16 @@ impl WideConvJob<'_> {
     }
 }
 
-/// Per-worker scratch for the wide fully-connected path: one output row's
-/// packed weight blocks, reused across every row the worker evaluates.
+/// Per-thread scratch for the wide fully-connected path: one output row's
+/// packed weight blocks, reused across every row its thread evaluates.
 #[derive(Default)]
 struct FcArena {
     blocks: Vec<WideBitplaneBlock>,
+}
+
+thread_local! {
+    /// This thread's FC row arena, with the conv arena's lifetimes.
+    static FC_ARENA: RefCell<FcArena> = RefCell::default();
 }
 
 /// A fully-connected layer over one or more batch items on the wide
@@ -715,7 +718,7 @@ struct WideFcJob<'a> {
     /// as the tile kernel reads them.
     items: Vec<WideBitplaneBlock>,
     /// Pre-transposed weight rows from a per-model cache; when absent, each
-    /// task streams its rows through the worker arena.
+    /// task streams its rows through its thread's arena.
     packed: Option<&'a PackedRows>,
     /// Output rows per pool task, chosen by the cost model.
     rows_per_task: usize,
@@ -793,7 +796,7 @@ impl<'a> WideFcJob<'a> {
         for r in r0..r1 {
             let row_out = &mut out[(r - r0) * self.batch..][..self.batch];
             // One row's blocks, either read from the per-model compressed
-            // cache or streamed into the worker arena; the cached blocks were
+            // cache or streamed into the thread's arena; the cached blocks were
             // produced by the same transpose (compressed losslessly), so both
             // feed the kernel identical planes, precisions and zero flags.
             match self.packed {

@@ -11,7 +11,7 @@
 //! datapath), `NetworkEngine::prepack` and every `loom-serve` catalog build,
 //! and `FunctionalLoom::run_conv` / `run_fc`. Its one rule: convolutions
 //! always pack, and fully-connected layers pack up to 2^22 weights; above
-//! that their rows stream through the worker arenas on every dispatch, and
+//! that their rows stream through per-thread arenas on every dispatch, and
 //! a prepared layer scans their Pw from the weights.
 //!
 //! The fingerprint reads the weights a 64-bit word at a time into four
@@ -203,7 +203,7 @@ fn global() -> &'static Mutex<Store> {
 }
 
 /// Fully-connected layers above this many weights are not packed: their rows
-/// stream through a worker arena on every dispatch. A VGG-19-class `fc6`
+/// stream through a per-thread arena on every dispatch. A VGG-19-class `fc6`
 /// (~100M weights) would pin hundreds of megabytes of bit-plane blocks, while
 /// everything up to a few million weights (every reduced network and MLP
 /// head, AlexNet's and VGG-S's `fc8`, GoogLeNet's `fc`) packs comfortably.

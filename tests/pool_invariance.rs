@@ -66,30 +66,6 @@ proptest! {
             prop_assert_eq!(&baseline, &pooled);
         }
     }
-
-    /// `ordered_map_with` (the arena-reusing form the layer engines drive)
-    /// is equally invariant: worker-local state persists across jobs without
-    /// leaking into results.
-    #[test]
-    fn ordered_map_with_is_thread_invariant(
-        jobs in 1usize..120,
-        seed in any::<u64>(),
-    ) {
-        #[derive(Default)]
-        struct Arena(Vec<u64>);
-        let run = |threads: usize| {
-            pool::ordered_map_with(threads, jobs, Arena::default, |arena, i| {
-                // The arena grows monotonically per worker; results must not
-                // depend on how much history this worker has accumulated.
-                arena.0.push(i as u64);
-                spin(seed ^ i as u64, 32 + (i as u64 % 7) * 128)
-            })
-        };
-        let baseline = run(1);
-        for threads in &THREAD_CURVE[1..] {
-            prop_assert_eq!(&baseline, &run(*threads));
-        }
-    }
 }
 
 fn conv_operands(spec: &ConvSpec, seed: u64) -> (Tensor3, Tensor4) {
