@@ -29,21 +29,17 @@
 //! runners `--min-batch-speedup` / `--min-latency-speedup` (no default — the
 //! batch and batch-of-1 scaling at the widest thread count).
 //!
-//! `--threads N` / `LOOM_THREADS` size the worker pool with the shared
-//! precedence (flag beats env beats available parallelism). Asking for more
-//! threads than the machine has is a hard error (exit 2) — a silently
-//! oversubscribed scaling curve reads like a regression — unless
-//! `--allow-oversubscribe` is given, which records `oversubscribed: true`
-//! and skips the scaling floors loudly. `--filter <network>` restricts the
-//! zoo section to the networks whose names contain it (ignoring case), and
-//! `--reduced` swaps in the topology-preserving `Mini*` networks for a quick
-//! run. Every valued flag goes through `loom_core::threads::flag`, so a
-//! missing or unparsable value exits 2.
+//! `--threads N` sizes the worker pool (default: the machine's available
+//! parallelism). Asking for more threads than the machine has is a hard
+//! error (exit 2) — a silently oversubscribed scaling curve reads like a
+//! regression — unless `--allow-oversubscribe` is given, which records
+//! `oversubscribed: true` and skips the scaling floors loudly. `--reduced`
+//! swaps in the topology-preserving `Mini*` networks for a quick run. Every
+//! valued flag goes through `loom_core::threads::flag`, so a missing or
+//! unparsable value exits 2.
+//!
+//! The report is one [`Json`] value, written compact on one line.
 
-use loom_core::export::{
-    functional_bench_to_json, BatchBench, DatapathThroughputRow, FunctionalBenchReport,
-    KernelBench, ScalingPoint, WeightStoreBench, ZooFunctionalRow,
-};
 use loom_core::loom_model::fixed::required_precision;
 use loom_core::loom_model::graph::LayerGraph;
 use loom_core::loom_model::inference::{InferenceOptions, NetworkParams};
@@ -64,6 +60,7 @@ use loom_core::loom_sim::loom::{
 };
 use loom_core::loom_sim::{AcceleratorKind, EquivalentConfig};
 use loom_core::threads::flag;
+use loom_serve::json::Json;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::hint::black_box;
@@ -78,6 +75,25 @@ const KERNEL_LANES: usize = 256;
 
 /// Blocks in the tile benchmark's weight row: a 3×3×256 filter.
 const TILE_ROW_BLOCKS: usize = 9;
+
+/// A JSON object with `members` in order.
+fn object<const N: usize>(members: [(&str, Json); N]) -> Json {
+    Json::Object(
+        members
+            .into_iter()
+            .map(|(key, value)| (key.to_string(), value))
+            .collect(),
+    )
+}
+
+/// `num / den`, or 1.0 when `den` is 0: every speedup in the report.
+fn ratio(num: f64, den: f64) -> f64 {
+    if den > 0.0 {
+        num / den
+    } else {
+        1.0
+    }
+}
 
 /// Times `routine` with batch-size calibration (so `Instant` overhead stays
 /// negligible) until ~100 ms have elapsed; returns mean nanoseconds per call.
@@ -120,7 +136,8 @@ fn robust_ns<O, F: FnMut() -> O>(mut routine: F) -> f64 {
 /// The wide operands are pre-transposed, matching how the engine amortises
 /// packing. The tile is the engine's kernel call: a compressed 9-block row
 /// (a 3×3×256 filter) against `TILE` windows, timed per 256-lane product.
-fn bench_kernel(rng: &mut StdRng, bits: u8) -> KernelBench {
+/// Prints the point and returns its report row.
+fn bench_kernel(rng: &mut StdRng, bits: u8) -> Json {
     let p = Precision::new(bits).unwrap();
     let weights = synthetic_weights(rng, KERNEL_LANES, p, ValueDistribution::weights());
     let activations = synthetic_activations(rng, KERNEL_LANES, p, ValueDistribution::activations());
@@ -169,14 +186,20 @@ fn bench_kernel(rng: &mut StdRng, bits: u8) -> KernelBench {
         block.pack_into(black_box(&activations));
         black_box(&block);
     });
-    KernelBench {
-        precision_bits: bits,
-        lanes: KERNEL_LANES,
-        serial_ns,
-        wide_ns,
-        tile_ns,
-        pack_ns,
-    }
+    let wide_speedup = ratio(serial_ns, wide_ns);
+    println!(
+        "  {bits:>2}-bit: serial {serial_ns:>9.1} ns  wide {wide_ns:>7.1} ns  -> wide \
+         {wide_speedup:.1}x serial; in a tile {tile_ns:>6.1} ns; pack {pack_ns:>6.1} ns"
+    );
+    object([
+        ("precision_bits", Json::from(i64::from(bits))),
+        ("lanes", Json::from(KERNEL_LANES as i64)),
+        ("serial_ns", Json::Number(serial_ns)),
+        ("wide_ns", Json::Number(wide_ns)),
+        ("tile_ns", Json::Number(tile_ns)),
+        ("wide_speedup", Json::Number(wide_speedup)),
+        ("pack_ns", Json::Number(pack_ns)),
+    ])
 }
 
 /// Wall-clock seconds of the fastest of three runs of `routine`, with the
@@ -217,14 +240,16 @@ fn synthesize(graph: &LayerGraph) -> (NetworkParams, f64) {
     (params, started.elapsed().as_secs_f64())
 }
 
-/// Runs one zoo network through both paths and compares the traces.
+/// Runs one zoo network through both paths and compares the traces. Prints
+/// the network's line and returns its report row and whether the traces
+/// matched.
 fn bench_zoo_network(
     graph: &LayerGraph,
     params: &NetworkParams,
     synth_seconds: f64,
     geometry: LoomGeometry,
     threads: usize,
-) -> ZooFunctionalRow {
+) -> (Json, bool) {
     let input = zoo_input(graph, 4242);
     let options = InferenceOptions::default();
 
@@ -240,35 +265,52 @@ fn bench_zoo_network(
         .run(graph, params, &input, options)
         .expect("zoo graphs chain by construction");
     let functional_seconds = started.elapsed().as_secs_f64();
+    let matches_reference = run.trace == golden;
 
-    ZooFunctionalRow {
-        network: graph.name().to_string(),
-        nodes: graph.nodes().len(),
-        macs: graph.total_macs(),
-        synth_seconds,
-        golden_seconds,
-        functional_seconds,
-        cycles: run.cycles,
-        reduced_groups: run.reduced_groups,
-        matches_reference: run.trace == golden,
-    }
+    println!(
+        "  {:<14} {:>3} nodes {:>6.1} MMACs  synth {synth_seconds:>5.2}s  golden \
+         {golden_seconds:>7.2}s  functional {functional_seconds:>7.2}s  {}",
+        graph.name(),
+        graph.nodes().len(),
+        graph.total_macs() as f64 / 1e6,
+        if matches_reference {
+            "bit-exact"
+        } else {
+            "MISMATCH"
+        }
+    );
+    let row = object([
+        ("network", Json::from(graph.name())),
+        ("nodes", Json::from(graph.nodes().len() as i64)),
+        ("macs", Json::from(graph.total_macs() as i64)),
+        ("synth_seconds", Json::Number(synth_seconds)),
+        ("golden_seconds", Json::Number(golden_seconds)),
+        ("functional_seconds", Json::Number(functional_seconds)),
+        ("cycles", Json::from(run.cycles as i64)),
+        ("reduced_groups", Json::from(run.reduced_groups as i64)),
+        ("matches_reference", Json::Bool(matches_reference)),
+    ]);
+    (row, matches_reference)
 }
 
 /// Measures one network across a thread scaling curve at the given batch
-/// size, asserting bit-identical runs at every width.
+/// size, checking that every width's runs are bit-identical. Prints the
+/// curve on one line under `label` and returns the section's report value,
+/// the speedup at the widest point, and whether every run was identical.
 fn scaling_bench(
+    label: &str,
     graph: &LayerGraph,
     params: &NetworkParams,
     geometry: LoomGeometry,
     batch: usize,
     seed_base: u64,
     thread_curve: &[usize],
-) -> BatchBench {
+) -> (Json, f64, bool) {
     let inputs: Vec<Tensor3> = (0..batch as u64)
         .map(|i| zoo_input(graph, seed_base + i))
         .collect();
     let run_options = InferenceOptions::default();
-    let mut scaling = Vec::with_capacity(thread_curve.len());
+    let mut curve = Vec::with_capacity(thread_curve.len());
     let mut reference = None;
     let mut identical = true;
     for &threads in thread_curve {
@@ -277,47 +319,44 @@ fn scaling_bench(
             .with_threads(threads)
             .run_batch(graph, params, &inputs, run_options)
             .expect("zoo graphs chain by construction");
-        let seconds = started.elapsed().as_secs_f64();
-        scaling.push(ScalingPoint { threads, seconds });
+        curve.push((threads, started.elapsed().as_secs_f64()));
         match &reference {
             None => reference = Some(runs),
             Some(r) => identical &= *r == runs,
         }
     }
-    let serial_seconds = scaling[0].seconds;
-    let &ScalingPoint { threads, seconds } = scaling.last().expect("curve is non-empty");
-    BatchBench {
-        network: graph.name().to_string(),
-        batch: inputs.len(),
-        threads,
-        serial_seconds,
-        parallel_seconds: seconds,
-        identical,
-        scaling,
-    }
-}
-
-/// Prints one scaling section's curve on a single line.
-fn print_scaling(label: &str, bench: &BatchBench) {
-    print!("{label}: {} x{} scaling curve:", bench.network, bench.batch);
-    for p in &bench.scaling {
-        print!(
-            "  {}t {:.2}s ({:.2}x)",
-            p.threads,
-            p.seconds,
-            if p.seconds > 0.0 {
-                bench.serial_seconds / p.seconds
-            } else {
-                1.0
-            }
-        );
-    }
-    println!("  identical: {}", bench.identical);
+    let serial_seconds = curve[0].1;
+    let (threads, parallel_seconds) = *curve.last().expect("curve is non-empty");
+    let speedup = ratio(serial_seconds, parallel_seconds);
+    print!("{label}: {} x{batch} scaling curve:", graph.name());
+    let scaling = curve
+        .iter()
+        .map(|&(threads, seconds)| {
+            let speedup = ratio(serial_seconds, seconds);
+            print!("  {threads}t {seconds:.2}s ({speedup:.2}x)");
+            object([
+                ("threads", Json::from(threads as i64)),
+                ("seconds", Json::Number(seconds)),
+                ("speedup", Json::Number(speedup)),
+            ])
+        })
+        .collect();
+    println!("  identical: {identical}");
+    let section = object([
+        ("network", Json::from(graph.name())),
+        ("batch", Json::from(batch as i64)),
+        ("threads", Json::from(threads as i64)),
+        ("serial_seconds", Json::Number(serial_seconds)),
+        ("parallel_seconds", Json::Number(parallel_seconds)),
+        ("speedup", Json::Number(speedup)),
+        ("identical", Json::Bool(identical)),
+        ("scaling", Json::Array(scaling)),
+    ]);
+    (section, speedup, identical)
 }
 
 fn main() {
     let threads = loom_core::threads::resolve(flag("threads"));
-    let filter: Option<String> = flag("filter");
     let reduced = std::env::args().any(|a| a == "--reduced");
     let speedup_floor = flag("min-conv-speedup").unwrap_or(DEFAULT_MIN_CONV_SPEEDUP);
     let batch_floor: Option<f64> = flag("min-batch-speedup");
@@ -346,12 +385,12 @@ fn main() {
         }
     }
 
+    let physical_cores = loom_core::threads::physical_cores();
     let machine_features = loom_core::loom_sim::loom::cpu_features();
     let active_tier = loom_core::loom_sim::loom::active_kernel_tier();
     println!(
-        "Machine: {available} logical CPUs, {} physical cores; kernel tier {} \
+        "Machine: {available} logical CPUs, {physical_cores} physical cores; kernel tier {} \
          (popcnt={} avx2={} avx512f={} avx512bw={} avx512vpopcntdq={} avx512ifma={})",
-        loom_core::threads::physical_cores(),
         active_tier.name(),
         machine_features.popcnt,
         machine_features.avx2,
@@ -368,21 +407,9 @@ fn main() {
          {TILE}-window tile of a {TILE_ROW_BLOCKS}-block row), and the {KERNEL_LANES}-lane \
          transpose"
     );
-    let kernels: Vec<KernelBench> = [4u8, 8, 16]
+    let kernels: Vec<Json> = [4u8, 8, 16]
         .iter()
-        .map(|&bits| {
-            let k = bench_kernel(&mut rng, bits);
-            println!(
-                "  {bits:>2}-bit: serial {:>9.1} ns  wide {:>7.1} ns  -> wide {:.1}x serial; \
-                 in a tile {:>6.1} ns; pack {:>6.1} ns",
-                k.serial_ns,
-                k.wide_ns,
-                k.wide_speedup(),
-                k.tile_ns,
-                k.pack_ns
-            );
-            k
-        })
+        .map(|&bits| bench_kernel(&mut rng, bits))
         .collect();
 
     // A mid-size conv layer (VGG-scale channel counts on a small feature map)
@@ -450,138 +477,96 @@ fn main() {
     // (`loom_model::zoo::graphs::lookup`): the suite name lists above select
     // full-scale vs reduced, the resolution itself is common code.
     let resolve = |name: &str| graphs::lookup(name).expect("zoo suite names always resolve");
-    // `--filter` keeps the zoo networks whose names contain it, ignoring
-    // case. A typo'd filter must not silently skip the bit-exactness gate:
-    // warn and run the full suite instead.
-    let matches = |name: &str, filter: &str| {
-        name.to_ascii_lowercase()
-            .contains(&filter.to_ascii_lowercase())
-    };
-    let filter = filter.filter(|f| {
-        let any = zoo_names.iter().any(|name| matches(name, f));
-        if !any {
-            eprintln!("warning: --filter {f:?} matches no zoo network; running the full suite");
-        }
-        any
-    });
     println!(
         "Zoo functional suite ({} scale, {} threads):",
         if reduced { "reduced" } else { "full" },
         threads
     );
+    // Every bit-exactness check of the run, folded as the sections go.
+    let mut all_agree = conv_matches_reference;
     // Each network's weights are synthesized once. AlexNet's (MiniAlexNet's
     // with `--reduced`) also serve the datapath, scaling and pack-once
-    // sections below; when `--filter` drops it from this section, they are
-    // synthesized once after it.
+    // sections below.
     let alexnet_name = if reduced { "MiniAlexNet" } else { "AlexNet" };
     let mut alexnet = None;
-    let zoo: Vec<ZooFunctionalRow> = zoo_names
-        .iter()
-        .filter(|name| filter.as_deref().is_none_or(|f| matches(name, f)))
-        .map(|name| {
-            let graph = resolve(name);
-            let (params, synth_seconds) = synthesize(&graph);
-            let row = bench_zoo_network(&graph, &params, synth_seconds, geometry, threads);
-            println!(
-                "  {:<14} {:>3} nodes {:>6.1} MMACs  synth {:>5.2}s  golden {:>7.2}s  functional {:>7.2}s  {}",
-                row.network,
-                row.nodes,
-                row.macs as f64 / 1e6,
-                row.synth_seconds,
-                row.golden_seconds,
-                row.functional_seconds,
-                if row.matches_reference {
-                    "bit-exact"
-                } else {
-                    "MISMATCH"
-                }
-            );
-            if *name == alexnet_name {
-                alexnet = Some((graph, params));
-            }
-            row
-        })
-        .collect();
-    let (alexnet, alexnet_params) = alexnet.unwrap_or_else(|| {
-        let graph = resolve(alexnet_name);
-        let (params, _) = synthesize(&graph);
-        (graph, params)
-    });
+    let mut zoo = Vec::with_capacity(zoo_names.len());
+    for &name in zoo_names {
+        let graph = resolve(name);
+        let (params, synth_seconds) = synthesize(&graph);
+        let (row, matches) = bench_zoo_network(&graph, &params, synth_seconds, geometry, threads);
+        all_agree &= matches;
+        zoo.push(row);
+        if name == alexnet_name {
+            alexnet = Some((graph, params));
+        }
+    }
+    let (alexnet, alexnet_params) = alexnet.expect("both suites include AlexNet");
 
     // Per-accelerator functional throughput: every backend that exposes a
     // functional datapath runs one network end to end, bit-exact against the
     // golden executor, with cycles and wall-clock per backend.
     // The measured speedup-vs-DPNN series backs Table 2 / Figure 4 with
     // executed (not just modelled) cycle counts.
-    let datapaths = if filter.is_none() {
-        let inputs: Vec<Tensor3> = (0..2).map(|i| zoo_input(&alexnet, 7000 + i)).collect();
-        let run_options = InferenceOptions::default();
-        let golden = alexnet
-            .run_batch(&alexnet_params, &inputs, run_options)
-            .expect("zoo graphs chain by construction");
-
-        let accelerators: Vec<Box<dyn Accelerator>> = AcceleratorKind::all()
-            .into_iter()
-            .map(|kind| accelerator::build(kind, EquivalentConfig::BASELINE_128))
-            .collect();
-        println!(
-            "Datapath throughput: {} backends on {} x{}:",
-            accelerators.len(),
-            alexnet.name(),
-            inputs.len()
-        );
-        let mut rows: Vec<DatapathThroughputRow> = Vec::new();
-        for acc in &accelerators {
-            let Some(backend) = acc.functional_datapath(threads) else {
-                continue;
-            };
-            let started = Instant::now();
-            let runs = datapath::run_network_batch(
-                backend.as_ref(),
-                &alexnet,
-                &alexnet_params,
-                &inputs,
-                run_options,
-            )
-            .expect("zoo graphs chain by construction");
-            let seconds = started.elapsed().as_secs_f64();
-            rows.push(DatapathThroughputRow {
-                accelerator: acc.name(),
-                network: alexnet.name().to_string(),
-                seconds,
-                cycles: runs.iter().map(|r| r.cycles).sum(),
-                reduced_groups: runs.iter().map(|r| r.reduced_groups).sum(),
-                speedup_vs_dpnn: 1.0,
-                matches_reference: runs.iter().map(|r| &r.trace).eq(golden.iter()),
-            });
-        }
-        let dpnn_cycles = rows
-            .iter()
-            .find(|r| r.accelerator == "DPNN")
-            .map(|r| r.cycles);
-        for row in &mut rows {
-            if let Some(base) = dpnn_cycles {
-                if row.cycles > 0 {
-                    row.speedup_vs_dpnn = base as f64 / row.cycles as f64;
-                }
-            }
+    let inputs: Vec<Tensor3> = (0..2).map(|i| zoo_input(&alexnet, 7000 + i)).collect();
+    let run_options = InferenceOptions::default();
+    let golden_traces = alexnet
+        .run_batch(&alexnet_params, &inputs, run_options)
+        .expect("zoo graphs chain by construction");
+    let accelerators: Vec<Box<dyn Accelerator>> = AcceleratorKind::all()
+        .into_iter()
+        .map(|kind| accelerator::build(kind, EquivalentConfig::BASELINE_128))
+        .collect();
+    println!(
+        "Datapath throughput: {} backends on {} x{}:",
+        accelerators.len(),
+        alexnet.name(),
+        inputs.len()
+    );
+    // (accelerator, seconds, cycles, reduced groups, matches reference)
+    let mut backends = Vec::new();
+    for acc in &accelerators {
+        let Some(backend) = acc.functional_datapath(threads) else {
+            continue;
+        };
+        let started = Instant::now();
+        let runs = datapath::run_network_batch(
+            backend.as_ref(),
+            &alexnet,
+            &alexnet_params,
+            &inputs,
+            run_options,
+        )
+        .expect("zoo graphs chain by construction");
+        backends.push((
+            acc.name(),
+            started.elapsed().as_secs_f64(),
+            runs.iter().map(|r| r.cycles).sum::<u64>(),
+            runs.iter().map(|r| r.reduced_groups).sum::<u64>(),
+            runs.iter().map(|r| &r.trace).eq(golden_traces.iter()),
+        ));
+    }
+    let dpnn_cycles = backends.iter().find(|b| b.0 == "DPNN").map(|b| b.2 as f64);
+    let datapaths: Vec<Json> = backends
+        .into_iter()
+        .map(|(accelerator, seconds, cycles, reduced_groups, matches)| {
+            let speedup_vs_dpnn = dpnn_cycles.map_or(1.0, |base| ratio(base, cycles as f64));
             println!(
-                "  {:<14} {:>7.2}s  {:>12} cycles  {:>5.2}x vs DPNN  {}",
-                row.accelerator,
-                row.seconds,
-                row.cycles,
-                row.speedup_vs_dpnn,
-                if row.matches_reference {
-                    "bit-exact"
-                } else {
-                    "MISMATCH"
-                }
+                "  {accelerator:<14} {seconds:>7.2}s  {cycles:>12} cycles  \
+                 {speedup_vs_dpnn:>5.2}x vs DPNN  {}",
+                if matches { "bit-exact" } else { "MISMATCH" }
             );
-        }
-        rows
-    } else {
-        Vec::new()
-    };
+            all_agree &= matches;
+            object([
+                ("accelerator", Json::from(accelerator.as_str())),
+                ("network", Json::from(alexnet.name())),
+                ("seconds", Json::Number(seconds)),
+                ("cycles", Json::from(cycles as i64)),
+                ("reduced_groups", Json::from(reduced_groups as i64)),
+                ("speedup_vs_dpnn", Json::Number(speedup_vs_dpnn)),
+                ("matches_reference", Json::Bool(matches)),
+            ])
+        })
+        .collect();
 
     // Batched throughput and batch-of-1 latency: one network across a thread
     // scaling curve, capped at the resolved thread budget so an
@@ -595,15 +580,25 @@ fn main() {
         .collect::<std::collections::BTreeSet<_>>()
         .into_iter()
         .collect();
-    let (batch, latency) = if filter.is_none() {
-        let batch = scaling_bench(&alexnet, &alexnet_params, geometry, 4, 9000, &thread_curve);
-        print_scaling("Batched engine", &batch);
-        let latency = scaling_bench(&alexnet, &alexnet_params, geometry, 1, 9500, &thread_curve);
-        print_scaling("Batch-of-1 latency", &latency);
-        (Some(batch), Some(latency))
-    } else {
-        (None, None)
-    };
+    let (batch, batch_speedup, batch_identical) = scaling_bench(
+        "Batched engine",
+        &alexnet,
+        &alexnet_params,
+        geometry,
+        4,
+        9000,
+        &thread_curve,
+    );
+    let (latency, latency_speedup, latency_identical) = scaling_bench(
+        "Batch-of-1 latency",
+        &alexnet,
+        &alexnet_params,
+        geometry,
+        1,
+        9500,
+        &thread_curve,
+    );
+    all_agree &= batch_identical && latency_identical;
 
     // Pack-once probe: prepacking the same model twice must be served from
     // the process-wide weight store the second time — CI gates on this with
@@ -612,9 +607,9 @@ fn main() {
     let first_pack = probe_engine.prepack(&alexnet, &alexnet_params);
     let before_probe = weight_store_stats();
     let second_pack = probe_engine.prepack(&alexnet, &alexnet_params);
-    let after_probe = weight_store_stats();
-    let repack_avoided = after_probe.packs() == before_probe.packs()
-        && after_probe.hits() >= before_probe.hits() + second_pack.packed_layers() as u64
+    let store = weight_store_stats();
+    let repack_avoided = store.packs() == before_probe.packs()
+        && store.hits() >= before_probe.hits() + second_pack.packed_layers() as u64
         && first_pack.packed_layers() > 0;
     // The two per-weight passes an uncached dispatch makes over a layer's
     // weights, each timed over every layer of the probe model (fastest of
@@ -639,75 +634,87 @@ fn main() {
     let precision_scan_ns_per_weight = per_weight_ns(&|w| {
         black_box(required_precision(w));
     });
-    let store = after_probe;
-    let weight_store = WeightStoreBench {
-        packs: store.packs(),
-        hits: store.hits(),
-        evictions: store.evictions,
-        entries: store.entries,
-        resident_bytes: store.resident_bytes,
-        pack_seconds: store.pack.pack_nanos as f64 / 1e9,
-        dense_bytes: store.pack.dense_bytes,
-        compressed_bytes: store.pack.compressed_bytes,
-        compression_ratio: store.pack.ratio(),
-        repack_avoided,
-        fingerprint_ns_per_weight,
-        precision_scan_ns_per_weight,
-    };
+    let pack_seconds = store.pack.pack_nanos as f64 / 1e9;
     println!(
         "Weight store: {} packs / {} hits, {} resident entries ({:.1} KB); \
-         pack time {:.3}s; compressed {:.1} -> {:.1} KB resident \
+         pack time {pack_seconds:.3}s; compressed {:.1} -> {:.1} KB resident \
          (stream ratio {:.2}); repack avoided: {repack_avoided}; per weight: \
          fingerprint {fingerprint_ns_per_weight:.3} ns, precision scan \
          {precision_scan_ns_per_weight:.3} ns",
-        weight_store.packs,
-        weight_store.hits,
-        weight_store.entries,
-        weight_store.resident_bytes as f64 / 1024.0,
-        weight_store.pack_seconds,
-        weight_store.dense_bytes as f64 / 1024.0,
-        weight_store.compressed_bytes as f64 / 1024.0,
-        weight_store.compression_ratio,
+        store.packs(),
+        store.hits(),
+        store.entries,
+        store.resident_bytes as f64 / 1024.0,
+        store.pack.dense_bytes as f64 / 1024.0,
+        store.pack.compressed_bytes as f64 / 1024.0,
+        store.pack.ratio(),
     );
+    let weight_store = object([
+        ("packs", Json::from(store.packs() as i64)),
+        ("hits", Json::from(store.hits() as i64)),
+        ("evictions", Json::from(store.evictions as i64)),
+        ("entries", Json::from(store.entries as i64)),
+        ("resident_bytes", Json::from(store.resident_bytes as i64)),
+        ("pack_seconds", Json::Number(pack_seconds)),
+        ("dense_bytes", Json::from(store.pack.dense_bytes as i64)),
+        (
+            "compressed_bytes",
+            Json::from(store.pack.compressed_bytes as i64),
+        ),
+        ("compression_ratio", Json::Number(store.pack.ratio())),
+        ("repack_avoided", Json::Bool(repack_avoided)),
+        (
+            "fingerprint_ns_per_weight",
+            Json::Number(fingerprint_ns_per_weight),
+        ),
+        (
+            "precision_scan_ns_per_weight",
+            Json::Number(precision_scan_ns_per_weight),
+        ),
+    ]);
 
-    let report = FunctionalBenchReport {
-        kernels,
-        conv_layer,
-        conv_golden_seconds,
-        conv_wide_seconds,
-        conv_matches_reference,
-        available_parallelism: available,
-        physical_cores: loom_core::threads::physical_cores(),
-        oversubscribed,
-        cpu_features: vec![
-            ("popcnt".to_string(), machine_features.popcnt),
-            ("avx2".to_string(), machine_features.avx2),
-            ("avx512f".to_string(), machine_features.avx512f),
-            ("avx512bw".to_string(), machine_features.avx512bw),
-            (
-                "avx512vpopcntdq".to_string(),
-                machine_features.avx512vpopcntdq,
+    let conv_speedup = ratio(conv_golden_seconds, conv_wide_seconds);
+    let cpu_features = [
+        ("popcnt", machine_features.popcnt),
+        ("avx2", machine_features.avx2),
+        ("avx512f", machine_features.avx512f),
+        ("avx512bw", machine_features.avx512bw),
+        ("avx512vpopcntdq", machine_features.avx512vpopcntdq),
+        ("avx512ifma", machine_features.avx512ifma),
+    ];
+    let report = object([
+        ("kernels", Json::Array(kernels)),
+        ("conv_layer", Json::String(conv_layer)),
+        ("conv_golden_seconds", Json::Number(conv_golden_seconds)),
+        ("conv_wide_seconds", Json::Number(conv_wide_seconds)),
+        ("conv_speedup", Json::Number(conv_speedup)),
+        ("conv_matches_reference", Json::Bool(conv_matches_reference)),
+        ("available_parallelism", Json::from(available as i64)),
+        ("physical_cores", Json::from(physical_cores as i64)),
+        ("oversubscribed", Json::Bool(oversubscribed)),
+        (
+            "cpu_features",
+            object(cpu_features.map(|(name, on)| (name, Json::Bool(on)))),
+        ),
+        (
+            "kernel_tiers",
+            Json::Object(
+                KERNEL_TIERS
+                    .iter()
+                    .map(|t| (t.name().to_string(), Json::Bool(t.detected())))
+                    .collect(),
             ),
-            ("avx512ifma".to_string(), machine_features.avx512ifma),
-        ],
-        kernel_tiers: KERNEL_TIERS
-            .iter()
-            .map(|t| (t.name().to_string(), t.detected()))
-            .collect(),
-        active_kernel_tier: active_tier.name().to_string(),
-        zoo,
-        datapaths,
-        batch,
-        latency,
-        weight_store,
-    };
-    println!(
-        "Conv layer, functional engine over the golden i64 reference: {:.1}x",
-        report.conv_speedup()
-    );
+        ),
+        ("active_kernel_tier", Json::from(active_tier.name())),
+        ("zoo", Json::Array(zoo)),
+        ("datapaths", Json::Array(datapaths)),
+        ("batch", batch),
+        ("latency", latency),
+        ("weight_store", weight_store),
+    ]);
+    println!("Conv layer, functional engine over the golden i64 reference: {conv_speedup:.1}x");
 
-    let json = functional_bench_to_json(&report);
-    match std::fs::write("BENCH_functional.json", &json) {
+    match std::fs::write("BENCH_functional.json", report.to_string() + "\n") {
         Ok(()) => println!("Wrote BENCH_functional.json"),
         Err(e) => {
             // Exit non-zero: a committed baseline exists at the repo root, so
@@ -717,7 +724,7 @@ fn main() {
         }
     }
 
-    if !report.all_agree() {
+    if !all_agree {
         eprintln!(
             "ERROR: a bit-exactness check failed (the conv layer or a zoo \
              network vs the golden model, or a parallel batch vs the serial one)"
@@ -726,9 +733,7 @@ fn main() {
     }
     // Pack-once guard: repacking a model whose weights are already in the
     // store is a perf regression even when results stay bit-exact.
-    if std::env::args().any(|a| a == "--require-repack-avoidance")
-        && !report.weight_store.repack_avoided
-    {
+    if std::env::args().any(|a| a == "--require-repack-avoidance") && !repack_avoided {
         eprintln!(
             "ERROR: the second prepack of the probe model was not served from \
              the weight store (repack avoidance regressed)"
@@ -738,10 +743,10 @@ fn main() {
     // Perf regression guard: the engine falling below the committed floor
     // over the golden conv fails CI even when every result is still
     // bit-exact.
-    if report.conv_speedup() < speedup_floor {
+    if conv_speedup < speedup_floor {
         eprintln!(
-            "ERROR: conv_speedup {:.1}x fell below the committed floor of {speedup_floor:.1}x",
-            report.conv_speedup()
+            "ERROR: conv_speedup {conv_speedup:.1}x fell below the committed floor of \
+             {speedup_floor:.1}x"
         );
         std::process::exit(1);
     }
@@ -757,20 +762,16 @@ fn main() {
         }
         return;
     }
-    for (name, floor, section) in [
-        ("batch", batch_floor, report.batch.as_ref()),
-        ("latency", latency_floor, report.latency.as_ref()),
+    let widest = thread_curve.last().expect("curve is non-empty");
+    for (name, floor, speedup) in [
+        ("batch", batch_floor, batch_speedup),
+        ("latency", latency_floor, latency_speedup),
     ] {
         let Some(floor) = floor else { continue };
-        let Some(section) = section else {
-            eprintln!("ERROR: --min-{name}-speedup given but the {name} section did not run");
-            std::process::exit(1);
-        };
-        if section.speedup() < floor {
+        if speedup < floor {
             eprintln!(
-                "ERROR: {name} speedup {:.2}x at {} threads fell below the committed floor of {floor:.2}x",
-                section.speedup(),
-                section.threads
+                "ERROR: {name} speedup {speedup:.2}x at {widest} threads fell below the \
+                 committed floor of {floor:.2}x"
             );
             std::process::exit(1);
         }

@@ -8,14 +8,14 @@
 //! * [`experiment`] — precision-assignment construction and per-network
 //!   evaluation of every accelerator (DPNN, Stripes, DStripes, LM1b/2b/4b).
 //! * [`threads`] — the one thread-budget policy every binary shares
-//!   (`--threads` beats `LOOM_THREADS` beats available parallelism), the one
-//!   flag parser, and physical-core detection for bench provenance.
+//!   (`--threads`, else available parallelism), the one flag parser, and
+//!   physical-core detection for bench provenance.
 //! * [`tables`] — Table 2, Table 4 and Figure 4 reproductions.
 //! * [`scaling`] — the Figure 5 scaling study with a realistic memory system.
 //! * [`report`] — plain-text table rendering shared by the reproduction
 //!   binaries in the `loom-bench` crate.
 //! * [`export`] — CSV export of every experiment's data for external
-//!   plotting, and the JSON report `functional_bench` writes.
+//!   plotting.
 //!
 //! Every table and figure is computed serially, one network and one
 //! accelerator at a time. [`table2`] and [`figure4`] tabulate the

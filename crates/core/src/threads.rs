@@ -1,14 +1,14 @@
-//! The one thread-budget policy every binary shares: **`--threads` flag beats
-//! `LOOM_THREADS` beats [`available`]** (the machine's available
-//! parallelism). Bench and serving binaries resolve their worker count
-//! through [`resolve`] so the precedence cannot drift between tools, and
-//! [`physical_cores`] reports the physical core count for bench provenance
-//! (SMT siblings share execution ports, so scaling floors are judged against
-//! physical cores, not logical CPUs).
+//! The one thread-budget policy every binary shares: **the `--threads` flag,
+//! else [`available`]** (the machine's available parallelism). Bench and
+//! serving binaries resolve their worker count through [`resolve`] so the
+//! policy cannot drift between tools, and [`physical_cores`] reports the
+//! physical core count for bench provenance (SMT siblings share execution
+//! ports, so scaling floors are judged against physical cores, not logical
+//! CPUs).
 //!
 //! Beside it sits [`flag`], the one parser the serving and bench binaries
-//! read their valued options through (`--threads`, `--filter`, `--port`,
-//! `--out`, the CI floors).
+//! read their valued options through (`--threads`, `--port`, `--out`, the CI
+//! floors).
 
 use std::str::FromStr;
 
@@ -19,24 +19,11 @@ pub fn available() -> usize {
         .unwrap_or(1)
 }
 
-/// The `LOOM_THREADS` environment override, if set to a positive integer.
-/// Zero or unparsable values are ignored (callers fall through to
-/// [`available`]).
-pub fn env_override() -> Option<usize> {
-    std::env::var("LOOM_THREADS")
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .filter(|&n| n > 0)
-}
-
-/// Resolves a worker-thread count with the shared precedence: an explicit
-/// `--threads` flag value beats `LOOM_THREADS` beats [`available`]. A flag
-/// value of `Some(0)` is treated as unset (the CLI parsers already reject
-/// zero, this keeps the helper total).
+/// Resolves a worker-thread count: an explicit `--threads` flag value, else
+/// [`available`]. A flag value of `Some(0)` is treated as unset (the CLI
+/// parsers already reject zero, this keeps the helper total).
 pub fn resolve(flag: Option<usize>) -> usize {
-    flag.filter(|&n| n > 0)
-        .or_else(env_override)
-        .unwrap_or_else(available)
+    flag.filter(|&n| n > 0).unwrap_or_else(available)
 }
 
 /// The value of `--name v` or `--name=v` among this process's arguments,
@@ -120,8 +107,8 @@ mod tests {
     fn flag_beats_env_beats_available() {
         // The flag always wins outright; zero flags are treated as unset.
         assert_eq!(resolve(Some(3)), 3);
-        assert!(resolve(Some(0)) >= 1);
-        assert!(resolve(None) >= 1);
+        assert_eq!(resolve(Some(0)), available());
+        assert_eq!(resolve(None), available());
     }
 
     #[test]

@@ -10,11 +10,9 @@
 //! * [`hierarchy`] — the assembled memory system: spill detection, off-chip
 //!   traffic and memory-bound cycle counts per layer.
 //!
-//! Three standalone models sit beside them, called by no simulator:
-//! [`packing`] (bit-interleaved storage of one group at one precision, §3.2),
-//! [`transposer`] (the output-activation transposer) and [`buffers`] (the
-//! ABin/ABout SRAM and AM/WM eDRAM as capacity/access-count models). The
-//! engine packs and transposes through `loom-sim`'s `WideBitplaneBlock`.
+//! One standalone model sits beside them, called by no simulator:
+//! [`packing`] (bit-interleaved storage of one group at one precision, §3.2).
+//! The engine packs and transposes through `loom-sim`'s `WideBitplaneBlock`.
 //!
 //! # Example
 //!
@@ -41,13 +39,11 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod buffers;
 pub mod compress;
 pub mod dram;
 pub mod hierarchy;
 pub mod packing;
 pub mod traffic;
-pub mod transposer;
 
 pub use compress::{CompressedPlanes, PlaneRef};
 pub use dram::DramChannel;

@@ -6,11 +6,10 @@
 //!            [--max-queue N] [--max-connections N] [--models a,b,c]
 //! ```
 //!
-//! `--threads` resolves through the shared policy (`--threads` beats
-//! `LOOM_THREADS` beats available parallelism). `--models` restricts the
-//! catalog to a comma-separated subset of registered zoo names (default: the
-//! reduced networks plus the MLP heads). The wire protocol is documented in
-//! `docs/SERVING.md`.
+//! `--threads` resolves through the shared policy (default: available
+//! parallelism). `--models` restricts the catalog to a comma-separated
+//! subset of registered zoo names (default: the reduced networks plus the
+//! MLP heads). The wire protocol is documented in `docs/SERVING.md`.
 
 use loom_core::threads::flag;
 use loom_serve::batch::BatchConfig;

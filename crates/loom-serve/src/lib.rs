@@ -5,7 +5,8 @@
 //! ([`loom_core::loom_sim::loom::network::NetworkEngine`]) into a network
 //! service without adding a single external dependency.
 //!
-//! * [`json`] — the minimal JSON value type the wire protocol uses.
+//! * [`json`] — the minimal JSON value type the wire protocol uses, and the
+//!   one JSON encoder of the repository's BENCH reports.
 //! * [`http`] — request/response framing with hard size caps and timeouts.
 //! * [`model`] — the served-model catalog: zoo graphs + deterministic
 //!   synthetic weights + per-model packed-weight caches built once at
